@@ -26,7 +26,7 @@ from .distfit import (
     fit_lognormal,
     test_lognormality,
 )
-from .fetch import Cache, FetchError, FetchResult, ProviderConfig, RateLimiter, cache_lookup, fetch_counts
+from .fetch import Cache, FetchError, FetchResult, ProviderConfig, RateLimiter, fetch_counts
 from .ingest import IngestError, IngestReport, SchemaError, parse_records, validate, write_records
 from .rescale import (
     AllUnreadGroupError,
@@ -73,7 +73,6 @@ __all__ = [
     "UnsupportedSizeError",
     "ZeroPolicy",
     "ZeroVarianceError",
-    "cache_lookup",
     "ccdf",
     "ccdf_filename",
     "characteristic_scores",

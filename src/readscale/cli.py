@@ -28,6 +28,7 @@ import numpy as np
 from .corpus import (
     DuplicateIdError,
     EmptyCorpusError,
+    Group,
     GroupKey,
     PublicationRecord,
     group_by_field_year,
@@ -50,6 +51,9 @@ log = logging.getLogger(__name__)
 ZERO_POLICY_FLAGS = {"exclude": "exclude", "shift1": "shift-one"}
 
 DEFAULT_Z = (5.0, 10.0, 20.0)
+
+# subcommands that take the corpus grouped by (field, year), loaded once in main
+ANALYSIS_COMMANDS = ("fit", "collapse", "css", "topz", "report")
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +143,27 @@ def _input_format(path: Path) -> tuple[str, str]:
     return "delimited", ","
 
 
-def _load_records(
-    paths: Sequence[str], years: Sequence[int] | None
-) -> list[PublicationRecord]:
+def _parse_inputs(paths: Sequence[str]) -> tuple[list[PublicationRecord], list[tuple[int, str]]]:
+    """Records of every input file, and its rejections as ``(line, "<file>: <reason>")``."""
     records: list[PublicationRecord] = []
+    diagnostics: list[tuple[int, str]] = []
     for p in paths:
         path = Path(p)
         fmt, delimiter = _input_format(path)
         recs, report = parse_records(path, format=fmt, delimiter=delimiter)
         if report.rejected:
             log.warning("%s: skipped %d malformed rows", path, report.rejected)
+        diagnostics.extend(
+            (lineno, f"{path.name}: {reason}") for lineno, reason in report.diagnostics
+        )
         records.extend(recs)
+    return records, diagnostics
+
+
+def _load_records(
+    paths: Sequence[str], years: Sequence[int] | None
+) -> list[PublicationRecord]:
+    records, _ = _parse_inputs(paths)
     if years:
         keep = set(years)
         records = [r for r in records if r.year in keep]
@@ -172,16 +186,7 @@ def cmd_ingest(args) -> int:
     """Normalize raw inputs into one validated line-JSON corpus."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records: list[PublicationRecord] = []
-    diagnostics: list[tuple[int, str]] = []
-    for p in args.input:
-        path = Path(p)
-        fmt, delimiter = _input_format(path)
-        recs, report = parse_records(path, format=fmt, delimiter=delimiter)
-        diagnostics.extend(
-            (lineno, f"{path.name}: {reason}") for lineno, reason in report.diagnostics
-        )
-        records.extend(recs)
+    records, diagnostics = _parse_inputs(args.input)
 
     check = validate(records)
     diagnostics.extend(check.diagnostics)
@@ -277,11 +282,9 @@ _FIT_RENDER = {
 }
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, groups: dict[GroupKey, Group]) -> int:
     """Per-stratum lognormal fits with a Bonferroni-corrected normality test."""
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
-    records = _load_records(args.input, args.year)
-    groups = group_by_field_year(records)
     rows: list[dict] = []
     p_values: dict[GroupKey, float] = {}
     for key in sorted(groups):
@@ -316,8 +319,7 @@ def cmd_fit(args) -> int:
         if key in p_values:
             row["reject"] = bool(p_values[key] < threshold)
 
-    echo = None if getattr(args, "quiet_tables", False) else args.format
-    write_table(rows, _FIT_COLUMNS, _FIT_RENDER, Path(args.out), "fit", echo)
+    write_table(rows, _FIT_COLUMNS, _FIT_RENDER, Path(args.out), "fit", args.format)
     return 0
 
 
@@ -328,11 +330,9 @@ _COLLAPSE_RENDER = {
 }
 
 
-def cmd_collapse(args) -> int:
+def cmd_collapse(args, groups: dict[GroupKey, Group]) -> int:
     """Pool mean-rescaled strata per year; emit pooled fits and CCDF files."""
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
-    records = _load_records(args.input, args.year)
-    groups = group_by_field_year(records)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -340,6 +340,9 @@ def cmd_collapse(args) -> int:
     for year in _years_of(groups):
         samples = []
         skipped = []
+        clashes = []
+        # CCDF file name -> the curve it holds; distinct labels can share a name
+        written = {ccdf_filename(year): "the pooled curve"}
         for key in sorted(k for k in groups if k.year == year):
             try:
                 sample = rescale_group(groups[key])
@@ -348,12 +351,19 @@ def cmd_collapse(args) -> int:
                 skipped.append(key.field)
                 continue
             samples.append(sample)
-            write_ccdf_tsv(ccdf(sample.values), out_dir / ccdf_filename(year, key.field))
+            name = ccdf_filename(year, key.field)
+            if name in written:
+                clashes.append(f"ccdf of {key.field!r} not written: {name} holds {written[name]}")
+                log.warning("stratum %s/%d: %s", key.field, year, clashes[-1])
+                continue
+            written[name] = repr(key.field)
+            write_ccdf_tsv(ccdf(sample.values), out_dir / name)
         row: dict = {
             "year": year, "n_strata": len(samples), "obs": None,
             "mu": None, "sigma2": None, "loglik": None, "note": "",
         }
         notes = [f"skipped all-zero strata: {', '.join(skipped)}"] if skipped else []
+        notes += clashes
         if samples:
             pooled = collapse(samples)
             write_ccdf_tsv(ccdf(pooled), out_dir / ccdf_filename(year))
@@ -368,8 +378,7 @@ def cmd_collapse(args) -> int:
         row["note"] = "; ".join(notes)
         rows.append(row)
 
-    echo = None if getattr(args, "quiet_tables", False) else args.format
-    write_table(rows, _COLLAPSE_COLUMNS, _COLLAPSE_RENDER, out_dir, "collapse", echo)
+    write_table(rows, _COLLAPSE_COLUMNS, _COLLAPSE_RENDER, out_dir, "collapse", args.format)
     return 0
 
 
@@ -405,10 +414,8 @@ def _css_row(head: dict, values: np.ndarray, k: int, rule: str, labels: Sequence
     return row
 
 
-def cmd_css(args) -> int:
+def cmd_css(args, groups: dict[GroupKey, Group]) -> int:
     """Characteristic-score classes, pooled per year and per stratum."""
-    records = _load_records(args.input, args.year)
-    groups = group_by_field_year(records)
     k, rule = args.k, args.css_strict
     labels = _css_class_labels(k)
     columns = (
@@ -440,10 +447,9 @@ def cmd_css(args) -> int:
         for key in sorted(groups)
     ]
 
-    echo = None if getattr(args, "quiet_tables", False) else args.format
     out_dir = Path(args.out)
-    write_table(overall_rows, columns, render, out_dir, "css_overall", echo)
-    write_table(strata_rows, ["field"] + columns, render, out_dir, "css_strata", echo)
+    write_table(overall_rows, columns, render, out_dir, "css_overall", args.format)
+    write_table(strata_rows, ["field"] + columns, render, out_dir, "css_strata", args.format)
     return 0
 
 
@@ -458,17 +464,16 @@ _SHARE_RENDER = {
 }
 
 
-def cmd_topz(args) -> int:
+def cmd_topz(args, groups: dict[GroupKey, Group]) -> int:
     """Per-field share of the global top z%, before and after rescaling."""
     zs = tuple(args.z) if args.z else DEFAULT_Z
-    records = _load_records(args.input, args.year)
-    groups = group_by_field_year(records)
     out_dir = Path(args.out)
-    echo = None if getattr(args, "quiet_tables", False) else args.format
+    by_year: dict[int, list[PublicationRecord]] = {}
+    for key in sorted(groups):
+        by_year.setdefault(key.year, []).extend(groups[key].records)
 
     rows: list[dict] = []
-    for year in _years_of(groups):
-        year_records = [r for r in records if r.year == year]
+    for year, year_records in sorted(by_year.items()):
         for z in zs:
             for variant in VARIANTS:
                 head = {"year": year, "z": z, "variant": variant}
@@ -497,16 +502,16 @@ def cmd_topz(args) -> int:
                     f"topz_shares_{year}_z{z:g}_{variant}", None,
                 )
 
-    write_table(rows, _TOPZ_COLUMNS, _TOPZ_RENDER, out_dir, "topz", echo)
+    write_table(rows, _TOPZ_COLUMNS, _TOPZ_RENDER, out_dir, "topz", args.format)
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, groups: dict[GroupKey, Group]) -> int:
     """fit + collapse + css + topz over the same corpus and flags."""
-    args.quiet_tables = True
+    args.format = None
     code = 0
     for command in (cmd_fit, cmd_collapse, cmd_css, cmd_topz):
-        code = max(code, command(args))
+        code = max(code, command(args, groups))
     print(f"report written to {args.out}")
     return code
 
@@ -650,6 +655,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     _validate_args(parser, args)
     try:
+        if args.command in ANALYSIS_COMMANDS:
+            return args.func(args, group_by_field_year(_load_records(args.input, args.year)))
         return args.func(args)
     except (IngestError, EmptyCorpusError, DuplicateIdError, FetchError) as exc:
         log.error("%s", exc)

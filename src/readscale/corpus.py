@@ -144,6 +144,11 @@ def group_by_field_year(
     return {k: Group(k, tuple(v)) for k, v in buckets.items()}
 
 
+def field_slug(label: str) -> str:
+    """File-name-safe form of a field label; "Bio Chem" and "bio-chem" share one."""
+    return "".join(c if c.isalnum() else "_" for c in label.strip()).strip("_").lower()
+
+
 def group_stats(group: Group) -> GroupStats:
     """Compute n, mean reads, max reads and the zero-read share of a group."""
     if len(group) == 0:

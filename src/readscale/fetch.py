@@ -33,7 +33,6 @@ __all__ = [
     "FetchResult",
     "ProviderConfig",
     "RateLimiter",
-    "cache_lookup",
     "fetch_counts",
 ]
 
@@ -174,11 +173,6 @@ class Cache:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write("".join(line + "\n" for line in lines))
-
-
-def cache_lookup(doi: str, cache: Cache) -> FetchResult | None:
-    """Latest cached result for one DOI, or None."""
-    return cache.read_all().get(doi)
 
 
 def _apply_threshold(raw: dict, threshold: float) -> FetchResult:

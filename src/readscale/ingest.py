@@ -123,16 +123,20 @@ def parse_records(
     stream = _open_text(source)
     try:
         if format == "delimited":
-            return _parse_delimited(stream, delimiter)
-        return _parse_line_json(stream)
+            records, diagnostics = _parse_delimited(stream, delimiter)
+        else:
+            records, diagnostics = _parse_line_json(stream)
     except UnicodeDecodeError as exc:
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
     finally:
         if isinstance(source, (str, Path)):
             stream.close()
+    return records, IngestReport(
+        accepted=len(records), rejected=len(diagnostics), diagnostics=tuple(diagnostics)
+    )
 
 
-def _parse_delimited(stream, delimiter: str):
+def _parse_delimited(stream, delimiter: str) -> tuple[list[PublicationRecord], list]:
     reader = csv.DictReader(stream, delimiter=delimiter)
     if reader.fieldnames is None:
         raise SchemaError("id")
@@ -152,14 +156,10 @@ def _parse_delimited(stream, delimiter: str):
             records.append(_row_to_record(row))
         except ValueError as exc:
             diagnostics.append((lineno, str(exc)))
-    return records, IngestReport(
-        accepted=len(records),
-        rejected=len(diagnostics),
-        diagnostics=tuple(diagnostics),
-    )
+    return records, diagnostics
 
 
-def _parse_line_json(stream):
+def _parse_line_json(stream) -> tuple[list[PublicationRecord], list]:
     records: list[PublicationRecord] = []
     diagnostics: list[tuple[int, str]] = []
     warned_unknown = False
@@ -182,11 +182,7 @@ def _parse_line_json(stream):
             records.append(_row_to_record(row))
         except ValueError as exc:
             diagnostics.append((lineno, str(exc)))
-    return records, IngestReport(
-        accepted=len(records),
-        rejected=len(diagnostics),
-        diagnostics=tuple(diagnostics),
-    )
+    return records, diagnostics
 
 
 def validate(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Group, GroupKey
+from .corpus import Group, GroupKey, field_slug
 
 __all__ = [
     "AllUnreadGroupError",
@@ -111,16 +111,12 @@ def ccdf(values: Sequence[float]) -> CcdfCurve:
     return CcdfCurve(points=np.column_stack([xs, ps]))
 
 
-def _slug(label: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in label.strip()).strip("_").lower()
-
-
 def ccdf_filename(year: int, field: str | None = None) -> str:
-    """Per-stratum curves are ``ccdf_<field>_<year>.tsv``; the pooled curve
-    of a year is ``ccdf_merged_<year>.tsv``."""
+    """Per-stratum curves are ``ccdf_<field_slug(field)>_<year>.tsv`` (distinct
+    fields can share one); the pooled curve is ``ccdf_merged_<year>.tsv``."""
     if field is None:
         return f"ccdf_merged_{year}.tsv"
-    return f"ccdf_{_slug(field)}_{year}.tsv"
+    return f"ccdf_{field_slug(field)}_{year}.tsv"
 
 
 def write_ccdf_tsv(curve: CcdfCurve, target) -> None:

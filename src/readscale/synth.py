@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .corpus import PublicationRecord
+from .corpus import PublicationRecord, field_slug
 
 __all__ = [
     "GENERATOR_ID",
@@ -74,9 +74,8 @@ class SynthSpec:
         object.__setattr__(self, "fields", tuple(self.fields))
         if not self.fields:
             raise ValueError("spec needs at least one field")
-        labels = [f.label for f in self.fields]
-        if len(set(labels)) != len(labels):
-            raise ValueError("field labels must be unique")
+        if len({field_slug(f.label) for f in self.fields}) != len(self.fields):
+            raise ValueError("field labels must be unique, also as slugs (ids use the slug)")
         if self.discretization not in DISCRETIZATIONS:
             raise ValueError(
                 f"unknown discretization {self.discretization!r}, "
@@ -130,10 +129,6 @@ def lognormal_mean(mu: float, sigma2: float) -> float:
     return math.exp(mu + sigma2 / 2.0)
 
 
-def _slug(label: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in label.strip()).strip("_").lower()
-
-
 def field_values(spec: SynthSpec, index: int) -> np.ndarray:
     """Draw one field's counts; depends only on (seed, index, field spec)."""
     fs = spec.fields[index]
@@ -155,7 +150,7 @@ def generate_corpus(spec: SynthSpec) -> list[PublicationRecord]:
     records: list[PublicationRecord] = []
     for i, fs in enumerate(spec.fields):
         values = field_values(spec, i)
-        slug = _slug(fs.label)
+        slug = field_slug(fs.label)
         integral = spec.discretization != "none"
         for j, v in enumerate(values):
             records.append(

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import PublicationRecord, group_by_field_year
+from .corpus import Group, GroupKey, PublicationRecord, group_by_field_year
 from .rescale import rescale_group
 
 __all__ = ["TopZReport", "sigma_z", "top_membership", "top_share_report"]
@@ -56,19 +56,31 @@ def sigma_z(z: float, sizes: Sequence[int]) -> float:
     return math.sqrt(z * (100.0 - z) / n_c * sum(1.0 / n for n in sizes))
 
 
-def _selection_values(
-    records: Sequence[PublicationRecord], value_selector: str
-) -> dict[str, float]:
-    if value_selector == "original":
-        return {r.id: float(r.reads) for r in records}
-    if value_selector != "rescaled":
-        raise ValueError(f"unknown value selector {value_selector!r}, expected one of {VARIANTS}")
-    values: dict[str, float] = {}
-    for group in group_by_field_year(list(records)).values():
-        sample = rescale_group(group)
-        for rec, v in zip(group.records, sample.values):
-            values[rec.id] = float(v)
-    return values
+def _cut_size(z: float, n: int) -> int:
+    """Exact for integer z; ``z / 100 * n`` cuts the top 29% of 100 at 28."""
+    return math.floor(z * n / 100)
+
+
+def _rescaled_values(groups: Mapping[GroupKey, Group]) -> dict[str, float]:
+    return {rec.id: float(v) for group in groups.values()
+            for rec, v in zip(group.records, rescale_group(group).values)}
+
+
+def _rank_cut(values: Mapping[str, float], n: int, z: float, tie_rule: str) -> set[str]:
+    """Ids in the top z% of ``n`` records, ranked by value descending, id ascending."""
+    if not 0.0 < z < 100.0:
+        raise ValueError(f"z must lie in (0, 100), got {z}")
+    if tie_rule not in TIE_RULES:
+        raise ValueError(f"unknown tie rule {tie_rule!r}, expected one of {TIE_RULES}")
+    k = _cut_size(z, n)
+    if k == 0:
+        log.warning("top %s%% of %d records selects nothing", z, n)
+        return set()
+    ranked = sorted(values.items(), key=lambda item: (-item[1], item[0]))
+    if tie_rule == "threshold":
+        cut = ranked[k - 1][1]
+        return {rid for rid, v in ranked if v >= cut}
+    return {rid for rid, _ in ranked[:k]}
 
 
 def top_membership(
@@ -81,25 +93,18 @@ def top_membership(
 
     The total order is value descending with ties broken by ascending id, so
     selection is deterministic. Under ``tie_rule="rank"`` exactly
-    floor(z/100 * N) records are selected; ``"threshold"`` additionally
+    floor(z * N / 100) records are selected; ``"threshold"`` additionally
     admits every record tied with the value at the cut.
     """
     if not records:
         raise ValueError("no records to rank")
-    if not 0.0 < z < 100.0:
-        raise ValueError(f"z must lie in (0, 100), got {z}")
-    if tie_rule not in TIE_RULES:
-        raise ValueError(f"unknown tie rule {tie_rule!r}, expected one of {TIE_RULES}")
-    values = _selection_values(records, value_selector)
-    k = int(math.floor(z / 100.0 * len(records)))
-    if k == 0:
-        log.warning("top %s%% of %d records selects nothing", z, len(records))
-        return set()
-    ranked = sorted(values.items(), key=lambda item: (-item[1], item[0]))
-    if tie_rule == "threshold":
-        cut = ranked[k - 1][1]
-        return {rid for rid, v in ranked if v >= cut}
-    return {rid for rid, _ in ranked[:k]}
+    if value_selector == "original":
+        values = {r.id: float(r.reads) for r in records}
+    elif value_selector == "rescaled":
+        values = _rescaled_values(group_by_field_year(list(records)))
+    else:
+        raise ValueError(f"unknown value selector {value_selector!r}, expected one of {VARIANTS}")
+    return _rank_cut(values, len(records), z, tie_rule)
 
 
 def top_share_report(
@@ -117,24 +122,20 @@ def top_share_report(
     fields = sorted({key.field for key in groups})
     if len(fields) < 2:
         raise ValueError("top-share analysis needs at least 2 fields")
-    selected = top_membership(records, variant, z, tie_rule)
+    if variant == "rescaled":
+        selected = _rank_cut(_rescaled_values(groups), len(records), z, tie_rule)
+    else:
+        selected = top_membership(records, variant, z, tie_rule)
 
-    sizes: dict[str, int] = {f: 0 for f in fields}
-    hits: dict[str, int] = {f: 0 for f in fields}
-    for r in records:
-        key = r.field.strip()
-        sizes[key] += 1
-        if r.id in selected:
-            hits[key] += 1
+    sizes = dict.fromkeys(fields, 0)
+    hits = dict.fromkeys(fields, 0)
+    for key, group in groups.items():
+        sizes[key.field] += len(group)
+        hits[key.field] += sum(r.id in selected for r in group.records)
     shares = {f: 100.0 * hits[f] / sizes[f] for f in fields}
     tol = sigma_z(z, [sizes[f] for f in fields])
     within = sum(1 for f in fields if abs(shares[f] - z) <= tol)
     return TopZReport(
-        z=z,
-        variant=variant,
-        per_field_share=shares,
-        sigma_z=tol,
-        n_c=len(fields),
-        n_i=sizes,
-        within_tolerance=within,
+        z=z, variant=variant, per_field_share=shares, sigma_z=tol,
+        n_c=len(fields), n_i=sizes, within_tolerance=within,
     )

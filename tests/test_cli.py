@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import readscale.cli as cli_mod
 import readscale.fetch as fetch_mod
 from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records
 from readscale.cli import main
 from readscale.corpus import Group, GroupKey
 from readscale.distfit import ZeroPolicy, fit_lognormal
 from readscale.ingest import write_records
-from readscale.rescale import rescale_group
+from readscale.rescale import ccdf, collapse, rescale_group, write_ccdf_tsv
 from readscale.synth import GENERATOR_ID
 
 
@@ -172,6 +173,33 @@ def test_collapse_all_zero_stratum_skipped_with_note(tmp_path, caplog):
     assert row["n_strata"] == "1"
     assert "Silent" in row["note"]
     assert "skipped" in caplog.text
+
+
+def test_collapse_slug_collision_keeps_first_curve_and_notes_both(tmp_path, caplog):
+    # "Bio Chem" and "Bio-Chem" both map to ccdf_bio_chem_2010.tsv; "Merged"
+    # maps to the pooled curve's ccdf_merged_2010.tsv
+    strata = {
+        "Bio Chem": make_records(SURGERY_COUNTS, "Bio Chem", 2010, prefix="b"),
+        "Bio-Chem": make_records(MATHS_COUNTS, "Bio-Chem", 2010, prefix="h"),
+        "Merged": make_records(MATHS_COUNTS[:40], "Merged", 2010, prefix="m"),
+    }
+    corpus = write_corpus(tmp_path / "c.jsonl", [r for recs in strata.values() for r in recs])
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING"):
+        assert main(["collapse", "--input", corpus, "--out", str(out)]) == 0
+    row = read_tsv(out / "collapse.tsv")[0]
+    assert row["n_strata"] == "3"  # every stratum is still pooled
+    assert "'Bio-Chem' not written" in row["note"] and "'Bio Chem'" in row["note"]
+    assert "'Merged' not written" in row["note"] and "pooled" in row["note"]
+    assert "not written" in caplog.text
+
+    samples = {f: rescale_group(Group(GroupKey(f, 2010), tuple(r))) for f, r in strata.items()}
+    for name, values in (
+        ("ccdf_bio_chem_2010.tsv", samples["Bio Chem"].values),
+        ("ccdf_merged_2010.tsv", collapse(list(samples.values()))),
+    ):
+        write_ccdf_tsv(ccdf(values), tmp_path / name)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +452,70 @@ def test_report_rerun_is_byte_identical(two_field_corpus, tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(out1, out2, names1, shallow=False)
     assert mismatch == [] and errors == []
     assert match == names1
+
+
+def _two_year_corpus(tmp_path):
+    """Two files, two years, an all-zero stratum and a one-record stratum."""
+    first = make_records(MATHS_COUNTS, "Mathematics", 2010) + make_records(
+        SURGERY_COUNTS, "Surgery", 2010
+    )
+    second = (
+        make_records(SURGERY_COUNTS[::2], "Surgery", 2011, prefix="s11")
+        + make_records(MATHS_COUNTS[1::2], "Mathematics", 2011, prefix="m11")
+        + make_records([0, 0, 0, 0], "Silent", 2011)
+        + make_records([7], "Lonely", 2011)
+    )
+    write_records(second, tmp_path / "b.csv")
+    return [write_corpus(tmp_path / "a.jsonl", first), str(tmp_path / "b.csv")]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(cli_mod, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, name, wrapper)
+    return calls
+
+
+def test_report_parses_each_input_once_and_groups_once(tmp_path, monkeypatch):
+    inputs = _two_year_corpus(tmp_path)
+    parses = _counting(monkeypatch, "parse_records")
+    groupings = _counting(monkeypatch, "group_by_field_year")
+    io = [arg for path in inputs for arg in ("--input", path)]
+    assert main(["report", *io, "--out", str(tmp_path / "out")]) == 0
+    assert len(parses) == len(inputs)
+    assert len(groupings) == 1
+
+
+def test_report_equals_standalone_stages(tmp_path):
+    inputs = _two_year_corpus(tmp_path)
+    io = [arg for path in inputs for arg in ("--input", path)]
+    fit = ["--zero-policy", "shift1", "--alpha", "0.01", "--m", "3"]
+    css = ["--k", "2", "--css-strict", "gt"]
+    topz = ["--z", "7", "--z", "30", "--tie-rule", "threshold"]
+    joint, staged = tmp_path / "joint", tmp_path / "staged"
+    assert main(["report", *io, "--out", str(joint), *fit, *css, *topz]) == 0
+    for stage, flags in (("fit", fit), ("collapse", fit), ("css", css), ("topz", topz)):
+        assert main([stage, *io, "--out", str(staged), *flags]) == 0
+    names = sorted(p.name for p in joint.iterdir())
+    assert names == sorted(p.name for p in staged.iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(joint, staged, names, shallow=False)
+    assert mismatch == [] and errors == [] and match == names
+
+
+def test_topz_rows_are_in_year_order(tmp_path):
+    # "Lonely" has only 2011 yet sorts before every field present in 2010.
+    inputs = _two_year_corpus(tmp_path)
+    io = [arg for path in inputs for arg in ("--input", path)]
+    out = tmp_path / "out"
+    assert main(["topz", *io, "--out", str(out)]) == 0
+    years = [int(row["year"]) for row in read_tsv(out / "topz.tsv")]
+    assert set(years) == {2010, 2011}
+    assert years == sorted(years)
 
 
 def test_jsonl_mirror_has_full_precision(two_field_corpus, tmp_path):

@@ -15,7 +15,6 @@ from readscale.fetch import (
     FetchResult,
     ProviderConfig,
     RateLimiter,
-    cache_lookup,
     fetch_counts,
 )
 
@@ -105,7 +104,7 @@ def test_server_down_is_fatal_with_cache_intact(stub_provider, tmp_path):
     dead = _config("http://127.0.0.1:9", max_retries=1)
     with pytest.raises(FetchError):
         fetch_counts(["10.6/a", "10.6/new"], dead, cache)
-    assert cache_lookup("10.6/a", cache).reads == 3  # prior cache untouched
+    assert cache.read_all().get("10.6/a").reads == 3  # prior cache untouched
 
 
 def test_http_4xx_marks_batch_failed_without_abort(tmp_path, monkeypatch):
@@ -128,7 +127,7 @@ def test_cache_latest_entry_wins(tmp_path):
         {"doi": "10.8/x", "reads": 3, "match_probability": 0.95, "fetched_at": 200.0},
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    assert cache_lookup("10.8/x", Cache(path)).reads == 2
+    assert Cache(path).read_all().get("10.8/x").reads == 2
 
 
 def test_cache_tied_timestamps_prefer_later_line(tmp_path):
@@ -138,7 +137,7 @@ def test_cache_tied_timestamps_prefer_later_line(tmp_path):
         {"doi": "10.8/y", "reads": 6, "match_probability": 0.95, "fetched_at": 100.0},
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    assert cache_lookup("10.8/y", Cache(path)).reads == 6
+    assert Cache(path).read_all().get("10.8/y").reads == 6
 
 
 def test_corrupt_cache_line_skipped_with_warning(tmp_path, caplog):
@@ -168,7 +167,7 @@ def test_cache_append_only(stub_provider, tmp_path):
 
 
 def test_empty_cache_lookup_absent(tmp_path):
-    assert cache_lookup("10.11/none", Cache(tmp_path / "missing.jsonl")) is None
+    assert Cache(tmp_path / "missing.jsonl").read_all().get("10.11/none") is None
 
 
 def test_batching_splits_requests(stub_provider, tmp_path):
@@ -269,4 +268,4 @@ def test_negative_reader_count_is_a_failure(stub_provider, tmp_path):
     server = stub_provider({"10.16/bad": (-3, 0.95)})
     results = fetch_counts(["10.16/bad"], _config(server.url), Cache(tmp_path / "c.jsonl"))
     assert results[0].error is not None and results[0].reads is None
-    assert cache_lookup("10.16/bad", Cache(tmp_path / "c.jsonl")) is None
+    assert Cache(tmp_path / "c.jsonl").read_all().get("10.16/bad") is None

@@ -179,6 +179,14 @@ def test_spec_validation():
         FieldSpec("F", 10, 0.0, 0.0)
 
 
+def test_spec_rejects_labels_with_colliding_slugs():
+    # ids are <slug>-<year>-<index>, so these fields would share ids
+    for other in ("Bio-Chem", "bio chem", " Bio Chem!"):
+        fields = (FieldSpec("Bio Chem", 10, 1.0, 1.0), FieldSpec(other, 10, 1.0, 1.0))
+        with pytest.raises(ValueError, match="slug"):
+            SynthSpec(fields=fields, year=2010, seed=1)
+
+
 def test_generator_metadata():
     spec = _spec()
     meta = generator_metadata(spec)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from readscale.corpus import PublicationRecord
-from readscale.topz import sigma_z, top_membership, top_share_report
+from readscale.topz import _cut_size, sigma_z, top_membership, top_share_report
 from conftest import make_records
 
 
@@ -49,6 +49,15 @@ def test_top_membership_floor_rule():
     assert top_membership(records, z=10) == {"a-0000"}
     assert top_membership(records, z=25) == {"a-0000", "a-0001"}  # floor(2.5) = 2
     assert top_membership(records, z=39.9) == {"a-0000", "a-0001", "a-0002"}
+
+
+def test_cut_size_is_exact_for_integer_percentages():
+    mismatches = [
+        (z, n) for z in range(1, 100) for n in range(1, 2001) if _cut_size(z, n) != z * n // 100
+    ]
+    assert mismatches == []
+    records = make_records(range(100, 0, -1), "A", 2010)
+    assert len(top_membership(records, z=29)) == 29  # 29 / 100.0 * 100 is 28.999...
 
 
 def test_top_membership_empty_selection_warns(caplog):
