@@ -9,14 +9,18 @@ ingestion and a readership-provider client. The ``readscale`` command
 exposes the pipeline end to end.
 """
 from .corpus import (
+    Corpus,
     DuplicateIdError,
     EmptyCorpusError,
     Group,
     GroupKey,
     GroupStats,
     PublicationRecord,
+    Strata,
+    Stratum,
     group_by_field_year,
     group_stats,
+    stratify,
 )
 from .css import CLASS_NAMES, CssResult, characteristic_scores, class_labels, classify
 from .distfit import (
@@ -27,7 +31,15 @@ from .distfit import (
     test_lognormality,
 )
 from .fetch import Cache, FetchError, FetchResult, ProviderConfig, RateLimiter, fetch_counts
-from .ingest import IngestError, IngestReport, SchemaError, parse_records, validate, write_records
+from .ingest import (
+    IngestError,
+    IngestReport,
+    SchemaError,
+    parse_corpus,
+    parse_records,
+    validate,
+    write_records,
+)
 from .rescale import (
     AllUnreadGroupError,
     CcdfCurve,
@@ -49,6 +61,7 @@ __all__ = [
     "CLASS_NAMES",
     "Cache",
     "CcdfCurve",
+    "Corpus",
     "CssResult",
     "DegenerateSampleError",
     "DuplicateIdError",
@@ -67,6 +80,8 @@ __all__ = [
     "RateLimiter",
     "RescaledSample",
     "SchemaError",
+    "Strata",
+    "Stratum",
     "SwTestResult",
     "SynthSpec",
     "TopZReport",
@@ -86,10 +101,12 @@ __all__ = [
     "group_by_field_year",
     "group_stats",
     "lognormal_mean",
+    "parse_corpus",
     "parse_records",
     "rescale_group",
     "shapiro_wilk",
     "sigma_z",
+    "stratify",
     "test_lognormality",
     "top_membership",
     "top_share_report",

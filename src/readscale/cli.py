@@ -26,18 +26,27 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import (
+    Corpus,
     DuplicateIdError,
     EmptyCorpusError,
-    Group,
     GroupKey,
     PublicationRecord,
-    group_by_field_year,
+    Strata,
     group_stats,
+    stratify,
 )
 from .css import CLASS_NAMES, TRUNCATION_RULES, characteristic_scores, classify
 from .distfit import DegenerateSampleError, ZeroPolicy, fit_lognormal, test_lognormality
 from .fetch import Cache, FetchError, ProviderConfig, fetch_counts
-from .ingest import IngestError, IngestReport, parse_records, validate, write_diagnostics, write_records
+from .ingest import (
+    IngestError,
+    IngestReport,
+    parse_corpus,
+    parse_records,
+    validate,
+    write_diagnostics,
+    write_records,
+)
 from .rescale import AllUnreadGroupError, ccdf, ccdf_filename, collapse, rescale_group, write_ccdf_tsv
 from .swilk import UnsupportedSizeError, ZeroVarianceError
 from .synth import SynthSpec, generate_corpus, generator_metadata
@@ -52,7 +61,7 @@ ZERO_POLICY_FLAGS = {"exclude": "exclude", "shift1": "shift-one"}
 
 DEFAULT_Z = (5.0, 10.0, 20.0)
 
-# subcommands that take the corpus grouped by (field, year), loaded once in main
+# subcommands that take the corpus's (field, year) strata, loaded once in main
 ANALYSIS_COMMANDS = ("fit", "collapse", "css", "topz", "report")
 
 
@@ -143,39 +152,47 @@ def _input_format(path: Path) -> tuple[str, str]:
     return "delimited", ","
 
 
-def _parse_inputs(paths: Sequence[str]) -> tuple[list[PublicationRecord], list[tuple[int, str]]]:
-    """Records of every input file, and its rejections as ``(line, "<file>: <reason>")``."""
-    records: list[PublicationRecord] = []
+def _parse_inputs(paths: Sequence[str], parse: Callable) -> tuple[list, list]:
+    """What ``parse`` (``parse_records`` or ``parse_corpus``) makes of each
+    input file, and the rejections as ``(line, "<file>: <reason>")``."""
+    parsed = []
     diagnostics: list[tuple[int, str]] = []
     for p in paths:
         path = Path(p)
         fmt, delimiter = _input_format(path)
-        recs, report = parse_records(path, format=fmt, delimiter=delimiter)
+        result, report = parse(path, format=fmt, delimiter=delimiter)
         if report.rejected:
             log.warning("%s: skipped %d malformed rows", path, report.rejected)
         diagnostics.extend(
             (lineno, f"{path.name}: {reason}") for lineno, reason in report.diagnostics
         )
-        records.extend(recs)
-    return records, diagnostics
+        parsed.append(result)
+    return parsed, diagnostics
+
+
+def _no_records(years: Sequence[int] | None) -> EmptyCorpusError:
+    return EmptyCorpusError("no records loaded" + (" for the requested years" if years else ""))
 
 
 def _load_records(
     paths: Sequence[str], years: Sequence[int] | None
 ) -> list[PublicationRecord]:
-    records, _ = _parse_inputs(paths)
-    if years:
-        keep = set(years)
-        records = [r for r in records if r.year in keep]
+    parsed, _ = _parse_inputs(paths, parse_records)
+    records = [r for recs in parsed for r in recs if not years or r.year in years]
     if not records:
-        raise EmptyCorpusError(
-            "no records loaded" + (" for the requested years" if years else "")
-        )
+        raise _no_records(years)
     return records
 
 
-def _years_of(groups: dict[GroupKey, object]) -> list[int]:
-    return sorted({key.year for key in groups})
+def _load_strata(paths: Sequence[str], years: Sequence[int] | None) -> Strata:
+    """The inputs as one columnar corpus, grouped by (field, year)."""
+    parts, _ = _parse_inputs(paths, parse_corpus)
+    corpus = Corpus.concat(parts)
+    if years:
+        corpus = corpus.take(np.isin(corpus.years, years))
+    if not len(corpus):
+        raise _no_records(years)
+    return stratify(corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +203,8 @@ def cmd_ingest(args) -> int:
     """Normalize raw inputs into one validated line-JSON corpus."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, diagnostics = _parse_inputs(args.input)
+    parsed, diagnostics = _parse_inputs(args.input, parse_records)
+    records = [r for recs in parsed for r in recs]
 
     check = validate(records)
     diagnostics.extend(check.diagnostics)
@@ -282,14 +300,14 @@ _FIT_RENDER = {
 }
 
 
-def cmd_fit(args, groups: dict[GroupKey, Group]) -> int:
+def cmd_fit(args, strata: Strata) -> int:
     """Per-stratum lognormal fits with a Bonferroni-corrected normality test."""
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
     rows: list[dict] = []
     p_values: dict[GroupKey, float] = {}
-    for key in sorted(groups):
-        group = groups[key]
-        stats = group_stats(group)
+    for stratum in strata:
+        key = stratum.key
+        stats = group_stats(stratum)
         row: dict = {
             "field": key.field, "year": key.year, "obs": stats.n,
             "r0": stats.r_mean, "r_max": stats.r_max,
@@ -297,7 +315,7 @@ def cmd_fit(args, groups: dict[GroupKey, Group]) -> int:
             "reject": None, "note": "",
         }
         notes = []
-        reads = group.reads
+        reads = stratum.reads
         try:
             fit = fit_lognormal(reads, policy)
             row.update(mu=fit.mu, sigma2=fit.sigma2, loglik=fit.loglik)
@@ -330,22 +348,23 @@ _COLLAPSE_RENDER = {
 }
 
 
-def cmd_collapse(args, groups: dict[GroupKey, Group]) -> int:
+def cmd_collapse(args, strata: Strata) -> int:
     """Pool mean-rescaled strata per year; emit pooled fits and CCDF files."""
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows: list[dict] = []
-    for year in _years_of(groups):
+    for year in strata.years():
         samples = []
         skipped = []
         clashes = []
         # CCDF file name -> the curve it holds; distinct labels can share a name
         written = {ccdf_filename(year): "the pooled curve"}
-        for key in sorted(k for k in groups if k.year == year):
+        for stratum in strata.of_year(year):
+            key = stratum.key
             try:
-                sample = rescale_group(groups[key])
+                sample = rescale_group(stratum)
             except AllUnreadGroupError:
                 log.warning("stratum %s/%d has only zero counts; skipped", key.field, year)
                 skipped.append(key.field)
@@ -414,7 +433,7 @@ def _css_row(head: dict, values: np.ndarray, k: int, rule: str, labels: Sequence
     return row
 
 
-def cmd_css(args, groups: dict[GroupKey, Group]) -> int:
+def cmd_css(args, strata: Strata) -> int:
     """Characteristic-score classes, pooled per year and per stratum."""
     k, rule = args.k, args.css_strict
     labels = _css_class_labels(k)
@@ -432,19 +451,17 @@ def cmd_css(args, groups: dict[GroupKey, Group]) -> int:
         render[f"count_{name}"] = _fmt_int
         render[f"share_{name}"] = _fmt1
 
-    overall_rows = []
-    for year in _years_of(groups):
-        keys = sorted(key for key in groups if key.year == year)
-        values = np.concatenate([np.asarray(groups[key].reads, dtype=float) for key in keys])
-        overall_rows.append(_css_row({"year": year}, values, k, rule, labels))
-
+    overall_rows = [
+        _css_row({"year": year}, strata.of_year(year).corpus.reads, k, rule, labels)
+        for year in strata.years()
+    ]
     strata_rows = [
         _css_row(
-            {"field": key.field, "year": key.year},
-            np.asarray(groups[key].reads, dtype=float),
+            {"field": s.key.field, "year": s.key.year},
+            np.asarray(s.reads, dtype=float),
             k, rule, labels,
         )
-        for key in sorted(groups)
+        for s in strata
     ]
 
     out_dir = Path(args.out)
@@ -464,21 +481,18 @@ _SHARE_RENDER = {
 }
 
 
-def cmd_topz(args, groups: dict[GroupKey, Group]) -> int:
+def cmd_topz(args, strata: Strata) -> int:
     """Per-field share of the global top z%, before and after rescaling."""
     zs = tuple(args.z) if args.z else DEFAULT_Z
     out_dir = Path(args.out)
-    by_year: dict[int, list[PublicationRecord]] = {}
-    for key in sorted(groups):
-        by_year.setdefault(key.year, []).extend(groups[key].records)
-
     rows: list[dict] = []
-    for year, year_records in sorted(by_year.items()):
+    for year in strata.years():
+        year_strata = strata.of_year(year)
         for z in zs:
             for variant in VARIANTS:
                 head = {"year": year, "z": z, "variant": variant}
                 try:
-                    report = top_share_report(year_records, z, variant, args.tie_rule)
+                    report = top_share_report(year_strata, z, variant, args.tie_rule)
                 except ValueError as exc:
                     log.warning("topz %d z=%g %s: %s", year, z, variant, exc)
                     rows.append({**head, "n_fields": None, "sigma_z": None,
@@ -506,12 +520,12 @@ def cmd_topz(args, groups: dict[GroupKey, Group]) -> int:
     return 0
 
 
-def cmd_report(args, groups: dict[GroupKey, Group]) -> int:
+def cmd_report(args, strata: Strata) -> int:
     """fit + collapse + css + topz over the same corpus and flags."""
     args.format = None
     code = 0
     for command in (cmd_fit, cmd_collapse, cmd_css, cmd_topz):
-        code = max(code, command(args, groups))
+        code = max(code, command(args, strata))
     print(f"report written to {args.out}")
     return code
 
@@ -656,7 +670,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _validate_args(parser, args)
     try:
         if args.command in ANALYSIS_COMMANDS:
-            return args.func(args, group_by_field_year(_load_records(args.input, args.year)))
+            return args.func(args, _load_strata(args.input, args.year))
         return args.func(args)
     except (IngestError, EmptyCorpusError, DuplicateIdError, FetchError) as exc:
         log.error("%s", exc)

@@ -1,9 +1,13 @@
 """Canonical in-memory model for publication records and their (field, year) strata.
 
-A corpus is a flat sequence of :class:`PublicationRecord`. Analyses operate on
-groups: all records sharing one subject-category label and one publication
-year. Records and groups are immutable once built; every operation here is a
-pure function, safe to run concurrently on shared snapshots.
+Analyses operate on groups: all records sharing one subject-category label
+and one publication year. A corpus is held as a :class:`Corpus` of parallel
+columns, and :func:`stratify` groups it with one stable sort on (field label,
+year) into :class:`Strata`, where every stratum is a contiguous run of rows.
+:class:`PublicationRecord` and :class:`Group` are the record-level API at the
+library edge; :func:`group_by_field_year` groups records through the same
+sort. Everything here is immutable once built; every operation is a pure
+function, safe to run concurrently on shared snapshots.
 
 Field labels are opaque strings. They are compared exactly after whitespace
 trimming, case preserved, so distinct categories never merge silently.
@@ -11,7 +15,8 @@ trimming, case preserved, so distinct categories never merge silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -112,13 +117,195 @@ class GroupStats:
     zero_share: float
 
 
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Publication records as parallel columns, one row per record.
+
+    ``labels`` is the sorted table of trimmed field labels and ``fields`` holds
+    each row's index into it, so code order is label order. ``reads`` is
+    float64 (integer counts above 2**53 lose precision); ``real`` marks the
+    rows whose count was a real number rather than an integer. ``cites`` is
+    NaN where a record has none.
+    """
+
+    ids: np.ndarray
+    fields: np.ndarray
+    labels: tuple[str, ...]
+    years: np.ndarray
+    reads: np.ndarray
+    real: np.ndarray
+    cites: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[str],
+        fields: Sequence[str],
+        years: Sequence[int],
+        reads: Sequence[float],
+        cites: Sequence[int | None],
+    ) -> "Corpus":
+        """Build from one sequence per record attribute (``cites`` may hold None)."""
+        trimmed = {f: f.strip() for f in set(fields)}
+        labels = tuple(sorted(set(trimmed.values())))
+        code = {label: i for i, label in enumerate(labels)}
+        codes = {f: code[label] for f, label in trimmed.items()}
+        n = len(ids)
+        try:
+            year_column = np.array(years, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a year does not fit in 64 bits") from None
+        return cls(
+            ids=np.array(ids, dtype=object),
+            fields=np.fromiter(map(codes.__getitem__, fields), np.int64, n),
+            labels=labels,
+            years=year_column,
+            reads=np.array(reads, dtype=float),
+            real=np.fromiter((isinstance(v, (float, np.floating)) for v in reads), bool, n),
+            cites=np.array([np.nan if c is None else c for c in cites], dtype=float),
+        )
+
+    @classmethod
+    def from_records(cls, records: Sequence[PublicationRecord]) -> "Corpus":
+        return cls.from_columns(
+            [r.id for r in records],
+            [r.field for r in records],
+            [r.year for r in records],
+            [r.reads for r in records],
+            [r.cites for r in records],
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["Corpus"]) -> "Corpus":
+        """The rows of every part, in order, over one merged label table."""
+        if len(parts) == 1:
+            return parts[0]
+        labels = tuple(sorted(set().union(*(p.labels for p in parts))))
+        code = {label: i for i, label in enumerate(labels)}
+        recode = [np.array([code[label] for label in p.labels], dtype=np.int64) for p in parts]
+        return cls(
+            ids=np.concatenate([p.ids for p in parts]),
+            fields=np.concatenate([r[p.fields] for r, p in zip(recode, parts)]),
+            labels=labels,
+            years=np.concatenate([p.years for p in parts]),
+            reads=np.concatenate([p.reads for p in parts]),
+            real=np.concatenate([p.real for p in parts]),
+            cites=np.concatenate([p.cites for p in parts]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> "Corpus":
+        """The selected rows (an index array or a boolean mask), label table kept."""
+        return Corpus(
+            ids=self.ids[rows], fields=self.fields[rows], labels=self.labels,
+            years=self.years[rows], reads=self.reads[rows], real=self.real[rows],
+            cites=self.cites[rows],
+        )
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each row's place in ascending id order (code point order, as ``sorted``)."""
+        ids = self.ids.tolist()
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        return rank
+
+
+@dataclass(frozen=True, eq=False)
+class Stratum:
+    """One stratum of a :class:`Strata`: its key and its reads, as
+    :attr:`Group.reads` has them (int64, or float64 once any value is real)."""
+
+    key: GroupKey
+    reads: np.ndarray
+
+    def __len__(self) -> int:
+        return self.reads.size
+
+
+@dataclass(frozen=True, eq=False)
+class Strata:
+    """A corpus grouped by (field, year).
+
+    ``corpus`` holds the rows in one stable sort on (field label, year):
+    stratum ``i`` is the run of rows ``bounds[i]:bounds[i + 1]``, strata come
+    in :class:`GroupKey` order and each keeps its input order. ``positions``
+    gives each row's input position.
+    """
+
+    corpus: Corpus
+    keys: tuple[GroupKey, ...]
+    bounds: np.ndarray
+    positions: np.ndarray
+
+    def __iter__(self) -> Iterator[Stratum]:
+        reads, real = self.corpus.reads, self.corpus.real
+        bounds = self.bounds.tolist()
+        for key, a, b in zip(self.keys, bounds, bounds[1:]):
+            yield Stratum(key, reads[a:b] if real[a:b].any() else reads[a:b].astype(np.int64))
+
+    def years(self) -> list[int]:
+        return sorted({key.year for key in self.keys})
+
+    def of_year(self, year: int) -> "Strata":
+        """The strata of one year, taken as a corpus of their own in stratum order."""
+        keep = [i for i, key in enumerate(self.keys) if key.year == year]
+        sizes = np.diff(self.bounds)[keep]
+        return Strata(
+            corpus=self.corpus.take(self.corpus.years == year),
+            keys=tuple(self.keys[i] for i in keep),
+            bounds=np.concatenate(([0], np.cumsum(sizes))),
+            positions=np.arange(sizes.sum()),
+        )
+
+
+def _repeated(ids: Sequence[str]) -> list[str]:
+    """Ids that occur more than once, in the order of their second occurrence."""
+    seen: set[str] = set()
+    dupes: dict[str, None] = {}
+    for i in ids:
+        if i in seen:
+            dupes[i] = None
+        seen.add(i)
+    return list(dupes)
+
+
+def stratify(corpus: Corpus) -> Strata:
+    """Group a corpus by (field, year) with one stable sort.
+
+    Raises
+    ------
+    EmptyCorpusError
+        If the corpus has no rows.
+    DuplicateIdError
+        If two rows share an id; the error lists the offending ids.
+    """
+    if not len(corpus):
+        raise EmptyCorpusError("cannot group an empty corpus")
+    ids = corpus.ids.tolist()
+    if len(set(ids)) != len(ids):
+        raise DuplicateIdError(_repeated(ids))
+    order = np.lexsort((corpus.years, corpus.fields))
+    rows = corpus.take(order)
+    change = (rows.fields[1:] != rows.fields[:-1]) | (rows.years[1:] != rows.years[:-1])
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    keys = tuple(
+        GroupKey(rows.labels[f], y)
+        for f, y in zip(rows.fields[starts].tolist(), rows.years[starts].tolist())
+    )
+    return Strata(rows, keys, np.append(starts, len(rows)), order)
+
+
 def group_by_field_year(
     records: Sequence[PublicationRecord],
 ) -> dict[GroupKey, Group]:
     """Partition records into (field, year) groups.
 
     Every record lands in exactly one group and within-group order preserves
-    input order. Groups appear in first-encounter order.
+    input order. Groups appear in first-encounter order. The grouping is
+    :func:`stratify` on the records' columns.
 
     Raises
     ------
@@ -127,21 +314,13 @@ def group_by_field_year(
     DuplicateIdError
         If two records share an id; the error lists the offending ids.
     """
-    if not records:
-        raise EmptyCorpusError("cannot group an empty corpus")
-    seen: set[str] = set()
-    dupes: list[str] = []
-    for r in records:
-        if r.id in seen and r.id not in dupes:
-            dupes.append(r.id)
-        seen.add(r.id)
-    if dupes:
-        raise DuplicateIdError(dupes)
-
-    buckets: dict[GroupKey, list[PublicationRecord]] = {}
-    for r in records:
-        buckets.setdefault(GroupKey(r.field, r.year), []).append(r)
-    return {k: Group(k, tuple(v)) for k, v in buckets.items()}
+    strata = stratify(Corpus.from_records(records))
+    bounds = strata.bounds.tolist()
+    groups: dict[GroupKey, Group] = {}
+    for i in np.argsort(strata.positions[bounds[:-1]], kind="stable").tolist():
+        rows = strata.positions[bounds[i]:bounds[i + 1]].tolist()
+        groups[strata.keys[i]] = Group(strata.keys[i], tuple(records[j] for j in rows))
+    return groups
 
 
 def field_slug(label: str) -> str:
@@ -149,7 +328,7 @@ def field_slug(label: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in label.strip()).strip("_").lower()
 
 
-def group_stats(group: Group) -> GroupStats:
+def group_stats(group: Group | Stratum) -> GroupStats:
     """Compute n, mean reads, max reads and the zero-read share of a group."""
     if len(group) == 0:
         raise EmptyCorpusError("cannot summarize an empty group")

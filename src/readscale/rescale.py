@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Group, GroupKey, field_slug
+from .corpus import Group, GroupKey, Stratum, field_slug
 
 __all__ = [
     "AllUnreadGroupError",
@@ -72,7 +72,7 @@ class CcdfCurve:
         return float(self.points[idx, 1])
 
 
-def rescale_group(group: Group) -> RescaledSample:
+def rescale_group(group: Group | Stratum) -> RescaledSample:
     """Divide each member's count by the group mean; rank order is preserved."""
     reads = np.asarray(group.reads, dtype=float)
     if reads.size == 0:

@@ -9,8 +9,10 @@ for larger samples. Validity range: 3 <= n <= 5000.
 
 ``scipy.stats.shapiro`` runs the same algorithm, but every ``readscale``
 command imports this module, and ``import scipy.stats`` adds about 0.8 s per
-process to the 0.6 s ``readscale.cli`` import (median of five runs, scipy
-1.17, Python 3.11, 2-core Xeon VM); ``scipy.special`` alone is cheap.
+process to the ``readscale.cli`` import (median of five runs, scipy 1.17,
+Python 3.11, 2-core Xeon VM). Even ``scipy.special`` costs 0.33-0.36 s, so it
+is imported on the first test, not with the module: commands that test no
+normality (``ingest``, ``fetch``, ``synth``) never load it.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = ["SwTestResult", "shapiro_wilk", "UnsupportedSizeError", "ZeroVarianceError"]
 
@@ -62,6 +63,8 @@ class SwTestResult:
 
 def _weights(n: int) -> np.ndarray:
     """Full antisymmetric weight vector a, normalized so sum(a^2) ~= 1."""
+    from scipy.special import ndtri
+
     n2 = n // 2
     if n == 3:
         half = np.array([np.sqrt(0.5)])
@@ -113,6 +116,8 @@ def shapiro_wilk(values: Sequence[float], alpha: float = 0.05) -> SwTestResult:
     ZeroVarianceError
         When every value is identical.
     """
+    from scipy.special import ndtr
+
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
     if n < N_MIN or n > N_MAX:

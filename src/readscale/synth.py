@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .corpus import PublicationRecord, field_slug
 
@@ -131,6 +130,8 @@ def lognormal_mean(mu: float, sigma2: float) -> float:
 
 def field_values(spec: SynthSpec, index: int) -> np.ndarray:
     """Draw one field's counts; depends only on (seed, index, field spec)."""
+    from scipy.special import ndtri  # here, not at import: it costs every command 0.3 s
+
     fs = spec.fields[index]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, index))))
     uniforms = rng.random(fs.n)

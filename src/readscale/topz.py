@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Group, GroupKey, PublicationRecord, group_by_field_year
+from .corpus import Corpus, PublicationRecord, Strata, stratify
 from .rescale import rescale_group
 
 __all__ = ["TopZReport", "sigma_z", "top_membership", "top_share_report"]
@@ -61,26 +61,37 @@ def _cut_size(z: float, n: int) -> int:
     return math.floor(z * n / 100)
 
 
-def _rescaled_values(groups: Mapping[GroupKey, Group]) -> dict[str, float]:
-    return {rec.id: float(v) for group in groups.values()
-            for rec, v in zip(group.records, rescale_group(group).values)}
+def _values(strata: Strata, variant: str) -> np.ndarray:
+    """Each row's ranking value: its reads, or its reads over its stratum's mean."""
+    if variant == "original":
+        return strata.corpus.reads
+    if variant != "rescaled":
+        raise ValueError(f"unknown value selector {variant!r}, expected one of {VARIANTS}")
+    values = np.empty(len(strata.corpus))
+    bounds = strata.bounds.tolist()
+    stratum = list(strata)
+    # in input order, so an all-zero stratum is reported as the first one met
+    for i in np.argsort(strata.positions[bounds[:-1]], kind="stable").tolist():
+        values[bounds[i]:bounds[i + 1]] = rescale_group(stratum[i]).values
+    return values
 
 
-def _rank_cut(values: Mapping[str, float], n: int, z: float, tie_rule: str) -> set[str]:
-    """Ids in the top z% of ``n`` records, ranked by value descending, id ascending."""
+def _select(values: np.ndarray, id_rank: np.ndarray, z: float, tie_rule: str) -> np.ndarray:
+    """Mask of the rows in the top z%, ranked by value descending, id ascending."""
     if not 0.0 < z < 100.0:
         raise ValueError(f"z must lie in (0, 100), got {z}")
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}, expected one of {TIE_RULES}")
-    k = _cut_size(z, n)
+    selected = np.zeros(values.size, dtype=bool)
+    k = _cut_size(z, values.size)
     if k == 0:
-        log.warning("top %s%% of %d records selects nothing", z, n)
-        return set()
-    ranked = sorted(values.items(), key=lambda item: (-item[1], item[0]))
+        log.warning("top %s%% of %d records selects nothing", z, values.size)
+        return selected
+    ranked = np.lexsort((id_rank, -values))
     if tie_rule == "threshold":
-        cut = ranked[k - 1][1]
-        return {rid for rid, v in ranked if v >= cut}
-    return {rid for rid, _ in ranked[:k]}
+        return values >= values[ranked[k - 1]]
+    selected[ranked[:k]] = True
+    return selected
 
 
 def top_membership(
@@ -94,48 +105,44 @@ def top_membership(
     The total order is value descending with ties broken by ascending id, so
     selection is deterministic. Under ``tie_rule="rank"`` exactly
     floor(z * N / 100) records are selected; ``"threshold"`` additionally
-    admits every record tied with the value at the cut.
+    admits every record tied with the value at the cut. Ids must be unique.
     """
     if not records:
         raise ValueError("no records to rank")
-    if value_selector == "original":
-        values = {r.id: float(r.reads) for r in records}
-    elif value_selector == "rescaled":
-        values = _rescaled_values(group_by_field_year(list(records)))
-    else:
-        raise ValueError(f"unknown value selector {value_selector!r}, expected one of {VARIANTS}")
-    return _rank_cut(values, len(records), z, tie_rule)
+    strata = stratify(Corpus.from_records(records))
+    rows = strata.corpus
+    return set(rows.ids[_select(_values(strata, value_selector), rows.id_rank, z, tie_rule)].tolist())
 
 
 def top_share_report(
-    records: Sequence[PublicationRecord],
+    records: Strata | Sequence[PublicationRecord],
     z: float,
     variant: str = "original",
     tie_rule: str = "rank",
 ) -> TopZReport:
-    """Per-field share of the global top z% and the within-band count.
+    """Per-field share of the global top z% of one year and the within-band count.
 
     Shares are percentages of each field's own size; a field is inside the
-    band when |share - z| <= sigma_z.
+    band when |share - z| <= sigma_z. ``records`` are the records of one
+    year, or their :class:`Strata`.
     """
-    groups = group_by_field_year(list(records))
-    fields = sorted({key.field for key in groups})
+    strata = records if isinstance(records, Strata) else stratify(Corpus.from_records(list(records)))
+    years = strata.years()
+    if len(years) > 1:
+        raise ValueError(
+            f"top-share analysis needs records of one year, got {', '.join(map(str, years))}"
+        )
+    fields = [key.field for key in strata.keys]  # one stratum per field, in label order
     if len(fields) < 2:
         raise ValueError("top-share analysis needs at least 2 fields")
-    if variant == "rescaled":
-        selected = _rank_cut(_rescaled_values(groups), len(records), z, tie_rule)
-    else:
-        selected = top_membership(records, variant, z, tie_rule)
+    selected = _select(_values(strata, variant), strata.corpus.id_rank, z, tie_rule)
 
-    sizes = dict.fromkeys(fields, 0)
-    hits = dict.fromkeys(fields, 0)
-    for key, group in groups.items():
-        sizes[key.field] += len(group)
-        hits[key.field] += sum(r.id in selected for r in group.records)
-    shares = {f: 100.0 * hits[f] / sizes[f] for f in fields}
-    tol = sigma_z(z, [sizes[f] for f in fields])
+    sizes = np.diff(strata.bounds).tolist()
+    hits = np.add.reduceat(selected, strata.bounds[:-1], dtype=np.int64).tolist()
+    shares = {f: 100.0 * h / n for f, h, n in zip(fields, hits, sizes)}
+    tol = sigma_z(z, sizes)
     within = sum(1 for f in fields if abs(shares[f] - z) <= tol)
     return TopZReport(
         z=z, variant=variant, per_field_share=shares, sigma_z=tol,
-        n_c=len(fields), n_i=sizes, within_tolerance=within,
+        n_c=len(fields), n_i=dict(zip(fields, sizes)), within_tolerance=within,
     )

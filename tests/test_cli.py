@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -483,11 +486,13 @@ def _counting(monkeypatch, name):
 
 def test_report_parses_each_input_once_and_groups_once(tmp_path, monkeypatch):
     inputs = _two_year_corpus(tmp_path)
-    parses = _counting(monkeypatch, "parse_records")
-    groupings = _counting(monkeypatch, "group_by_field_year")
+    parses = _counting(monkeypatch, "parse_corpus")
+    record_parses = _counting(monkeypatch, "parse_records")
+    groupings = _counting(monkeypatch, "stratify")
     io = [arg for path in inputs for arg in ("--input", path)]
     assert main(["report", *io, "--out", str(tmp_path / "out")]) == 0
     assert len(parses) == len(inputs)
+    assert record_parses == []
     assert len(groupings) == 1
 
 
@@ -516,6 +521,103 @@ def test_topz_rows_are_in_year_order(tmp_path):
     years = [int(row["year"]) for row in read_tsv(out / "topz.tsv")]
     assert set(years) == {2010, 2011}
     assert years == sorted(years)
+
+
+def _write_lines(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+def test_integer_and_real_strata_keep_their_reads_type(tmp_path, stub_provider):
+    # one value parsed as a float makes its whole stratum real-valued
+    rows = [
+        {"id": "i-0", "field": "Ints", "year": 2010, "reads": 12},
+        {"id": "r-0", "field": "Reals", "year": 2010, "reads": 12},
+        {"id": "i-1", "field": "Ints", "year": 2010, "reads": 3},
+        {"id": "r-1", "field": "Reals", "year": 2010, "reads": 4.5},
+        {"id": "i-2", "field": "Ints", "year": 2010, "reads": 5},
+        {"id": "r-2", "field": "Reals", "year": 2010, "reads": 7.0},
+    ]
+    corpus = _write_lines(tmp_path / "c.jsonl", rows)
+    out = tmp_path / "out"
+    assert main(["fit", "--input", corpus, "--out", str(out)]) == 0
+    fit = {row["field"]: row for row in read_jsonl(out / "fit.jsonl")}
+    assert fit["Ints"]["r_max"] == 12 and isinstance(fit["Ints"]["r_max"], int)
+    assert fit["Reals"]["r_max"] == 12 and isinstance(fit["Reals"]["r_max"], float)
+    assert {row["field"]: row["r_max"] for row in read_tsv(out / "fit.tsv")} == {
+        "Ints": "12", "Reals": "12",
+    }
+
+    server = stub_provider({})
+    assert main([
+        "fetch", "--input", corpus, "--out", str(tmp_path / "fetched"),
+        "--provider-url", server.url, "--cache", str(tmp_path / "cache.jsonl"),
+    ]) == 0
+    fetched = (tmp_path / "fetched" / "corpus.jsonl").read_text(encoding="utf-8")
+    assert fetched == Path(corpus).read_text(encoding="utf-8")
+    assert '"id": "r-0", "field": "Reals", "year": 2010, "reads": 12}' in fetched
+    assert '"reads": 7.0}' in fetched
+
+
+def test_within_stratum_input_order_reaches_collapse_and_ccdfs(tmp_path):
+    # real values whose mean depends on summation order; each stratum is
+    # split over two files and interleaved with the other stratum
+    rng = np.random.default_rng(21)
+    values = {"Alpha": rng.lognormal(1.0, 1.2, 300), "Beta": rng.lognormal(2.0, 0.8, 260)}
+    for v in values.values():
+        assert np.sort(v).mean() != v.mean()
+
+    def rows(field, part):
+        return [
+            {"id": f"{field}-{i:03d}", "field": field, "year": 2010, "reads": float(values[field][i])}
+            for i in part
+        ]
+
+    first = [r for pair in zip(rows("Alpha", range(150)), rows("Beta", range(150))) for r in pair]
+    second = rows("Beta", range(150, 260)) + rows("Alpha", range(150, 300))
+    inputs = [_write_lines(tmp_path / "a.jsonl", first), _write_lines(tmp_path / "b.jsonl", second)]
+    io = [arg for path in inputs for arg in ("--input", path)]
+    out = tmp_path / "out"
+    assert main(["report", *io, "--out", str(out)]) == 0
+
+    fit = {row["field"]: row for row in read_jsonl(out / "fit.jsonl")}
+    rescaled = {}
+    for field, v in values.items():
+        assert fit[field]["r0"] == v.mean()
+        rescaled[field] = v / v.mean()
+        expected = tmp_path / f"{field}.tsv"
+        write_ccdf_tsv(ccdf(rescaled[field]), expected)
+        assert (out / f"ccdf_{field.lower()}_2010.tsv").read_bytes() == expected.read_bytes()
+    pooled = np.concatenate([rescaled["Alpha"], rescaled["Beta"]])
+    expected_fit = fit_lognormal(pooled, ZeroPolicy("exclude"))
+    row = read_jsonl(out / "collapse.jsonl")[0]
+    assert (row["mu"], row["sigma2"], row["loglik"]) == (
+        expected_fit.mu, expected_fit.sigma2, expected_fit.loglik,
+    )
+    write_ccdf_tsv(ccdf(pooled), tmp_path / "merged.tsv")
+    assert (out / "ccdf_merged_2010.tsv").read_bytes() == (tmp_path / "merged.tsv").read_bytes()
+
+
+def test_topz_all_zero_note_names_first_stratum_verbatim(tmp_path):
+    # 2010: two all-zero strata, "Zulu" before "Alpha" in the input; topz ranks
+    # each year's strata in (field, year) order, so "Alpha" is named.
+    # 2011: one field only, which is all zero; the field count check wins.
+    records = (
+        make_records([0, 0, 0], "Zulu", 2010, prefix="z")
+        + make_records(SURGERY_COUNTS, "Surgery", 2010)
+        + make_records([0, 0], "Alpha", 2010, prefix="a")
+        + make_records([0, 0, 0, 0], "Alpha", 2011, prefix="a11")
+    )
+    corpus = write_corpus(tmp_path / "c.jsonl", records)
+    out = tmp_path / "out"
+    assert main(["topz", "--input", corpus, "--out", str(out), "--z", "10"]) == 0
+    notes = {(row["year"], row["variant"]): row["note"] for row in read_jsonl(out / "topz.jsonl")}
+    assert notes == {
+        (2010, "original"): "",
+        (2010, "rescaled"): "group GroupKey(field='Alpha', year=2010) has only zero counts",
+        (2011, "original"): "top-share analysis needs at least 2 fields",
+        (2011, "rescaled"): "top-share analysis needs at least 2 fields",
+    }
 
 
 def test_jsonl_mirror_has_full_precision(two_field_corpus, tmp_path):
@@ -558,3 +660,11 @@ def test_empty_year_filter_exits_1(two_field_corpus, tmp_path):
         ["fit", "--input", two_field_corpus, "--out", str(tmp_path), "--year", "1999"]
     )
     assert code == 1
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # scipy.special costs every command about 0.3 s; only normality tests need it
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import readscale.cli, sys; assert 'scipy.special' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from readscale.corpus import (
+    Corpus,
     DuplicateIdError,
     EmptyCorpusError,
     GroupKey,
     PublicationRecord,
     group_by_field_year,
     group_stats,
+    stratify,
 )
 from conftest import make_records
 
@@ -88,3 +90,50 @@ def test_cites_array_uses_nan_for_missing():
     ]
     cites = group_by_field_year(records)[GroupKey("A", 2010)].cites
     assert cites[0] == 7.0 and np.isnan(cites[1])
+
+
+def test_stratify_runs_follow_key_order_and_keep_input_order():
+    records = (
+        make_records([3, 1], "B", 2011, prefix="b11")
+        + make_records([9], "A", 2012, prefix="a12")
+        + make_records([5, 7], "B", 2010, prefix="b10")
+        + make_records([2, 8, 4], "A", 2012, prefix="a12x")
+    )
+    strata = stratify(Corpus.from_records(records))
+    assert strata.keys == (GroupKey("A", 2012), GroupKey("B", 2010), GroupKey("B", 2011))
+    assert strata.bounds.tolist() == [0, 4, 6, 8]
+    assert strata.corpus.ids.tolist() == [
+        "a12-0000", "a12x-0000", "a12x-0001", "a12x-0002", "b10-0000", "b10-0001",
+        "b11-0000", "b11-0001",
+    ]
+    assert [s.reads.tolist() for s in strata] == [[9, 2, 8, 4], [5, 7], [3, 1]]
+    assert strata.positions.tolist() == [2, 5, 6, 7, 3, 4, 0, 1]
+    year = strata.of_year(2012)
+    assert year.keys == (GroupKey("A", 2012),) and year.corpus.reads.tolist() == [9, 2, 8, 4]
+
+
+def test_stratum_reads_are_real_once_any_value_is():
+    records = [
+        PublicationRecord("i1", "Ints", 2010, 12),
+        PublicationRecord("r1", "Reals", 2010, 12),
+        PublicationRecord("r2", "Reals", 2010, 4.5),
+    ]
+    reads = {s.key.field: s.reads for s in stratify(Corpus.from_records(records))}
+    assert reads["Ints"].dtype == np.int64 and reads["Reals"].dtype == np.float64
+    assert group_stats(next(iter(stratify(Corpus.from_records(records[:1]))))).r_max == 12
+
+
+def test_concat_merges_label_tables():
+    first = Corpus.from_records(make_records([1, 2], "Zeta", 2010, prefix="z"))
+    second = Corpus.from_records(
+        make_records([3], "Alpha", 2010, prefix="a") + make_records([4], "Zeta", 2011, prefix="y")
+    )
+    both = Corpus.concat([first, second])
+    assert both.labels == ("Alpha", "Zeta")
+    assert [both.labels[f] for f in both.fields] == ["Zeta", "Zeta", "Alpha", "Zeta"]
+    assert both.reads.tolist() == [1, 2, 3, 4]
+
+
+def test_year_beyond_64_bits_is_a_value_error():
+    with pytest.raises(ValueError, match="64 bits"):
+        Corpus.from_records([PublicationRecord("y1", "A", 10**19, 3)])

@@ -3,13 +3,19 @@ from __future__ import annotations
 
 import io
 import json
+import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from readscale import ingest
 from readscale.corpus import PublicationRecord
 from readscale.ingest import (
     IngestError,
+    IngestReport,
     SchemaError,
     parse_records,
     validate,
@@ -85,6 +91,17 @@ def test_parse_line_json():
     assert records[1].reads == 2.5  # real-valued counts survive for oracle corpora
     assert report.rejected == 2
     assert report.diagnostics[0][0] == 3 and report.diagnostics[1][0] == 5
+
+
+def test_line_json_infinite_year_or_cites_is_rejected_not_fatal():
+    text = (
+        '{"id": "a", "field": "A", "year": Infinity, "reads": 4}\n'
+        '{"id": "b", "field": "A", "year": 2010, "reads": 4, "cites": -Infinity}\n'
+        '{"id": "c", "field": "A", "year": 2010, "reads": 4}\n'
+    )
+    records, report = parse_records(io.StringIO(text), format="line-json")
+    assert [r.id for r in records] == ["c"]
+    assert report.diagnostics == ((1, "invalid year inf"), (2, "invalid cites -inf"))
 
 
 def test_unknown_format_rejected():
@@ -170,3 +187,124 @@ def test_write_diagnostics_line_json(tmp_path):
     write_diagnostics(report, path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert rows == [{"line": 2, "reason": "negative reads"}]
+
+
+# ---------------------------------------------------------------------------
+# line-JSON fast path: one json.loads per file, the per-row path as reference
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _logged(fn, *args):
+    handler = _Messages()
+    logger = logging.getLogger("readscale.ingest")
+    logger.addHandler(handler)
+    try:
+        return fn(*args), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+_PLAIN = {
+    "id": st.text(min_size=1, max_size=6),
+    "field": st.sampled_from(["A", "Bio Chem", " Ärzte ", "日本"]),
+    "year": st.integers(1800, 2200),
+    "reads": st.one_of(st.integers(0, 10**18), st.floats(0, 1e12)),
+}
+# per key, values the per-row path rejects, coerces or reads otherwise than
+# the fast path would
+_FAULTS = {
+    "id": st.sampled_from(["", None, 7, True]),
+    "field": st.sampled_from(["", None, 3, False]),
+    "year": st.sampled_from([2010.0, 2010.5, float("inf"), "2010", True, None, 10**400]),
+    "reads": st.sampled_from([-1, -0.5, True, False, None, "12", "", float("nan"), float("inf"), 10**400]),
+    "cites": st.sampled_from([-1, 2.5, 3.0, "4", "", True, float("inf")]),
+    "source": st.sampled_from([[1, 2], {"a": 1}]),
+}
+
+
+@st.composite
+def _row(draw, odd: bool):
+    """A well-formed row; with ``odd``, one of its keys dropped or given a faulty value."""
+    row = {key: draw(value) for key, value in _PLAIN.items()}
+    if draw(st.booleans()):
+        row["cites"] = draw(st.one_of(st.none(), st.integers(0, 500)))
+    if draw(st.integers(0, 3)) == 0:
+        row[draw(st.sampled_from(["source", "note"]))] = draw(st.text(max_size=3))
+    if odd:
+        key = draw(st.sampled_from(list(_FAULTS)))
+        if key in _PLAIN and draw(st.integers(0, 5)) == 0:
+            del row[key]
+        else:
+            row[key] = draw(_FAULTS[key])
+    return row
+
+
+_CLEAN_LINE = _row(odd=False).map(json.dumps)
+_FAULTY_LINE = st.one_of(
+    _row(odd=True).map(json.dumps),
+    st.sampled_from([
+        "", "  ", "{", "not json", "[1, 2]", "5", '{"id": "x"} {"id": "y"}',
+        '{"id": "p", "field": "A", "year": 2010, "reads": 1}, '
+        '{"id": "q", "field": "A", "year": 2010, "reads": 2}',
+    ]),
+)
+
+
+@st.composite
+def _lines(draw):
+    """Well-formed lines with up to two faulty ones mixed in."""
+    lines = draw(st.lists(_CLEAN_LINE, max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_FAULTY_LINE))
+    return lines
+
+
+def _line_json(lines, end):
+    return "\n".join(lines) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lines(), st.sampled_from(["", "\n", "\r\n"]))
+@pytest.mark.parametrize("chunk_lines", [ingest._CHUNK_LINES, 3])
+def test_line_json_fast_path_equals_per_row_path(chunk_lines, lines, end):
+    text = _line_json(lines, end)
+    with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+        (records, report), fast_log = _logged(parse_records, io.StringIO(text), "line-json")
+    (columns, diagnostics), row_log = _logged(
+        ingest._parse_line_json_rows, io.StringIO(text).readlines()
+    )
+    # repr tells 12 from 12.0 and -0.0 from 0.0
+    assert list(map(repr, records)) == list(map(repr, map(PublicationRecord, *columns)))
+    assert report == IngestReport(len(records), len(diagnostics), tuple(diagnostics))
+    assert fast_log == row_log
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_CLEAN_LINE, min_size=1, max_size=12))
+def test_line_json_fast_path_takes_clean_files(lines):
+    assert ingest._decode_line_json([line + "\n" for line in lines]) is not None
+
+
+def test_line_json_fast_path_declines_rows_spanning_lines():
+    # every line opens with "{", and the file decodes as three rows for three
+    # lines, but the first row spans two lines through a nested value and the
+    # third line holds two rows: the per-row path must judge them
+    text = (
+        '{"id": "a", "field": "F", "year": 2010, "reads": 1, "x": [1\n'
+        '{"b": 2}]}\n'
+        '{"id": "c", "field": "F", "year": 2010, "reads": 1}, '
+        '{"id": "d", "field": "F", "year": 2010, "reads": 2}\n'
+    )
+    lines = io.StringIO(text).readlines()
+    assert len(json.loads("[" + ",".join(lines) + "]")) == len(lines)
+    assert ingest._decode_line_json(lines) is None
+    records, report = parse_records(io.StringIO(text), format="line-json")
+    assert records == [] and [line for line, _ in report.diagnostics] == [1, 2, 3]

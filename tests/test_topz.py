@@ -5,9 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from readscale.corpus import PublicationRecord
-from readscale.topz import _cut_size, sigma_z, top_membership, top_share_report
+from readscale.topz import (
+    TIE_RULES,
+    VARIANTS,
+    _cut_size,
+    sigma_z,
+    top_membership,
+    top_share_report,
+)
 from conftest import make_records
 
 
@@ -76,6 +85,31 @@ def test_tie_break_is_deterministic_by_id():
     ]
     assert top_membership(records, z=34) == {"idA"}  # k=1, lowest id among the tied
     assert top_membership(records, z=34, tie_rule="threshold") == {"idA", "idC"}
+
+
+def test_tie_break_is_by_code_point_with_non_ascii_ids():
+    # code point order: "a" < "a\x00" < "zeta" < "Émile" < "émile" < "ß" < "日本"
+    ids = ["日本", "émile", "ß", "zeta", "Émile", "a\x00", "a"]
+    records = [PublicationRecord(i, "A", 2010, 5) for i in ids]
+    records += [PublicationRecord(f"low-{j}", "A", 2010, 1) for j in range(3)]
+    ranked = sorted(ids)
+    for k in range(1, len(ids) + 1):
+        assert top_membership(records, z=10 * k) == set(ranked[:k])
+    assert top_membership(records, z=10, tie_rule="threshold") == set(ids)
+
+
+def test_share_report_all_zero_note_names_first_stratum_in_input_order():
+    records = (
+        make_records([0, 0, 0], "Zulu", 2010, prefix="z")
+        + make_records([4, 3, 2], "Mid", 2010, prefix="m")
+        + make_records([0, 0], "Alpha", 2010, prefix="a")
+    )
+    with pytest.raises(ValueError) as err:
+        top_share_report(records, z=20.0, variant="rescaled")
+    assert str(err.value) == "group GroupKey(field='Zulu', year=2010) has only zero counts"
+    with pytest.raises(ValueError) as err:
+        top_share_report(make_records([0, 0], "Alpha", 2010), z=20.0, variant="rescaled")
+    assert str(err.value) == "top-share analysis needs at least 2 fields"
 
 
 def test_threshold_rule_superset_of_rank_rule():
@@ -184,3 +218,56 @@ def test_share_report_needs_two_fields():
     records = make_records([5, 3, 2], "Solo", 2010)
     with pytest.raises(ValueError):
         top_share_report(records, z=10.0)
+
+
+def test_share_report_rejects_mixed_years():
+    records = make_records([5, 3, 1], "A", 2010, prefix="a") + make_records(
+        [4, 2, 1], "B", 2011, prefix="b"
+    )
+    with pytest.raises(ValueError, match="needs records of one year, got 2010, 2011"):
+        top_share_report(records, z=50.0)
+    with pytest.raises(ValueError, match="got 2010, 2011"):
+        top_share_report(records, z=50.0, variant="rescaled")
+
+
+def _reference_membership(records, variant, z, tie_rule):
+    """Top z% ids by a plain sort on (-value, id)."""
+    values = {r.id: float(r.reads) for r in records}
+    if variant == "rescaled":
+        by_field = {}
+        for r in records:
+            by_field.setdefault(r.field, []).append(r)
+        for members in by_field.values():
+            mean = np.asarray([r.reads for r in members], dtype=float).mean()
+            values.update({r.id: float(r.reads) / mean for r in members})
+    ranked = sorted(values.items(), key=lambda item: (-item[1], item[0]))
+    k = math.floor(z * len(ranked) / 100)
+    if k == 0:
+        return set()
+    if tie_rule == "threshold":
+        return {i for i, v in ranked if v >= ranked[k - 1][1]}
+    return {i for i, _ in ranked[:k]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["A", "B", "Ç"]), st.one_of(st.integers(0, 6), st.floats(0, 6))),
+        min_size=1, max_size=40,
+    ),
+    st.data(),
+    st.floats(0, 100, exclude_min=True, exclude_max=True),
+    st.sampled_from(TIE_RULES),
+    st.sampled_from(VARIANTS),
+)
+def test_top_membership_equals_sort_reference(rows, data, z, tie_rule, variant):
+    ids = data.draw(st.lists(st.text(max_size=4), min_size=len(rows), max_size=len(rows), unique=True))
+    records = [PublicationRecord(i, f, 2010, v) for i, (f, v) in zip(ids, rows)]
+    if variant == "rescaled":  # every field needs a nonzero mean
+        by_field = {}
+        for f, v in rows:
+            by_field.setdefault(f, []).append(v)
+        assume(all(np.asarray(v, dtype=float).mean() for v in by_field.values()))
+    assert top_membership(records, variant, z, tie_rule) == _reference_membership(
+        records, variant, z, tie_rule
+    )
