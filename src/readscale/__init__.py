@@ -30,11 +30,12 @@ from .distfit import (
     fit_lognormal,
     test_lognormality,
 )
-from .fetch import Cache, FetchError, FetchResult, ProviderConfig, RateLimiter, fetch_counts
 from .ingest import (
+    Columns,
     IngestError,
     IngestReport,
     SchemaError,
+    parse_columns,
     parse_corpus,
     parse_records,
     validate,
@@ -56,11 +57,24 @@ from .topz import TopZReport, sigma_z, top_membership, top_share_report
 
 __version__ = "0.1.0"
 
+# readscale.fetch imports requests, which only the provider client needs
+_FETCH_NAMES = ("Cache", "FetchError", "FetchResult", "ProviderConfig", "RateLimiter", "fetch_counts")
+
+
+def __getattr__(name: str):
+    if name in _FETCH_NAMES:
+        from . import fetch
+
+        return getattr(fetch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "AllUnreadGroupError",
     "CLASS_NAMES",
     "Cache",
     "CcdfCurve",
+    "Columns",
     "Corpus",
     "CssResult",
     "DegenerateSampleError",
@@ -101,6 +115,7 @@ __all__ = [
     "group_by_field_year",
     "group_stats",
     "lognormal_mean",
+    "parse_columns",
     "parse_corpus",
     "parse_records",
     "rescale_group",

@@ -30,19 +30,18 @@ from .corpus import (
     DuplicateIdError,
     EmptyCorpusError,
     GroupKey,
-    PublicationRecord,
     Strata,
     group_stats,
     stratify,
 )
 from .css import CLASS_NAMES, TRUNCATION_RULES, characteristic_scores, classify
 from .distfit import DegenerateSampleError, ZeroPolicy, fit_lognormal, test_lognormality
-from .fetch import Cache, FetchError, ProviderConfig, fetch_counts
 from .ingest import (
+    Columns,
     IngestError,
     IngestReport,
+    parse_columns,
     parse_corpus,
-    parse_records,
     validate,
     write_diagnostics,
     write_records,
@@ -153,7 +152,7 @@ def _input_format(path: Path) -> tuple[str, str]:
 
 
 def _parse_inputs(paths: Sequence[str], parse: Callable) -> tuple[list, list]:
-    """What ``parse`` (``parse_records`` or ``parse_corpus``) makes of each
+    """What ``parse`` (``parse_columns`` or ``parse_corpus``) makes of each
     input file, and the rejections as ``(line, "<file>: <reason>")``."""
     parsed = []
     diagnostics: list[tuple[int, str]] = []
@@ -174,14 +173,16 @@ def _no_records(years: Sequence[int] | None) -> EmptyCorpusError:
     return EmptyCorpusError("no records loaded" + (" for the requested years" if years else ""))
 
 
-def _load_records(
-    paths: Sequence[str], years: Sequence[int] | None
-) -> list[PublicationRecord]:
-    parsed, _ = _parse_inputs(paths, parse_records)
-    records = [r for recs in parsed for r in recs if not years or r.year in years]
-    if not records:
+def _load_columns(paths: Sequence[str], years: Sequence[int] | None) -> Columns:
+    """The records of the inputs as parsed, in input order, as :class:`Columns`."""
+    parts, _ = _parse_inputs(paths, parse_columns)
+    columns = Columns.concat(parts)
+    if years:
+        wanted = set(years)
+        columns = columns.take(year in wanted for year in columns.years)
+    if not columns.ids:
         raise _no_records(years)
-    return records
+    return columns
 
 
 def _load_strata(paths: Sequence[str], years: Sequence[int] | None) -> Strata:
@@ -203,20 +204,21 @@ def cmd_ingest(args) -> int:
     """Normalize raw inputs into one validated line-JSON corpus."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    parsed, diagnostics = _parse_inputs(args.input, parse_records)
-    records = [r for recs in parsed for r in recs]
+    parts, diagnostics = _parse_inputs(args.input, parse_columns)
+    columns = Columns.concat(parts)
 
-    check = validate(records)
+    check = validate(columns)
     diagnostics.extend(check.diagnostics)
     flagged = {pos for pos, _ in check.diagnostics}
-    kept = [r for pos, r in enumerate(records, start=1) if pos not in flagged]
-    if args.year:
-        years = set(args.year)
-        kept = [r for r in kept if r.year in years]
+    years = set(args.year or ())
+    kept = columns.take(
+        pos not in flagged and (not years or year in years)
+        for pos, year in enumerate(columns.years, start=1)
+    )
 
     write_records(kept, out_dir / "corpus.jsonl", format="line-json")
     combined = IngestReport(
-        accepted=len(kept), rejected=len(diagnostics), diagnostics=tuple(diagnostics)
+        accepted=len(kept.ids), rejected=len(diagnostics), diagnostics=tuple(diagnostics)
     )
     write_diagnostics(combined, out_dir / "ingest_diagnostics.jsonl")
     if combined.rejected:
@@ -245,47 +247,49 @@ def cmd_synth(args) -> int:
 
 def cmd_fetch(args) -> int:
     """Resolve DOIs to reader counts; optionally merge them into a corpus."""
+    # the provider client loads requests, which no other command needs
+    from .fetch import Cache, FetchError, ProviderConfig, fetch_counts
+
     if not args.input and not args.dois:
         log.error("fetch needs --input and/or --dois")
         return 2
     config = ProviderConfig(base_url=args.provider_url)
     cache = Cache(args.cache)
 
-    corpus_records: list[PublicationRecord] | None = None
+    columns: Columns | None = None
     dois: list[str] = []
     if args.input:
-        corpus_records = _load_records(args.input, args.year)
-        dois.extend(r.id for r in corpus_records)
+        columns = _load_columns(args.input, args.year)
+        dois.extend(columns.ids)
     if args.dois:
         for line in Path(args.dois).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 dois.append(line)
 
-    results = fetch_counts(dois, config, cache)
+    try:
+        results = fetch_counts(dois, config, cache)
+    except FetchError as exc:
+        log.error("%s", exc)
+        return 1
     matched = sum(1 for r in results if r.reads is not None)
     failed = sum(1 for r in results if r.error is not None)
     below = len(results) - matched - failed
 
     merged = 0
-    if corpus_records is not None:
-        by_doi = {r.doi: r for r in results}
-        updated: list[PublicationRecord] = []
-        for rec in corpus_records:
-            res = by_doi.get(rec.id)
-            if res is not None and res.reads is not None:
-                updated.append(dataclasses.replace(rec, reads=res.reads))
-                merged += 1
-            else:
-                updated.append(rec)
+    if columns is not None:
+        # the corpus ids lead ``dois``, and fetch_counts answers in input order
+        fetched = results[:len(columns.ids)]
+        reads = [old if r.reads is None else r.reads for old, r in zip(columns.reads, fetched)]
+        merged = sum(1 for r in fetched if r.reads is not None)
         if merged == 0:
             log.warning("no fetched count cleared the match threshold; corpus unchanged")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_records(updated, out_dir / "corpus.jsonl", format="line-json")
+        write_records(columns._replace(reads=reads), out_dir / "corpus.jsonl", format="line-json")
 
     summary = f"resolved {len(results)} dois: {matched} matched, {below} below threshold, {failed} failed"
-    if corpus_records is not None:
+    if columns is not None:
         summary += f", {merged} merged"
     print(summary)
     return 0
@@ -672,7 +676,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command in ANALYSIS_COMMANDS:
             return args.func(args, _load_strata(args.input, args.year))
         return args.func(args)
-    except (IngestError, EmptyCorpusError, DuplicateIdError, FetchError) as exc:
+    except (IngestError, EmptyCorpusError, DuplicateIdError) as exc:
         log.error("%s", exc)
         return 1
     except OSError as exc:

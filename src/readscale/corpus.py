@@ -261,15 +261,11 @@ class Strata:
         )
 
 
-def _repeated(ids: Sequence[str]) -> list[str]:
-    """Ids that occur more than once, in the order of their second occurrence."""
+def repeated_positions(ids: Sequence[str]) -> list[int]:
+    """The 0-based positions of the ids that repeat an earlier one, ascending."""
     seen: set[str] = set()
-    dupes: dict[str, None] = {}
-    for i in ids:
-        if i in seen:
-            dupes[i] = None
-        seen.add(i)
-    return list(dupes)
+    # set.add returns None: a first occurrence is recorded and passed over
+    return [pos for pos, i in enumerate(ids) if i in seen or seen.add(i)]
 
 
 def stratify(corpus: Corpus) -> Strata:
@@ -285,8 +281,9 @@ def stratify(corpus: Corpus) -> Strata:
     if not len(corpus):
         raise EmptyCorpusError("cannot group an empty corpus")
     ids = corpus.ids.tolist()
-    if len(set(ids)) != len(ids):
-        raise DuplicateIdError(_repeated(ids))
+    repeats = repeated_positions(ids)
+    if repeats:
+        raise DuplicateIdError(list(dict.fromkeys(ids[pos] for pos in repeats)))
     order = np.lexsort((corpus.years, corpus.fields))
     rows = corpus.take(order)
     change = (rows.fields[1:] != rows.fields[:-1]) | (rows.years[1:] != rows.years[:-1])

@@ -12,6 +12,11 @@ latest ``fetched_at`` wins), which makes reruns cheap and crash-safe:
 a warm cache answers without any network traffic, and a torn write
 corrupts at most its own line. Failures are returned but never cached,
 so a transient outage does not poison later runs.
+
+A batch that fails with a 429 or a 5xx is retried with exponential
+backoff. A 429 that carries ``Retry-After`` in seconds waits at least that
+long, up to ``RETRY_AFTER_CAP``; an HTTP-date or unreadable value leaves the
+backoff alone.
 """
 from __future__ import annotations
 
@@ -27,6 +32,8 @@ from typing import Iterable, Sequence
 
 import requests
 
+from .ingest import decode_line_chunks
+
 __all__ = [
     "Cache",
     "FetchError",
@@ -41,6 +48,11 @@ log = logging.getLogger(__name__)
 REQUEST_TIMEOUT = 30.0  # seconds per HTTP attempt
 BACKOFF_BASE = 0.5  # first retry delay, doubled per attempt
 BACKOFF_CAP = 8.0
+# Longest wait a provider's Retry-After can impose before a retry, in seconds.
+# A provider asking for more is down for this run as far as it is concerned;
+# waiting longer would only stall the run without a word.
+RETRY_AFTER_CAP = 60.0
+CACHE_KEYS = ("doi", "reads", "match_probability", "fetched_at")
 
 
 class FetchError(RuntimeError):
@@ -127,30 +139,47 @@ class Cache:
         self._lock = threading.Lock()
 
     def read_all(self) -> dict[str, FetchResult]:
-        """Latest entry per DOI; malformed lines are skipped with a warning."""
-        entries: dict[str, FetchResult] = {}
+        """Latest entry per DOI, a tie going to the later line; malformed
+        lines are skipped with a warning.
+
+        Lines are decoded a chunk at a time (see
+        :func:`readscale.ingest.decode_line_chunks`). A chunk of flat entries
+        holding the types :meth:`append` writes -- a string DOI, integer or
+        null reads, float probability and time -- is taken in bulk; any other
+        chunk is read line by line.
+        """
         if not self.path.exists():
-            return entries
+            return {}
         with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                    result = FetchResult(
-                        doi=str(raw["doi"]),
-                        reads=None if raw["reads"] is None else int(raw["reads"]),
-                        match_probability=float(raw["match_probability"]),
-                        fetched_at=float(raw["fetched_at"]),
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    log.warning("%s:%d: unreadable cache line skipped", self.path, lineno)
-                    continue
-                prior = entries.get(result.doi)
-                if prior is None or result.fetched_at >= prior.fetched_at:
-                    entries[result.doi] = result
-        return entries
+            lines = fh.read().split("\n")  # as iterating over fh splits them
+        numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
+        lines = [lines[n - 1] for n in numbers]
+        # (doi, reads, match_probability, fetched_at) columns, in line order
+        columns: tuple[list, ...] = ([], [], [], [])
+        done = 0
+        for chunk, rows in decode_line_chunks(lines, frozenset(CACHE_KEYS)):
+            entries = None if rows is None else _plain_entries(rows)
+            if entries is None:
+                read = []
+                for lineno, line in zip(numbers[done:], chunk):
+                    try:
+                        read.append(_cache_entry(json.loads(line.strip())))
+                    except (KeyError, TypeError, ValueError, OverflowError):
+                        log.warning("%s:%d: unreadable cache line skipped", self.path, lineno)
+                entries = tuple(zip(*read)) or ((),) * len(CACHE_KEYS)
+            for column, values in zip(columns, entries):
+                column.extend(values)
+            done += len(chunk)
+
+        dois, reads, probs, times = columns
+        latest: dict[str, int] = {}
+        for k, (doi, fetched_at) in enumerate(zip(dois, times)):
+            prior = latest.get(doi)
+            if prior is None or fetched_at >= times[prior]:
+                latest[doi] = k
+        return {
+            doi: FetchResult(doi, reads[k], probs[k], times[k]) for doi, k in latest.items()
+        }
 
     def append(self, results: Iterable[FetchResult]) -> None:
         """Serialize writes; one JSON object per line, flushed per call."""
@@ -173,6 +202,39 @@ class Cache:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write("".join(line + "\n" for line in lines))
+
+
+def _cache_entry(raw) -> tuple:
+    """(doi, reads, match_probability, fetched_at) of one decoded cache line;
+    KeyError, TypeError, ValueError or OverflowError when it is not an entry."""
+    return (
+        str(raw["doi"]),
+        None if raw["reads"] is None else int(raw["reads"]),
+        float(raw["match_probability"]),
+        float(raw["fetched_at"]),
+    )
+
+
+def _plain_entries(rows: list[dict]) -> tuple[list, ...] | None:
+    """The (doi, reads, match_probability, fetched_at) columns of decoded cache
+    lines, when each line holds every key with a value that
+    :func:`_cache_entry` would keep as it is."""
+    try:
+        entries = tuple([row[key] for row in rows] for key in CACHE_KEYS)
+    except KeyError:
+        return None
+    wanted = ({str}, {int, type(None)}, {float}, {float})
+    plain = all(set(map(type, column)) <= types for column, types in zip(entries, wanted))
+    return entries if plain else None
+
+
+def _retry_after(value: str | None) -> float:
+    """Seconds a 429's ``Retry-After`` asks to wait, capped at
+    ``RETRY_AFTER_CAP``; 0 for an HTTP-date, an absent or an unreadable value."""
+    value = (value or "").strip()
+    if value.isascii() and value.isdigit():
+        return min(float(value), RETRY_AFTER_CAP)
+    return 0.0
 
 
 def _apply_threshold(raw: dict, threshold: float) -> FetchResult:
@@ -203,9 +265,11 @@ def _post_batch(
     """One batch: POST with retries, map responses, fill in failures."""
     url = config.base_url.rstrip("/") + "/lookup"
     last_error = "no attempt made"
+    retry_after = 0.0
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
-            time.sleep(min(BACKOFF_BASE * 2 ** (attempt - 1), BACKOFF_CAP))
+            time.sleep(max(min(BACKOFF_BASE * 2 ** (attempt - 1), BACKOFF_CAP), retry_after))
+            retry_after = 0.0
         limiter.acquire()
         try:
             response = requests.post(
@@ -217,6 +281,8 @@ def _post_batch(
             continue
         if response.status_code == 429 or response.status_code >= 500:
             last_error = f"HTTP {response.status_code}"
+            if response.status_code == 429:
+                retry_after = _retry_after(response.headers.get("Retry-After"))
             log.warning("attempt %d/%d: %s", attempt + 1, config.max_retries + 1, last_error)
             continue
         if response.status_code >= 400:

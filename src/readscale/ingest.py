@@ -18,12 +18,14 @@ import io
 import json
 import logging
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord, repeated_positions
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +60,38 @@ class IngestReport:
     accepted: int
     rejected: int
     diagnostics: tuple[tuple[int, str], ...] = ()
+
+
+class Columns(NamedTuple):
+    """Records as one sequence per attribute, in input order, each value as parsed:
+    ``reads`` keeps an integer apart from a real number (and every digit of a
+    large integer), ``cites`` holds None where a record has none.
+
+    :func:`parse_columns` builds them, and :func:`validate` and
+    :func:`write_records` read them without one object per record.
+    """
+
+    ids: Sequence[str]
+    fields: Sequence[str]
+    years: Sequence[int]
+    reads: Sequence[int | float]
+    cites: Sequence[int | None]
+
+    @classmethod
+    def from_records(cls, records: Iterable[PublicationRecord]) -> "Columns":
+        return cls(*_columns([(r.id, r.field, r.year, r.reads, r.cites) for r in records]))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Columns"]) -> "Columns":
+        """The rows of every part, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*([v for part in parts for v in part[i]] for i in range(len(cls._fields))))
+
+    def take(self, keep: Iterable[bool]) -> "Columns":
+        """The rows whose ``keep`` flag is true."""
+        keep = list(keep)
+        return Columns(*(list(compress(column, keep)) for column in self))
 
 
 def _coerce_reads(text: str) -> int | float:
@@ -106,9 +140,18 @@ def _open_text(source) -> IO[str]:
     return io.TextIOWrapper(source, encoding="utf-8", newline="")
 
 
-def _parse(source, format: str, delimiter: str) -> tuple[tuple[Sequence, ...], IngestReport]:
-    """The (id, field, year, reads, cites) columns of the well-formed rows, in
-    input order, and the report of every skipped row."""
+def parse_columns(
+    source,
+    format: str = "delimited",
+    delimiter: str = ",",
+) -> tuple[Columns, IngestReport]:
+    """Parse records from a path or byte/text stream into :class:`Columns`.
+
+    Returns the well-formed records in input order together with an
+    :class:`IngestReport` listing every skipped row. Raises
+    :class:`SchemaError` if a mandatory column is absent and
+    :class:`IngestError` if the stream cannot be decoded as UTF-8.
+    """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     stream = _open_text(source)
@@ -132,14 +175,8 @@ def parse_records(
     format: str = "delimited",
     delimiter: str = ",",
 ) -> tuple[list[PublicationRecord], IngestReport]:
-    """Parse records from a path or byte/text stream.
-
-    Returns the well-formed records in input order together with an
-    :class:`IngestReport` listing every skipped row. Raises
-    :class:`SchemaError` if a mandatory column is absent and
-    :class:`IngestError` if the stream cannot be decoded as UTF-8.
-    """
-    columns, report = _parse(source, format, delimiter)
+    """:func:`parse_columns`, with the records as :class:`PublicationRecord` objects."""
+    columns, report = parse_columns(source, format, delimiter)
     return list(map(PublicationRecord, *columns)), report
 
 
@@ -148,20 +185,31 @@ def parse_corpus(
     format: str = "delimited",
     delimiter: str = ",",
 ) -> tuple[Corpus, IngestReport]:
-    """:func:`parse_records`, with the records as the columns of a :class:`Corpus`."""
-    columns, report = _parse(source, format, delimiter)
+    """:func:`parse_columns`, with the records as a :class:`Corpus`."""
+    columns, report = parse_columns(source, format, delimiter)
     return Corpus.from_columns(*columns), report
 
 
-def _columns(rows: list[tuple]) -> tuple[Sequence, ...]:
-    return tuple(zip(*rows)) or ((),) * 5
+def _columns(rows: list[tuple]) -> Columns:
+    return Columns(*(zip(*rows) if rows else ((),) * len(Columns._fields)))
 
 
-def _parse_delimited(stream, delimiter: str) -> tuple[tuple[Sequence, ...], list]:
-    reader = csv.DictReader(stream, delimiter=delimiter)
-    if reader.fieldnames is None:
+def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
+    """Rows as ``csv.DictReader`` reads them, with its keys trimmed: blank rows
+    are skipped and not numbered, of header names equal once trimmed the last
+    column wins, a short row lacks its last values and a long row's surplus is
+    dropped.
+
+    Rows of the header's width whose values are plain -- a non-empty id and
+    field, a year and reads of at most 18 decimal digits, cites empty or such
+    digits -- are converted a column at a time; every other row goes through
+    :func:`_row_values`, which judges it exactly.
+    """
+    reader = csv.reader(stream, delimiter=delimiter)
+    names = next(reader, None)
+    if names is None:
         raise SchemaError("id")
-    header = [h.strip() for h in reader.fieldnames]
+    header = [h.strip() for h in names]
     for col in MANDATORY_COLUMNS:
         if col not in header:
             raise SchemaError(col)
@@ -169,58 +217,128 @@ def _parse_delimited(stream, delimiter: str) -> tuple[tuple[Sequence, ...], list
     if unknown:
         log.warning("ignoring unknown columns: %s", ", ".join(unknown))
 
-    rows: list[tuple] = []
+    # trimmed name -> the column a DictReader row takes its value from
+    source = {name.strip(): i for name, i in {name: i for i, name in enumerate(names)}.items()}
+    rows = [row for row in reader if row]
+    width = len(names)
+    misfit = [""] * width  # stands in for a row of another width; its empty id is not plain
+    table = list(zip(*(row if len(row) == width else misfit for row in rows))) or [()] * width
+    ids, fields, years, reads = (table[source[col]] for col in MANDATORY_COLUMNS)
+    cites = table[source["cites"]] if "cites" in source else ("",) * len(rows)
+    plain = (
+        _filled(ids) & _filled(fields) & _counts(years) & _counts(reads)
+        & (_counts(cites) | ~_filled(cites))
+    )
+    keep = plain.tolist()
+    columns = Columns(
+        [i.strip() for i in compress(ids, keep)],
+        [f.strip() for f in compress(fields, keep)],
+        list(map(int, compress(years, keep))),
+        list(map(int, compress(reads, keep))),
+        [int(c) if c else None for c in compress(cites, keep)],
+    )
+
+    taken: dict[int, tuple] = {}
     diagnostics: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(reader, start=2):  # line 1 is the header
-        row = {k.strip(): v for k, v in raw.items() if k is not None}
+    for pos in np.flatnonzero(~plain).tolist():
+        row = rows[pos]
+        values = {name: row[i] if i < len(row) else None for name, i in source.items()}
         try:
-            rows.append(_row_values(row))
+            taken[pos] = _row_values(values)
         except ValueError as exc:
-            diagnostics.append((lineno, str(exc)))
-    return _columns(rows), diagnostics
+            diagnostics.append((pos + 2, str(exc)))  # line 1 is the header
+    if taken:
+        at = np.flatnonzero(plain).tolist() + list(taken)
+        order = sorted(range(len(at)), key=at.__getitem__)
+        extra = _columns(list(taken.values()))
+        columns = Columns(*(
+            list(map([*column, *more].__getitem__, order)) for column, more in zip(columns, extra)
+        ))
+    return columns, diagnostics
 
 
-def _parse_line_json(lines: list[str]) -> tuple[tuple[Sequence, ...], list]:
+def _filled(texts: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(bool, texts), bool, len(texts))
+
+
+def _counts(texts: Sequence[str]) -> np.ndarray:
+    """Which texts are 1 to 18 decimal digits: for them :func:`_row_values`
+    returns ``int(text)``, as year, cites and reads alike (their float is
+    finite and integral, so :func:`_coerce_reads` keeps the int)."""
+    n = len(texts)
+    return np.fromiter(map(str.isdecimal, texts), bool, n) & (
+        np.fromiter(map(len, texts), np.int64, n) <= 18
+    )
+
+
+def _parse_line_json(lines: list[str]) -> tuple[Columns, list]:
     columns = _decode_line_json(lines)
     if columns is not None:
         return columns, []
     return _parse_line_json_rows(lines)
 
 
-def _decode_line_json(lines: list[str]) -> tuple[list, ...] | None:
-    """The columns of a line-JSON file decoded with one ``json.loads`` per
-    chunk of lines and checked in bulk, or None when some row needs the
-    per-row path: invalid JSON, a non-object, a missing or empty value, a
-    value of another type than a plain string id and field, integer year,
-    integer or float reads and integer cites (so a bool, a null, a numeric
-    string or a float year), a negative or non-finite count, or a nested value.
+def decode_line_chunks(lines: list[str], keys: frozenset[str]):
+    """Decode line-JSON objects with one ``json.loads`` per chunk of lines.
 
-    Each line keeps its line break, which no JSON token can contain, and opens
-    with "{"; with only flat objects and as many as there are lines, each line
-    holds exactly one of them. Chunks keep the decoded objects, which take
-    several times the memory of the columns, from adding up.
+    ``lines`` are non-blank. Yields each chunk of ``_CHUNK_LINES`` lines with
+    its objects, or with None when the chunk holds anything but one flat
+    object per line: invalid JSON, a non-object, a line with two objects, or
+    a nested value under a key outside ``keys`` (the caller checks the values
+    under ``keys``, and must reject nested ones).
+
+    The lines are decoded joined by line breaks, which no JSON token can
+    contain, and each opens with "{"; with only flat objects and as many as
+    there are lines, each line holds exactly one of them. Chunks keep the
+    decoded objects, which take several times the memory of the values the
+    caller keeps, from adding up.
     """
-    lines = [line for line in lines if line.strip()]
-    if not all(line.lstrip().startswith("{") for line in lines):
-        return None
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    unknown: set[str] = set()
     for start in range(0, len(lines), _CHUNK_LINES):
         chunk = lines[start:start + _CHUNK_LINES]
-        try:
-            rows = json.loads("[" + ",".join(chunk) + "]")
-            if len(rows) != len(chunk):
-                return None
-            for column, key in zip(columns, MANDATORY_COLUMNS):
-                column.extend([row[key] for row in rows])
-        except (KeyError, TypeError, ValueError):
-            return None
-        columns[4].extend([row.get("cites") for row in rows])
-        extra = [row for row in rows if not row.keys() <= KNOWN_COLUMNS]
+        yield chunk, _flat_objects(chunk, keys)
+
+
+def _flat_objects(lines: list[str], keys: frozenset[str]) -> list[dict] | None:
+    if not all(line.lstrip().startswith("{") for line in lines):
+        return None
+    text = ",\n".join(lines)
+    try:
+        rows = json.loads("[" + text + "]")
+    except ValueError:
+        return None
+    if len(rows) != len(lines):
+        return None
+    # a "{" per line and no "[" at all leave no room for a nested value
+    if text.count("{") != len(lines) or "[" in text:
+        extra = (row for row in rows if not row.keys() <= keys)
         if any(isinstance(v, (dict, list)) for row in extra for v in row.values()):
             return None
-        if extra and not unknown:
-            unknown = extra[0].keys() - KNOWN_COLUMNS
+    return rows
+
+
+def _decode_line_json(lines: list[str]) -> Columns | None:
+    """The columns of a line-JSON file decoded in chunks (see
+    :func:`decode_line_chunks`) and checked in bulk, or None when some row
+    needs the per-row path: a line that is not one flat object, a missing or
+    empty value, a value of another type than a plain string id and field,
+    integer year, integer or float reads and integer cites (so a bool, a
+    null, a numeric string or a float year), or a negative or non-finite count.
+    """
+    lines = [line for line in lines if line.strip()]
+    columns: tuple[list, ...] = ([], [], [], [], [])
+    unknown: set[str] = set()
+    for _, rows in decode_line_chunks(lines, KNOWN_COLUMNS):
+        if rows is None:
+            return None
+        try:
+            for column, key in zip(columns, MANDATORY_COLUMNS):
+                column.extend([row[key] for row in rows])
+        except KeyError:
+            return None
+        columns[4].extend([row.get("cites") for row in rows])
+        if not unknown:
+            extra = next((row for row in rows if not row.keys() <= KNOWN_COLUMNS), None)
+            unknown = set() if extra is None else extra.keys() - KNOWN_COLUMNS
     ids, fields, years, reads, cites = columns
     try:
         counts = np.array(reads, dtype=float)
@@ -237,14 +355,14 @@ def _decode_line_json(lines: list[str]) -> tuple[list, ...] | None:
         return None
     if unknown:
         log.warning("ignoring unknown keys: %s", ", ".join(sorted(unknown)))
-    return [i.strip() for i in ids], [f.strip() for f in fields], years, reads, cites
+    return Columns([i.strip() for i in ids], [f.strip() for f in fields], years, reads, cites)
 
 
 def _types(values: list) -> set[type]:
     return set(map(type, values))
 
 
-def _parse_line_json_rows(lines: list[str]) -> tuple[tuple[Sequence, ...], list]:
+def _parse_line_json_rows(lines: list[str]) -> tuple[Columns, list]:
     rows: list[tuple] = []
     diagnostics: list[tuple[int, str]] = []
     warned_unknown = False
@@ -271,63 +389,93 @@ def _parse_line_json_rows(lines: list[str]) -> tuple[tuple[Sequence, ...], list]
 
 
 def validate(
-    records: Sequence[PublicationRecord],
+    records: Sequence[PublicationRecord] | Columns,
     year_range: tuple[int, int] = (YEAR_MIN, YEAR_MAX),
 ) -> IngestReport:
     """Flag duplicate ids, out-of-range years and negative counts.
 
+    ``records`` are :class:`PublicationRecord` objects or :class:`Columns`.
     Purely a reporting pass: the input is never mutated and nothing raises.
-    Diagnostic line numbers are 1-based positions in ``records``.
+    Diagnostic line numbers are 1-based positions in ``records``; a row's
+    diagnostics come in the order duplicate id, year, reads, cites.
     """
+    columns = records if isinstance(records, Columns) else Columns.from_records(records)
+    ids, _, years, reads, cites = columns
     lo, hi = year_range
-    seen: set[str] = set()
-    diagnostics: list[tuple[int, str]] = []
-    for pos, r in enumerate(records, start=1):
-        if r.id in seen:
-            diagnostics.append((pos, f"duplicate id {r.id}"))
-        seen.add(r.id)
-        if not lo <= r.year <= hi:
-            diagnostics.append((pos, f"year out of range: {r.year}"))
-        if r.reads < 0:
-            diagnostics.append((pos, f"negative reads: {r.reads}"))
-        if r.cites is not None and r.cites < 0:
-            diagnostics.append((pos, f"negative cites: {r.cites}"))
-    flagged = {pos for pos, _ in diagnostics}
+    # a stable sort on position keeps each row's diagnostics in check order
+    found = sorted(
+        [(pos, f"duplicate id {ids[pos]}") for pos in repeated_positions(ids)]
+        + [(pos, f"year out of range: {y}") for pos, y in enumerate(years) if not lo <= y <= hi]
+        + [(pos, f"negative reads: {r}") for pos, r in enumerate(reads) if r < 0]
+        + [(pos, f"negative cites: {c}") for pos, c in enumerate(cites) if c is not None and c < 0],
+        key=itemgetter(0),
+    )
+    flagged = len({pos for pos, _ in found})
     return IngestReport(
-        accepted=len(records) - len(flagged),
-        rejected=len(flagged),
-        diagnostics=tuple(diagnostics),
+        accepted=len(ids) - flagged,
+        rejected=flagged,
+        diagnostics=tuple((pos + 1, reason) for pos, reason in found),
     )
 
 
 def write_records(
-    records: Iterable[PublicationRecord],
+    records: Iterable[PublicationRecord] | Columns,
     target,
     format: str = "delimited",
     delimiter: str = ",",
 ) -> None:
-    """Serialize records so that :func:`parse_records` reproduces them exactly."""
+    """Serialize records (:class:`PublicationRecord` objects or :class:`Columns`)
+    so that :func:`parse_records` reproduces them exactly."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
+    columns = records if isinstance(records, Columns) else Columns.from_records(records)
     own = isinstance(target, (str, Path))
     stream = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
         if format == "delimited":
+            ids, fields, years, reads, cites = columns
             writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
             writer.writerow(["id", "field", "year", "reads", "cites"])
-            for r in records:
-                writer.writerow(
-                    [r.id, r.field, r.year, r.reads, "" if r.cites is None else r.cites]
-                )
+            writer.writerows(zip(ids, fields, years, reads, ["" if c is None else c for c in cites]))
         else:
-            for r in records:
-                obj = {"id": r.id, "field": r.field, "year": r.year, "reads": r.reads}
-                if r.cites is not None:
-                    obj["cites"] = r.cites
-                stream.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            stream.writelines(_json_lines(columns))
     finally:
         if own:
             stream.close()
+
+
+def _json_object(id, field, year, reads, cites) -> dict:
+    obj = {"id": id, "field": field, "year": year, "reads": reads}
+    if cites is not None:
+        obj["cites"] = cites
+    return obj
+
+
+def _json_lines(columns: Columns) -> list[str]:
+    """``json.dumps(obj, ensure_ascii=False)`` of each row's object, one line
+    each, built from the columns: ids are encoded once each and field labels
+    once per label, with the string encoder ``json.dumps`` itself uses.
+
+    Columns holding another type than str ids and fields, int years, int or
+    finite float reads and int or None cites go through ``json.dumps``.
+    """
+    ids, fields, years, reads, cites = columns
+    plain = (
+        _types(ids) <= {str} and _types(fields) <= {str} and _types(years) <= {int}
+        and _types(reads) <= {int, float} and _types(cites) <= {int, type(None)}
+        and np.isfinite([r for r in reads if type(r) is float]).all()
+    )
+    if not plain:
+        return [
+            json.dumps(_json_object(*row), ensure_ascii=False) + "\n" for row in zip(*columns)
+        ]
+    encode = json.encoder.encode_basestring  # what ensure_ascii=False encodes strings with
+    label = {f: encode(f) for f in set(fields)}
+    tails = ["}\n" if c is None else f', "cites": {c}}}\n' for c in cites]
+    return [
+        f'{{"id": {i}, "field": {label[f]}, "year": {y}, "reads": {r!r}{tail}'
+        for i, f, y, r, tail in zip(map(encode, ids), fields, years, reads, tails)
+    ]
 
 
 def write_diagnostics(report: IngestReport, target) -> None:

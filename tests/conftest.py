@@ -58,13 +58,17 @@ class StubProvider:
 
     ``responses`` maps a DOI to a (readers, match_probability) pair; DOIs
     absent from the map are left out of the response body. ``fail_first``
-    makes the server answer 500 to that many requests before behaving.
-    Request bodies and arrival times (monotonic clock) are recorded.
+    makes the server answer 500 to that many requests before behaving;
+    ``throttle_first`` answers 429 to that many, with ``retry_after`` as the
+    ``Retry-After`` header when given. Request bodies and arrival times
+    (monotonic clock) are recorded.
     """
 
-    def __init__(self, responses=None, fail_first=0):
+    def __init__(self, responses=None, fail_first=0, throttle_first=0, retry_after=None):
         self.responses = dict(responses or {})
         self.fail_first = fail_first
+        self.throttle_first = throttle_first
+        self.retry_after = retry_after
         self.requests: list[list[str]] = []
         self.arrivals: list[float] = []
         self.headers_seen: list[dict] = []
@@ -83,8 +87,13 @@ class StubProvider:
                     must_fail = provider.fail_first > 0
                     if must_fail:
                         provider.fail_first -= 1
-                if must_fail:
-                    self.send_response(500)
+                    throttled = not must_fail and provider.throttle_first > 0
+                    if throttled:
+                        provider.throttle_first -= 1
+                if must_fail or throttled:
+                    self.send_response(500 if must_fail else 429)
+                    if throttled and provider.retry_after is not None:
+                        self.send_header("Retry-After", provider.retry_after)
                     self.send_header("Content-Length", "0")
                     self.end_headers()
                     return
@@ -124,8 +133,8 @@ class StubProvider:
 def stub_provider():
     servers = []
 
-    def start(responses=None, fail_first=0):
-        server = StubProvider(responses, fail_first)
+    def start(responses=None, fail_first=0, throttle_first=0, retry_after=None):
+        server = StubProvider(responses, fail_first, throttle_first, retry_after)
         servers.append(server)
         return server
 

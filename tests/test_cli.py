@@ -487,12 +487,12 @@ def _counting(monkeypatch, name):
 def test_report_parses_each_input_once_and_groups_once(tmp_path, monkeypatch):
     inputs = _two_year_corpus(tmp_path)
     parses = _counting(monkeypatch, "parse_corpus")
-    record_parses = _counting(monkeypatch, "parse_records")
+    column_parses = _counting(monkeypatch, "parse_columns")
     groupings = _counting(monkeypatch, "stratify")
     io = [arg for path in inputs for arg in ("--input", path)]
     assert main(["report", *io, "--out", str(tmp_path / "out")]) == 0
     assert len(parses) == len(inputs)
-    assert record_parses == []
+    assert column_parses == []
     assert len(groupings) == 1
 
 
@@ -668,3 +668,32 @@ def test_importing_the_cli_leaves_scipy_special_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import readscale.cli, sys; assert 'scipy.special' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    # requests costs every command about 0.13 s; only fetch talks to a provider
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import readscale.cli, sys; assert 'requests' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_fetch_cli_merges_only_corpus_rows_with_extra_dois(tmp_path, stub_provider, capsys):
+    records = make_records([3, 4], "Bio", 2010, prefix="10.5/bio")
+    corpus = write_corpus(tmp_path / "c.jsonl", records)
+    dois = tmp_path / "dois.txt"
+    dois.write_text("10.5/extra\n10.5/bio-0001\n", encoding="utf-8")
+    server = stub_provider({"10.5/bio-0001": (40, 0.99), "10.5/extra": (7, 0.99)})
+    out = tmp_path / "out"
+    code = main([
+        "fetch", "--input", corpus, "--dois", str(dois), "--out", str(out),
+        "--provider-url", server.url, "--cache", str(tmp_path / "cache.jsonl"),
+    ])
+    assert code == 0
+    assert (
+        "resolved 4 dois: 3 matched, 0 below threshold, 1 failed, 1 merged"
+        in capsys.readouterr().out
+    )
+    assert {r["id"]: r["reads"] for r in read_jsonl(out / "corpus.jsonl")} == {
+        "10.5/bio-0000": 3, "10.5/bio-0001": 40,
+    }

@@ -2,13 +2,20 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
+import tempfile
 import threading
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import readscale.fetch as fetch_mod
+from readscale import ingest
 from readscale.fetch import (
     Cache,
     FetchError,
@@ -269,3 +276,174 @@ def test_negative_reader_count_is_a_failure(stub_provider, tmp_path):
     results = fetch_counts(["10.16/bad"], _config(server.url), Cache(tmp_path / "c.jsonl"))
     assert results[0].error is not None and results[0].reads is None
     assert Cache(tmp_path / "c.jsonl").read_all().get("10.16/bad") is None
+
+
+# ---------------------------------------------------------------------------
+# Retry-After on 429
+
+
+def test_429_retry_waits_for_retry_after(stub_provider, tmp_path):
+    server = stub_provider({"10.17/x": (4, 0.95)}, throttle_first=1, retry_after="1")
+    results = fetch_counts(["10.17/x"], _config(server.url), Cache(tmp_path / "c.jsonl"))
+    assert results[0].reads == 4
+    assert server.request_count == 2
+    assert server.arrivals[1] - server.arrivals[0] >= 1.0  # backoff alone is 0.01 s here
+
+
+def test_429_with_http_date_retries_after_backoff(stub_provider, tmp_path):
+    server = stub_provider(
+        {"10.18/x": (4, 0.95)}, throttle_first=2, retry_after="Wed, 21 Oct 2015 07:28:00 GMT"
+    )
+    results = fetch_counts(["10.18/x"], _config(server.url), Cache(tmp_path / "c.jsonl"))
+    assert results[0].reads == 4
+    assert server.request_count == 3
+    assert server.arrivals[2] - server.arrivals[0] < 0.9
+
+
+@pytest.mark.parametrize(
+    "value, seconds",
+    [
+        ("2", 2.0), (" 3 ", 3.0), ("0", 0.0), ("86400", fetch_mod.RETRY_AFTER_CAP),
+        ("1.5", 0.0), ("-1", 0.0), ("", 0.0), (None, 0.0), ("٣", 0.0),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+    ],
+)
+def test_retry_after_header_values(value, seconds):
+    assert fetch_mod._retry_after(value) == seconds
+
+
+# ---------------------------------------------------------------------------
+# cache read: the bulk path against a line-by-line reference
+
+
+def _read_lines(path):
+    """Cache.read_all one line at a time: the latest entry per DOI (a tie goes
+    to the later line) and the warning for each unreadable line."""
+    entries, warnings = {}, []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                raw = json.loads(line)
+                result = FetchResult(
+                    doi=str(raw["doi"]),
+                    reads=None if raw["reads"] is None else int(raw["reads"]),
+                    match_probability=float(raw["match_probability"]),
+                    fetched_at=float(raw["fetched_at"]),
+                )
+            except (KeyError, TypeError, ValueError, OverflowError):
+                warnings.append(f"{path}:{lineno}: unreadable cache line skipped")
+                continue
+            prior = entries.get(result.doi)
+            if prior is None or result.fetched_at >= prior.fetched_at:
+                entries[result.doi] = result
+    return entries, warnings
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+_PLAIN_ENTRY = st.fixed_dictionaries({
+    "doi": st.sampled_from(["10.1/a", "10.1/b", "10.1/ä", 'q"\\']),
+    "reads": st.one_of(st.none(), st.integers(0, 10**6)),
+    "match_probability": st.floats(0, 1),
+    "fetched_at": st.sampled_from([1.0, 2.0, 3.5]),
+})
+# per key, values Cache.append never writes
+_ODD_VALUES = {
+    "doi": st.integers(0, 3),
+    "reads": st.one_of(
+        st.booleans(), st.floats(allow_nan=True), st.sampled_from(["12", "x", "1.5"]), st.just([1]),
+    ),
+    "match_probability": st.one_of(st.integers(0, 1), st.sampled_from(["0.9", "p"]), st.none()),
+    "fetched_at": st.one_of(st.integers(0, 3), st.just(float("nan")), st.just("4.0")),
+}
+
+
+@st.composite
+def _odd_cache_line(draw):
+    """A cache line with a key dropped or given a value Cache.append never
+    writes, an extra key, padding that is not JSON whitespace, or no entry."""
+    entry = draw(_PLAIN_ENTRY)
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(st.sampled_from(["", "  ", "{", "not json", "[1]", "7", '{"doi": "z"} {"doi": "y"}']))
+    if kind == 1:
+        pad = draw(st.sampled_from(["\x0c", "\u00a0", "\u2028"]))
+        return pad + json.dumps(entry) + pad
+    if kind == 2:
+        entry["note"] = draw(st.sampled_from(["x", 1, None, {"a": 1}, [2]]))
+    else:
+        key = draw(st.sampled_from(sorted(_ODD_VALUES)))
+        if kind == 3:
+            del entry[key]
+        else:
+            entry[key] = draw(_ODD_VALUES[key])
+    return json.dumps(entry, sort_keys=draw(st.booleans()))
+
+
+@st.composite
+def _cache_lines(draw):
+    """Lines as Cache.append writes them, with up to two odd ones mixed in."""
+    lines = draw(st.lists(
+        st.builds(json.dumps, _PLAIN_ENTRY, sort_keys=st.booleans()), max_size=12,
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_odd_cache_line()))
+    return lines
+
+
+def _entry_line(doi, reads, fetched_at=2.0, probability=0.95):
+    return json.dumps(
+        {"doi": doi, "reads": reads, "match_probability": probability, "fetched_at": fetched_at}
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cache_lines(), st.sampled_from(["\n", "\r\n"]), st.sampled_from([4096, 3]))
+# one odd value among plain lines, in a chunk of its own and not
+@example([_entry_line("a", 1), _entry_line("b", True)], "\n", 4096)
+@example([_entry_line("a", 1), _entry_line("b", 7, fetched_at=3)], "\n", 4096)
+@example([_entry_line("a", 1), _entry_line("b", 7, probability=1)], "\n", 4096)
+@example([_entry_line("a", 1), _entry_line("b", 2.0)], "\n", 4096)
+@example([_entry_line(7, 1), _entry_line("b", 2)], "\n", 4096)
+@example([_entry_line("a", 1)] * 3 + [_entry_line("b", False)], "\n", 3)
+def test_cache_read_all_equals_line_by_line_reference(lines, newline, chunk_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        path.write_bytes(newline.join(lines).encode() + b"\n")
+        handler = _Messages()
+        logger = logging.getLogger("readscale.fetch")
+        logger.addHandler(handler)
+        try:
+            with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+                entries = Cache(path).read_all()
+        finally:
+            logger.removeHandler(handler)
+        expected, warnings = _read_lines(path)
+    # repr tells nan apart from a missing value and 1 from 1.0
+    assert [(doi, repr(r)) for doi, r in entries.items()] == [
+        (doi, repr(r)) for doi, r in expected.items()
+    ]
+    assert handler.messages == warnings
+
+
+def test_cache_line_with_infinite_reads_is_skipped(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        '{"doi": "a", "reads": Infinity, "match_probability": 0.95, "fetched_at": 1.0}\n'
+        '{"doi": "b", "reads": 3, "match_probability": 0.95, "fetched_at": 1.0}\n',
+        encoding="utf-8",
+    )
+    with caplog.at_level("WARNING"):
+        entries = Cache(path).read_all()
+    assert list(entries) == ["b"]
+    assert "cache.jsonl:1: unreadable cache line skipped" in caplog.text

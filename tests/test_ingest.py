@@ -1,6 +1,7 @@
 """Parsing, validation and round-trip serialization of corpus files."""
 from __future__ import annotations
 
+import csv
 import io
 import json
 import logging
@@ -308,3 +309,192 @@ def test_line_json_fast_path_declines_rows_spanning_lines():
     assert ingest._decode_line_json(lines) is None
     records, report = parse_records(io.StringIO(text), format="line-json")
     assert records == [] and [line for line, _ in report.diagnostics] == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# delimited bulk path against the per-row DictReader path
+
+
+def _parse_delimited_rows(stream, delimiter):
+    """Delimited parsing one csv.DictReader row at a time: the reference for
+    the bulk path, as (columns, diagnostics)."""
+    reader = csv.DictReader(stream, delimiter=delimiter)
+    if reader.fieldnames is None:
+        raise SchemaError("id")
+    header = [h.strip() for h in reader.fieldnames]
+    for col in ingest.MANDATORY_COLUMNS:
+        if col not in header:
+            raise SchemaError(col)
+    unknown = [h for h in header if h not in ingest.KNOWN_COLUMNS]
+    if unknown:
+        logging.getLogger("readscale.ingest").warning(
+            "ignoring unknown columns: %s", ", ".join(unknown)
+        )
+    rows, diagnostics = [], []
+    for lineno, raw in enumerate(reader, start=2):
+        row = {k.strip(): v for k, v in raw.items() if k is not None}
+        try:
+            rows.append(ingest._row_values(row))
+        except ValueError as exc:
+            diagnostics.append((lineno, str(exc)))
+    return ingest._columns(rows), diagnostics
+
+
+# per trimmed column name, values the bulk path takes as they are
+_PLAIN_CELLS = {
+    "id": st.sampled_from(["a1", "a2", " b ", "ä", 'q"x', "a,b", "line\nbreak"]),
+    "field": st.sampled_from(["Bio", " Chem ", "Ärzte", "tab\there"]),
+    "year": st.sampled_from(["2010", "1850", "٢٠١٠", "0", "9" * 18]),
+    "reads": st.sampled_from(["0", "7", "00", "٣", "9" * 18]),
+    "cites": st.sampled_from(["", "0", "12", "9" * 18]),
+    "note": st.text(max_size=3),
+}
+# values the bulk path must leave to the per-row path
+_ODD_CELLS = st.one_of(
+    st.sampled_from([
+        "", " ", " 7 ", "1_000", "+5", "-3", "1e3", "1E3", "2.5", "3.0", "nan", "inf", "²",
+        "9" * 19, "9" * 400, "x", "0x10",
+    ]),
+    st.text(max_size=4),
+)
+_NAMES = st.sampled_from(["id", "field", "year", "reads", "cites", " id", "reads ", "note", "id"])
+
+
+@st.composite
+def _delimited(draw):
+    """Text of a delimited file: a header that usually has the mandatory
+    columns, rows that are plain but for at most one odd value and now and
+    then of another width, blank lines and quoted line breaks."""
+    names = draw(st.lists(_NAMES, max_size=3))
+    if draw(st.integers(0, 5)):
+        names = list(ingest.MANDATORY_COLUMNS) + names
+        if draw(st.booleans()):
+            names.append("cites")
+    names = draw(st.permutations(names))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(_PLAIN_CELLS[name.strip()]) for name in names]
+        if row and draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_CELLS)
+        if draw(st.integers(0, 4)) == 0:
+            row = row[:draw(st.integers(0, len(row)))] + draw(st.lists(_ODD_CELLS, max_size=2))
+        rows.append(row)
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(names)
+    for row in rows:
+        if draw(st.integers(0, 4)) == 0:
+            out.write("\n")
+        writer.writerow(row)
+    return out.getvalue(), delimiter
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SchemaError as exc:
+        return ("schema", exc.column)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_delimited())
+def test_delimited_bulk_path_equals_per_row_path(case):
+    text, delimiter = case
+    fast, fast_log = _logged(
+        _outcome, lambda: parse_records(io.StringIO(text, newline=""), delimiter=delimiter)
+    )
+    slow, slow_log = _logged(
+        _outcome, lambda: _parse_delimited_rows(io.StringIO(text, newline=""), delimiter)
+    )
+    assert fast_log == slow_log
+    if isinstance(slow, tuple) and slow[0] == "schema":
+        assert fast == slow
+        return
+    (records, report), (columns, diagnostics) = fast, slow
+    assert list(map(repr, records)) == list(map(repr, map(PublicationRecord, *columns)))
+    assert report == IngestReport(len(records), len(diagnostics), tuple(diagnostics))
+
+
+def test_delimited_line_numbers_count_rows_not_lines():
+    # blank lines and a quoted line break do not advance the row count
+    text = 'id,field,year,reads\n\na1,A,2010,x\n"a\n2",A,2010,-1\n\n\na3,A,2010,\n'
+    records, report = parse_records(io.StringIO(text, newline=""))
+    assert records == []
+    assert report.diagnostics == (
+        (2, "invalid reads 'x'"), (3, "negative reads"), (4, "empty reads"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# line-JSON writer against json.dumps
+
+
+_WRITER_RECORDS = st.lists(
+    st.builds(
+        PublicationRecord,
+        id=st.text(),
+        field=st.one_of(st.sampled_from(["A", 'Bio "Chem"', "C\\D", "\x00\x1f\x7f", "Ärzte 日本"]), st.text()),
+        year=st.integers(-(10**20), 10**20),
+        reads=st.one_of(st.integers(0, 10**30), st.floats(allow_nan=True, allow_infinity=True)),
+        cites=st.one_of(st.none(), st.integers(-5, 10**20)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WRITER_RECORDS)
+def test_line_json_writer_bytes_equal_json_dumps(records):
+    expected = "".join(
+        json.dumps(
+            {"id": r.id, "field": r.field, "year": r.year, "reads": r.reads,
+             **({} if r.cites is None else {"cites": r.cites})},
+            ensure_ascii=False,
+        ) + "\n"
+        for r in records
+    )
+    for source in (records, ingest.Columns.from_records(records)):
+        out = io.StringIO()
+        write_records(source, out, format="line-json")
+        assert out.getvalue() == expected
+
+
+# ---------------------------------------------------------------------------
+# validate over columns against the per-record loop
+
+
+def _validate_rows(records, lo, hi):
+    seen, diagnostics = set(), []
+    for pos, r in enumerate(records, start=1):
+        if r.id in seen:
+            diagnostics.append((pos, f"duplicate id {r.id}"))
+        seen.add(r.id)
+        if not lo <= r.year <= hi:
+            diagnostics.append((pos, f"year out of range: {r.year}"))
+        if r.reads < 0:
+            diagnostics.append((pos, f"negative reads: {r.reads}"))
+        if r.cites is not None and r.cites < 0:
+            diagnostics.append((pos, f"negative cites: {r.cites}"))
+    flagged = len({pos for pos, _ in diagnostics})
+    return IngestReport(len(records) - flagged, flagged, tuple(diagnostics))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            PublicationRecord,
+            id=st.sampled_from(["a", "b", "c", "é"]),
+            field=st.just("F"),
+            year=st.integers(1890, 2110),
+            reads=st.one_of(st.integers(-3, 5), st.floats(-2, 5)),
+            cites=st.one_of(st.none(), st.integers(-3, 5)),
+        ),
+        max_size=12,
+    )
+)
+def test_validate_columns_equals_per_record_loop(records):
+    expected = _validate_rows(records, 1900, 2100)
+    assert validate(records) == expected
+    assert validate(ingest.Columns.from_records(records)) == expected
