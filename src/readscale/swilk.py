@@ -7,12 +7,11 @@ p-value comes from a normal approximation of a transformed W: exact for
 n = 3, a three-parameter transform for 4 <= n <= 11 and a log-log transform
 for larger samples. Validity range: 3 <= n <= 5000.
 
-``scipy.stats.shapiro`` runs the same algorithm, but every ``readscale``
-command imports this module, and ``import scipy.stats`` adds about 0.8 s per
-process to the ``readscale.cli`` import (median of five runs, scipy 1.17,
-Python 3.11, 2-core Xeon VM). Even ``scipy.special`` costs 0.33-0.36 s, so it
-is imported on the first test, not with the module: commands that test no
-normality (``ingest``, ``fetch``, ``synth``) never load it.
+``scipy.stats.shapiro`` runs the same algorithm. The normal quantile behind
+the Blom scores and the normal CDF behind the p-value come from
+:mod:`readscale.normal`, ports of the Cephes routines that scipy runs, which
+give bit-identical results (``tests/test_normal.py``), so no command loads
+scipy.
 """
 from __future__ import annotations
 
@@ -20,6 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .normal import ndtr, ndtri
 
 __all__ = ["SwTestResult", "shapiro_wilk", "UnsupportedSizeError", "ZeroVarianceError"]
 
@@ -63,8 +64,6 @@ class SwTestResult:
 
 def _weights(n: int) -> np.ndarray:
     """Full antisymmetric weight vector a, normalized so sum(a^2) ~= 1."""
-    from scipy.special import ndtri
-
     n2 = n // 2
     if n == 3:
         half = np.array([np.sqrt(0.5)])
@@ -116,8 +115,6 @@ def shapiro_wilk(values: Sequence[float], alpha: float = 0.05) -> SwTestResult:
     ZeroVarianceError
         When every value is identical.
     """
-    from scipy.special import ndtr
-
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
     if n < N_MIN or n > N_MAX:

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PublicationRecord, field_slug
+from .normal import ndtri
 
 __all__ = [
     "GENERATOR_ID",
@@ -128,15 +129,18 @@ def lognormal_mean(mu: float, sigma2: float) -> float:
     return math.exp(mu + sigma2 / 2.0)
 
 
-def field_values(spec: SynthSpec, index: int) -> np.ndarray:
-    """Draw one field's counts; depends only on (seed, index, field spec)."""
-    from scipy.special import ndtri  # here, not at import: it costs every command 0.3 s
-
-    fs = spec.fields[index]
+def _draws(spec: SynthSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """One field's uniforms and zero-inflation draws, from its own child stream."""
+    n = spec.fields[index].n
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, index))))
-    uniforms = rng.random(fs.n)
-    inflate = rng.random(fs.n)  # always drawn, keeps the stream layout fixed
-    values = np.exp(fs.mu + math.sqrt(fs.sigma2) * ndtri(uniforms))
+    uniforms = rng.random(n)
+    inflate = rng.random(n)  # always drawn, keeps the stream layout fixed
+    return uniforms, inflate
+
+
+def _counts(spec: SynthSpec, fs: FieldSpec, normals: np.ndarray, inflate: np.ndarray) -> np.ndarray:
+    """A field's counts from its standard normal draws and zero-inflation draws."""
+    values = np.exp(fs.mu + math.sqrt(fs.sigma2) * normals)
     if spec.discretization == "round":
         values = np.floor(values + 0.5)
     elif spec.discretization == "ceil":
@@ -146,11 +150,22 @@ def field_values(spec: SynthSpec, index: int) -> np.ndarray:
     return values
 
 
+def field_values(spec: SynthSpec, index: int) -> np.ndarray:
+    """Draw one field's counts; depends only on (seed, index, field spec)."""
+    uniforms, inflate = _draws(spec, index)
+    return _counts(spec, spec.fields[index], ndtri(uniforms), inflate)
+
+
 def generate_corpus(spec: SynthSpec) -> list[PublicationRecord]:
     """Materialize the corpus: same spec and seed, byte-identical records."""
+    draws = [_draws(spec, i) for i in range(len(spec.fields))]
+    # ndtri is elementwise with a fixed cost per call, so one call serves every field
+    normals = ndtri(np.concatenate([uniforms for uniforms, _ in draws]))
     records: list[PublicationRecord] = []
-    for i, fs in enumerate(spec.fields):
-        values = field_values(spec, i)
+    start = 0
+    for fs, (_, inflate) in zip(spec.fields, draws):
+        values = _counts(spec, fs, normals[start:start + fs.n], inflate)
+        start += fs.n
         slug = field_slug(fs.label)
         integral = spec.discretization != "none"
         for j, v in enumerate(values):

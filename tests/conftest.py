@@ -6,6 +6,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic
 
+import numpy as np
 import pytest
 
 from readscale.corpus import PublicationRecord
@@ -32,6 +33,27 @@ SURGERY_COUNTS = (
 
 assert sum(MATHS_COUNTS) == 527 and len(MATHS_COUNTS) == 85
 assert sum(SURGERY_COUNTS) == 2074 and len(SURGERY_COUNTS) == 96
+
+
+def mixed_shape_samples():
+    """80 seeded samples of size 3..399: normal, lognormal, uniform, tied counts.
+
+    Samples with fewer than two distinct values are skipped.
+    """
+    rng = np.random.default_rng(77)
+    for i in range(80):
+        n = int(rng.integers(3, 400))
+        kind = i % 4
+        if kind == 0:
+            x = rng.standard_normal(n)
+        elif kind == 1:
+            x = rng.lognormal(0.0, 1.0, n)
+        elif kind == 2:
+            x = rng.uniform(0, 10, n)
+        else:
+            x = np.round(rng.lognormal(1.3, 1.0, n)) + 1  # ties, like counts
+        if np.unique(x).size >= 2:
+            yield x
 
 
 def make_records(counts, field, year, prefix=None):

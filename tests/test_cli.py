@@ -670,6 +670,23 @@ def test_importing_the_cli_leaves_scipy_special_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_report_and_synth_runs_load_no_scipy(two_field_corpus, tmp_path):
+    # Shapiro-Wilk and synth take ndtr/ndtri from readscale.normal, not scipy.special
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    report = ["report", "--input", two_field_corpus, "--out", str(tmp_path / "r")]
+    synth = ["synth", "--spec", _spec_file(tmp_path), "--out", str(tmp_path / "s")]
+    code = (
+        "import sys; from readscale.cli import main\n"
+        f"assert main({report!r}) == 0 and main({synth!r}) == 0\n"
+        "assert 'readscale.normal' in sys.modules\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert (tmp_path / "r" / "fit.tsv").exists() and (tmp_path / "s" / "corpus.jsonl").exists()
+
+
 def test_importing_the_cli_leaves_requests_unloaded():
     # requests costs every command about 0.13 s; only fetch talks to a provider
     src = str(Path(cli_mod.__file__).resolve().parents[1])

@@ -13,7 +13,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from readscale.swilk import UnsupportedSizeError, ZeroVarianceError, shapiro_wilk
-from conftest import MATHS_COUNTS
+from conftest import MATHS_COUNTS, mixed_shape_samples
 
 
 def _reference_samples() -> dict[str, np.ndarray]:
@@ -46,21 +46,8 @@ def test_frozen_reference_values(name, w_ref, p_ref):
 
 
 def test_live_cross_check_against_scipy():
-    rng = np.random.default_rng(77)
     worst_w = worst_p = 0.0
-    for i in range(80):
-        n = int(rng.integers(3, 400))
-        kind = i % 4
-        if kind == 0:
-            x = rng.standard_normal(n)
-        elif kind == 1:
-            x = rng.lognormal(0.0, 1.0, n)
-        elif kind == 2:
-            x = rng.uniform(0, 10, n)
-        else:
-            x = np.round(rng.lognormal(1.3, 1.0, n)) + 1  # ties, like counts
-        if np.unique(x).size < 2:
-            continue
+    for x in mixed_shape_samples():
         ours = shapiro_wilk(x)
         w_ref, p_ref = stats.shapiro(x)
         worst_w = max(worst_w, abs(ours.w - w_ref))

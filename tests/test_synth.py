@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+import readscale.synth as synth_mod
 from readscale.distfit import fit_lognormal
 from readscale.synth import (
+    DISCRETIZATIONS,
     GENERATOR_ID,
     FieldSpec,
     SynthSpec,
@@ -109,6 +112,47 @@ def test_empirical_mean_converges():
     values = field_values(spec, 0)
     target = lognormal_mean(mu, sigma2)
     assert abs(values.mean() - target) / target < 0.02
+
+
+@pytest.mark.parametrize("discretization", DISCRETIZATIONS)
+def test_field_values_equal_the_scipy_quantile_recipe(monkeypatch, discretization):
+    spec = _spec(
+        fields=(FieldSpec("F", 34_000, 2.0, 1.3), FieldSpec("G", 500, -1.0, 2.5)),
+        seed=19, discretization=discretization, zero_inflation=0.05,
+    )
+    ours = [field_values(spec, i) for i in range(len(spec.fields))]
+    reads = [r.reads for r in generate_corpus(spec)]
+    monkeypatch.setattr(synth_mod, "ndtri", special.ndtri)
+    reference = [field_values(spec, i) for i in range(len(spec.fields))]
+    for values, expected in zip(ours, reference):
+        assert values.tobytes() == expected.tobytes()
+    assert reads == np.concatenate(reference).tolist()
+
+
+class _ZeroFirstDraw:
+    """Generator stand-in whose first uniform draw is exactly 0.0."""
+
+    _generator = np.random.Generator
+
+    def __init__(self, bit_generator):
+        self._rng = self._generator(bit_generator)
+        self._first = True
+
+    def random(self, n):
+        u = self._rng.random(n)
+        if self._first:
+            u[0], self._first = 0.0, False
+        return u
+
+
+def test_a_uniform_draw_of_zero_gives_a_read_of_zero(monkeypatch):
+    spec = _spec(fields=(FieldSpec("F", 10, 2.0, 1.0),))
+    expected = field_values(spec, 0)
+    monkeypatch.setattr(np.random, "Generator", _ZeroFirstDraw)
+    values = field_values(spec, 0)
+    assert values[0] == 0.0 and expected[0] != 0.0
+    assert np.array_equal(values[1:], expected[1:])
+    assert [r.reads for r in generate_corpus(spec)] == values.tolist()
 
 
 def test_fit_recovers_parameters_on_undiscretized_fields():
