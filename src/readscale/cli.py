@@ -20,6 +20,8 @@ import dataclasses
 import json
 import logging
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import methodcaller
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -105,6 +107,33 @@ def _plain(v):
     return v
 
 
+# json.dumps's text for the floats whose repr is not JSON
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(v) -> str:
+    text = float.__repr__(v)
+    return _NONFINITE.get(text, text)
+
+
+# a cell's line-JSON text by its exact type, as json.dumps writes the value
+# _plain makes of it; any other type goes through json.dumps itself
+_JSON_CELL: dict[type, Callable] = {
+    str: encode_basestring_ascii,
+    float: _json_float,
+    np.float64: _json_float,
+    int: int.__repr__,
+    np.int64: lambda v: int.__repr__(int(v)),
+    bool: _fmt_bool,
+    np.bool_: _fmt_bool,
+    type(None): lambda v: "null",
+}
+
+
+def _json_fallback(v) -> str:
+    return json.dumps(_plain(v))
+
+
 def write_table(
     rows: Sequence[dict],
     columns: Sequence[str],
@@ -115,21 +144,27 @@ def write_table(
 ) -> None:
     """Write ``<name>.tsv`` (display-rounded) and ``<name>.jsonl`` (full
     precision), optionally echoing one of them to stdout. Missing values
-    render as NA in the TSV and null in the line-JSON."""
+    render as NA in the TSV and null in the line-JSON, whose rows are what
+    ``json.dumps`` makes of ``{column: value}``. The text is built a column
+    at a time."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["\t".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row.get(col)
-            cells.append("NA" if v is None else renderers.get(col, str)(v))
-        lines.append("\t".join(cells))
-    tsv_text = "\n".join(lines) + "\n"
+    cells = {col: list(map(methodcaller("get", col), rows)) for col in dict.fromkeys(columns)}
+    tsv_columns = []
+    for col in columns:
+        render = renderers.get(col, str)
+        tsv_columns.append(["NA" if v is None else render(v) for v in cells[col]])
+    # without columns, every row is an empty line
+    lines = list(map("\t".join, zip(*tsv_columns))) or [""] * len(rows)
+    tsv_text = "\n".join(["\t".join(columns)] + lines) + "\n"
     (out_dir / f"{name}.tsv").write_text(tsv_text, encoding="utf-8")
 
-    jsonl_text = "".join(
-        json.dumps({c: _plain(row.get(c)) for c in columns}) + "\n" for row in rows
-    )
+    encoder = _JSON_CELL.get
+    json_columns = []
+    for col, values in cells.items():
+        key = encode_basestring_ascii(col)
+        json_columns.append([f"{key}: {encoder(type(v), _json_fallback)(v)}" for v in values])
+    json_rows = map("{%s}\n".__mod__, map(", ".join, zip(*json_columns)))
+    jsonl_text = "".join(json_rows) or "{}\n" * len(rows)
     (out_dir / f"{name}.jsonl").write_text(jsonl_text, encoding="utf-8")
     log.info("wrote %s.tsv and %s.jsonl under %s", name, name, out_dir)
     if echo == "tsv":

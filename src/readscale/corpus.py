@@ -249,6 +249,12 @@ class Strata:
     def years(self) -> list[int]:
         return sorted({key.year for key in self.keys})
 
+    @cached_property
+    def rankings(self) -> dict:
+        """The top-z% rankings of these rows by variant, each built once by
+        :mod:`readscale.topz` and reused for every z."""
+        return {}
+
     def of_year(self, year: int) -> "Strata":
         """The strata of one year, taken as a corpus of their own in stratum order."""
         keep = [i for i, key in enumerate(self.keys) if key.year == year]

@@ -104,11 +104,17 @@ def ccdf(values: Sequence[float]) -> CcdfCurve:
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size == 0:
         raise ValueError("cannot compute the CCDF of an empty sample")
-    xs = np.unique(arr)
+    # the first index of each distinct value; the NaNs, sorted last, count as
+    # one value, as in np.unique
+    new = np.empty(arr.size, dtype=bool)
+    new[0] = True
+    np.not_equal(arr[1:], arr[:-1], out=new[1:])
+    if np.isnan(arr[-1]):
+        new[np.argmax(np.isnan(arr)) + 1:] = False
+    first = np.flatnonzero(new)
     # fraction >= x: everything from the first index where arr == x onwards
-    first = np.searchsorted(arr, xs, side="left")
     ps = (arr.size - first) / arr.size
-    return CcdfCurve(points=np.column_stack([xs, ps]))
+    return CcdfCurve(points=np.column_stack([arr[first], ps]))
 
 
 def ccdf_filename(year: int, field: str | None = None) -> str:
@@ -121,12 +127,10 @@ def ccdf_filename(year: int, field: str | None = None) -> str:
 
 def write_ccdf_tsv(curve: CcdfCurve, target) -> None:
     """Write a curve as two-column TSV (x, p), full precision."""
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        stream.write("x\tp\n")
-        for x, p in curve.points:
-            stream.write(f"{float(x)!r}\t{float(p)!r}\n")
-    finally:
-        if own:
-            stream.close()
+    points = np.asarray(curve.points, dtype=float)
+    # one %-format over every point's x and p, row after row
+    text = "x\tp\n" + ("%r\t%r\n" * len(points)) % tuple(points.ravel().tolist())
+    if isinstance(target, (str, Path)):
+        Path(target).write_text(text, encoding="utf-8", newline="")
+    else:
+        target.write(text)

@@ -15,6 +15,8 @@ scipy.
 """
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +37,10 @@ _C4 = (-0.0020322, 0.062767, -0.77857, 1.3822)
 _C5 = (0.0038915, -0.083751, -0.31082, -1.5861)
 _C6 = (0.0030302, -0.082676, -0.4803)
 _G = (0.459, -2.273)
+
+# Weight vectors kept by n, least recently used dropped first once they hold
+# more than this many values (4 MiB; every n up to 5000 would take 100 MB).
+_CACHE_VALUES = 1 << 19
 
 _PI6 = 1.90985931710274  # 6/pi
 _STQR = 1.04719755119660  # arcsin(sqrt(3/4))
@@ -62,7 +68,17 @@ class SwTestResult:
     reject: bool
 
 
-def _weights(n: int) -> np.ndarray:
+def _horner(coeffs: Sequence[float], x: float) -> float:
+    """The polynomial at x, as ``np.polyval`` evaluates it: the same IEEE
+    operations in the same order, on Python floats."""
+    x = float(x)
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _compute_weights(n: int) -> np.ndarray:
     """Full antisymmetric weight vector a, normalized so sum(a^2) ~= 1."""
     n2 = n // 2
     if n == 3:
@@ -73,10 +89,10 @@ def _weights(n: int) -> np.ndarray:
         summ2 = 2.0 * np.dot(m, m)
         ssumm2 = np.sqrt(summ2)
         rsn = 1.0 / np.sqrt(n)
-        a1 = np.polyval(_C1, rsn) - m[0] / ssumm2
+        a1 = _horner(_C1, rsn) - m[0] / ssumm2
         half = np.empty(n2)
         if n > 5:
-            a2 = np.polyval(_C2, rsn) - m[1] / ssumm2
+            a2 = _horner(_C2, rsn) - m[1] / ssumm2
             fac = np.sqrt(
                 (summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
                 / (1.0 - 2.0 * a1**2 - 2.0 * a2**2)
@@ -90,6 +106,31 @@ def _weights(n: int) -> np.ndarray:
     a = np.zeros(n)
     a[:n2] = -half
     a[n - n2:] = half[::-1]
+    a.flags.writeable = False
+    return a
+
+
+_cache: OrderedDict[int, np.ndarray] = OrderedDict()
+_cache_lock = threading.Lock()
+_cache_held = 0  # values held by the arrays in _cache
+
+
+def _weights(n: int) -> np.ndarray:
+    """:func:`_compute_weights` of n, computed once per n while it stays in a
+    bounded cache; the array is read-only."""
+    global _cache_held
+    with _cache_lock:
+        a = _cache.get(n)
+        if a is not None:
+            _cache.move_to_end(n)
+            return a
+    a = _compute_weights(n)
+    with _cache_lock:
+        if n not in _cache:
+            _cache[n] = a
+            _cache_held += n
+        while _cache_held > _CACHE_VALUES:
+            _cache_held -= _cache.popitem(last=False)[0]
     return a
 
 
@@ -133,15 +174,15 @@ def shapiro_wilk(values: Sequence[float], alpha: float = 0.05) -> SwTestResult:
 
     y = np.log1p(-w)  # log(1 - W)
     if n <= 11:
-        gamma = np.polyval(_G, n)
+        gamma = _horner(_G, n)
         if y >= gamma:
             return SwTestResult(w, 0.0, n, True)
         y = -np.log(gamma - y)
-        mu = np.polyval(_C3, n)
-        sigma = np.exp(np.polyval(_C4, n))
+        mu = _horner(_C3, n)
+        sigma = np.exp(_horner(_C4, n))
     else:
         logn = np.log(n)
-        mu = np.polyval(_C5, logn)
-        sigma = np.exp(np.polyval(_C6, logn))
+        mu = _horner(_C5, logn)
+        sigma = np.exp(_horner(_C6, logn))
     p = float(1.0 - ndtr((y - mu) / sigma))
     return SwTestResult(w, p, n, bool(p < alpha))

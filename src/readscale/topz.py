@@ -76,8 +76,18 @@ def _values(strata: Strata, variant: str) -> np.ndarray:
     return values
 
 
-def _select(values: np.ndarray, id_rank: np.ndarray, z: float, tie_rule: str) -> np.ndarray:
-    """Mask of the rows in the top z%, ranked by value descending, id ascending."""
+def _ranking(strata: Strata, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ranking value and the rows ordered by value descending, id
+    ascending; computed once per strata and variant, since no z changes them."""
+    ranking = strata.rankings.get(variant)
+    if ranking is None:
+        values = _values(strata, variant)
+        ranking = strata.rankings[variant] = values, np.lexsort((strata.corpus.id_rank, -values))
+    return ranking
+
+
+def _select(values: np.ndarray, order: np.ndarray, z: float, tie_rule: str) -> np.ndarray:
+    """Mask of the rows in the top z% of a ranking."""
     if not 0.0 < z < 100.0:
         raise ValueError(f"z must lie in (0, 100), got {z}")
     if tie_rule not in TIE_RULES:
@@ -87,10 +97,9 @@ def _select(values: np.ndarray, id_rank: np.ndarray, z: float, tie_rule: str) ->
     if k == 0:
         log.warning("top %s%% of %d records selects nothing", z, values.size)
         return selected
-    ranked = np.lexsort((id_rank, -values))
     if tie_rule == "threshold":
-        return values >= values[ranked[k - 1]]
-    selected[ranked[:k]] = True
+        return values >= values[order[k - 1]]
+    selected[order[:k]] = True
     return selected
 
 
@@ -110,8 +119,7 @@ def top_membership(
     if not records:
         raise ValueError("no records to rank")
     strata = stratify(Corpus.from_records(records))
-    rows = strata.corpus
-    return set(rows.ids[_select(_values(strata, value_selector), rows.id_rank, z, tie_rule)].tolist())
+    return set(strata.corpus.ids[_select(*_ranking(strata, value_selector), z, tie_rule)].tolist())
 
 
 def top_share_report(
@@ -135,7 +143,7 @@ def top_share_report(
     fields = [key.field for key in strata.keys]  # one stratum per field, in label order
     if len(fields) < 2:
         raise ValueError("top-share analysis needs at least 2 fields")
-    selected = _select(_values(strata, variant), strata.corpus.id_rank, z, tie_rule)
+    selected = _select(*_ranking(strata, variant), z, tie_rule)
 
     sizes = np.diff(strata.bounds).tolist()
     hits = np.add.reduceat(selected, strata.bounds[:-1], dtype=np.int64).tolist()

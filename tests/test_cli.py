@@ -620,6 +620,36 @@ def test_topz_all_zero_note_names_first_stratum_verbatim(tmp_path):
     }
 
 
+def test_topz_all_zero_and_empty_cut_are_reported_for_every_z(tmp_path, caplog):
+    # the rescaled ranking of 2010 fails on the all-zero "Alpha"; 12 records
+    # leave the top 5% and 8% empty
+    records = (
+        make_records([0, 0, 0], "Alpha", 2010, prefix="a")
+        + make_records([5, 3, 1, 1, 2], "Mid", 2010, prefix="m")
+        + make_records([4, 0, 2, 7], "Zulu", 2010, prefix="z")
+    )
+    corpus = write_corpus(tmp_path / "c.jsonl", records)
+    out = tmp_path / "out"
+    zs = ("5", "8", "25")
+    with caplog.at_level("WARNING"):
+        assert main(["topz", "--input", corpus, "--out", str(out)]
+                    + [arg for z in zs for arg in ("--z", z)]) == 0
+    failure = "group GroupKey(field='Alpha', year=2010) has only zero counts"
+    rows = read_jsonl(out / "topz.jsonl")
+    assert [(row["z"], row["variant"], row["note"]) for row in rows] == [
+        (float(z), variant, failure if variant == "rescaled" else "")
+        for z in zs for variant in ("original", "rescaled")
+    ]
+    messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert messages == [
+        "top 5.0% of 12 records selects nothing",
+        f"topz 2010 z=5 rescaled: {failure}",
+        "top 8.0% of 12 records selects nothing",
+        f"topz 2010 z=8 rescaled: {failure}",
+        f"topz 2010 z=25 rescaled: {failure}",
+    ]
+
+
 def test_jsonl_mirror_has_full_precision(two_field_corpus, tmp_path):
     out = tmp_path / "out"
     main(["fit", "--input", two_field_corpus, "--out", str(out)])

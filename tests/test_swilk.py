@@ -7,11 +7,16 @@ runs as well, over a seeded mix of sample shapes and sizes.
 """
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import ndtri
 
+import readscale.swilk as swilk
+from readscale.normal import ndtri as readscale_ndtri
 from readscale.swilk import UnsupportedSizeError, ZeroVarianceError, shapiro_wilk
 from conftest import MATHS_COUNTS, mixed_shape_samples
 
@@ -108,3 +113,101 @@ def test_w_at_most_one():
     # near-perfectly normal scores push W against its upper bound
     x = ndtri((np.arange(1, 201) - 0.375) / (200 + 0.25))
     assert shapiro_wilk(x).w <= 1.0
+
+
+def _uncached_weights(n):
+    """The weight vector as shapiro_wilk computed it for every test before the
+    weights were cached by n, with ``np.polyval`` for the polynomials."""
+    n2 = n // 2
+    if n == 3:
+        half = np.array([np.sqrt(0.5)])
+    else:
+        m = readscale_ndtri((np.arange(1, n2 + 1) - 0.375) / (n + 0.25))
+        summ2 = 2.0 * np.dot(m, m)
+        ssumm2 = np.sqrt(summ2)
+        rsn = 1.0 / np.sqrt(n)
+        a1 = np.polyval(swilk._C1, rsn) - m[0] / ssumm2
+        half = np.empty(n2)
+        if n > 5:
+            a2 = np.polyval(swilk._C2, rsn) - m[1] / ssumm2
+            fac = np.sqrt(
+                (summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
+                / (1.0 - 2.0 * a1**2 - 2.0 * a2**2)
+            )
+            half[0], half[1] = a1, a2
+            half[2:] = -m[2:] / fac
+        else:
+            fac = np.sqrt((summ2 - 2.0 * m[0] ** 2) / (1.0 - 2.0 * a1**2))
+            half[0] = a1
+            half[1:] = -m[1:] / fac
+    a = np.zeros(n)
+    a[:n2] = -half
+    a[n - n2:] = half[::-1]
+    return a
+
+
+def test_cached_weights_equal_the_uncached_computation_for_every_n():
+    for n in range(swilk.N_MIN, swilk.N_MAX + 1):
+        assert np.array_equal(swilk._weights(n), _uncached_weights(n)), n
+    # a second pass over sizes the cache still holds hands back the same arrays
+    recent = list(swilk._cache)[-20:]
+    assert all(swilk._weights(n) is swilk._cache[n] for n in recent)
+
+
+def test_cached_weights_are_read_only():
+    a = swilk._weights(40)
+    with pytest.raises(ValueError):
+        a[0] = 0.0
+    with pytest.raises(ValueError):
+        a.sort()
+    assert np.array_equal(swilk._weights(40), _uncached_weights(40))
+
+
+def test_weights_cache_stays_bounded():
+    for n in range(swilk.N_MAX, swilk.N_MAX - 400, -1):  # 2 M values asked for
+        swilk._weights(n)
+    held = sum(a.size for a in swilk._cache.values())
+    assert held == swilk._cache_held
+    assert held <= swilk._CACHE_VALUES
+    assert sum(a.nbytes for a in swilk._cache.values()) <= 4 * 2**20
+    # the least recently used sizes went first
+    assert swilk.N_MAX - 399 in swilk._cache and swilk.N_MAX not in swilk._cache
+
+
+def test_weights_cache_under_concurrent_callers(monkeypatch):
+    # a small bound, so that threads evict while others insert and read
+    monkeypatch.setattr(swilk, "_CACHE_VALUES", 3000)
+    sizes = list(range(3, 300))
+    expected = {n: _uncached_weights(n) for n in sizes}
+    wrong = []
+
+    def worker(k):
+        for n in sizes[k:] + sizes[:k]:
+            try:
+                if not np.array_equal(swilk._weights(n), expected[n]):
+                    wrong.append(n)
+            except Exception as exc:  # a lost update can surface as a KeyError
+                wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(37 * k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert swilk._cache_held == sum(a.size for a in swilk._cache.values()) <= 3000
+
+
+@pytest.mark.parametrize("coeffs", ["_C1", "_C2", "_C3", "_C4", "_C5", "_C6", "_G"])
+def test_horner_is_bit_identical_to_polyval(coeffs):
+    c = getattr(swilk, coeffs)
+    points = [1.0 / np.sqrt(n) for n in range(3, 5001)] + list(range(3, 5001))
+    points += [np.log(n) for n in range(3, 5001)]
+    for x in points:
+        assert swilk._horner(c, x) == np.polyval(c, x), x

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from readscale.corpus import PublicationRecord
+from readscale.corpus import Corpus, PublicationRecord, stratify
 from readscale.topz import (
     TIE_RULES,
     VARIANTS,
@@ -271,3 +271,56 @@ def test_top_membership_equals_sort_reference(rows, data, z, tie_rule, variant):
     assert top_membership(records, variant, z, tie_rule) == _reference_membership(
         records, variant, z, tie_rule
     )
+
+
+def _reference_shares(records, variant, z, tie_rule):
+    """Per-field shares of the top z% by a plain sort, recomputed for this z."""
+    members = _reference_membership(records, variant, z, tie_rule)
+    sizes, hits = {}, {}
+    for r in records:
+        sizes[r.field] = sizes.get(r.field, 0) + 1
+        hits[r.field] = hits.get(r.field, 0) + (r.id in members)
+    return {f: 100.0 * hits[f] / sizes[f] for f in sizes}
+
+
+def test_share_report_ranks_once_and_cuts_every_z():
+    rng = np.random.default_rng(12)
+    records = []
+    for j, field in enumerate(["Bio", "Chem", "Ëcon", "Maths", "Zoo"]):
+        counts = np.round(rng.lognormal(1.0 + 0.4 * j, 1.0, 30 + 17 * j)).astype(int)
+        records += make_records(counts, field, 2012, prefix=f"{j}-{field}")
+    strata = stratify(Corpus.from_records(records))
+    zs = [0.5, 1.0, 2.5, 5.0, 7.3, 10.0, 12.5, 20.0, 33.3, 50.0, 75.0, 99.9]
+    for variant in VARIANTS:
+        for tie_rule in TIE_RULES:
+            for z in zs:
+                report = top_share_report(strata, z, variant, tie_rule)
+                assert report.per_field_share == _reference_shares(records, variant, z, tie_rule)
+                assert report.sigma_z == sigma_z(z, list(report.n_i.values()))
+                assert report == top_share_report(records, z, variant, tie_rule)
+    # one ranking per variant, kept on the strata and reused for every z
+    assert sorted(strata.rankings) == sorted(VARIANTS)
+
+
+def test_share_report_all_zero_and_empty_cut_repeat_for_every_z(caplog):
+    records = (
+        make_records([0, 0, 0], "Alpha", 2010, prefix="a")
+        + make_records([5, 3, 1, 1, 2], "Mid", 2010, prefix="m")
+        + make_records([4, 0, 2, 7], "Zulu", 2010, prefix="z")
+    )
+    strata = stratify(Corpus.from_records(records))
+    for z in (5.0, 8.0, 10.0, 20.0):
+        with pytest.raises(ValueError) as err:
+            top_share_report(strata, z, "rescaled")
+        assert str(err.value) == "group GroupKey(field='Alpha', year=2010) has only zero counts"
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="readscale.topz"):
+        for z in (5.0, 8.0, 10.0):
+            report = top_share_report(strata, z, "original")
+            assert report.within_tolerance == sum(
+                abs(s - z) <= report.sigma_z for s in report.per_field_share.values()
+            )
+    assert [r.getMessage() for r in caplog.records] == [
+        "top 5.0% of 12 records selects nothing",
+        "top 8.0% of 12 records selects nothing",
+    ]
