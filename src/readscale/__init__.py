@@ -57,7 +57,7 @@ from .topz import TopZReport, sigma_z, top_membership, top_share_report
 
 __version__ = "0.1.0"
 
-# readscale.fetch imports requests, which only the provider client needs
+# readscale.fetch loads the standard library's HTTP client, which only the provider client needs
 _FETCH_NAMES = ("Cache", "FetchError", "FetchResult", "ProviderConfig", "RateLimiter", "fetch_counts")
 
 

@@ -282,7 +282,7 @@ def cmd_synth(args) -> int:
 
 def cmd_fetch(args) -> int:
     """Resolve DOIs to reader counts; optionally merge them into a corpus."""
-    # the provider client loads requests, which no other command needs
+    # the provider client loads urllib.request and a thread pool, which no other command needs
     from .fetch import Cache, FetchError, ProviderConfig, fetch_counts
 
     if not args.input and not args.dois:
@@ -307,16 +307,17 @@ def cmd_fetch(args) -> int:
     except FetchError as exc:
         log.error("%s", exc)
         return 1
-    matched = sum(1 for r in results if r.reads is not None)
-    failed = sum(1 for r in results if r.error is not None)
+    counts = [r.reads for r in results]
+    matched = len(counts) - counts.count(None)
+    failed = len(results) - [r.error for r in results].count(None)
     below = len(results) - matched - failed
 
     merged = 0
     if columns is not None:
         # the corpus ids lead ``dois``, and fetch_counts answers in input order
-        fetched = results[:len(columns.ids)]
-        reads = [old if r.reads is None else r.reads for old, r in zip(columns.reads, fetched)]
-        merged = sum(1 for r in fetched if r.reads is not None)
+        fetched = counts[:len(columns.ids)]
+        reads = [old if new is None else new for old, new in zip(columns.reads, fetched)]
+        merged = len(fetched) - fetched.count(None)
         if merged == 0:
             log.warning("no fetched count cleared the match threshold; corpus unchanged")
         out_dir = Path(args.out)

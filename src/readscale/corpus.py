@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -161,8 +162,8 @@ class Corpus:
             labels=labels,
             years=year_column,
             reads=np.array(reads, dtype=float),
-            real=np.fromiter((isinstance(v, (float, np.floating)) for v in reads), bool, n),
-            cites=np.array([np.nan if c is None else c for c in cites], dtype=float),
+            real=np.fromiter(map(isinstance, reads, repeat((float, np.floating))), bool, n),
+            cites=np.array(cites, dtype=float),  # None becomes NaN
         )
 
     @classmethod
@@ -216,7 +217,8 @@ class Corpus:
 @dataclass(frozen=True, eq=False)
 class Stratum:
     """One stratum of a :class:`Strata`: its key and its reads, as
-    :attr:`Group.reads` has them (int64, or float64 once any value is real)."""
+    :attr:`Group.reads` has them (int64, or float64 once any value is real),
+    read-only."""
 
     key: GroupKey
     reads: np.ndarray
@@ -241,10 +243,19 @@ class Strata:
     positions: np.ndarray
 
     def __iter__(self) -> Iterator[Stratum]:
+        return iter(self._strata)
+
+    @cached_property
+    def _strata(self) -> tuple[Stratum, ...]:
+        """Each stratum, built once and shared by every pass over these strata."""
         reads, real = self.corpus.reads, self.corpus.real
         bounds = self.bounds.tolist()
+        strata = []
         for key, a, b in zip(self.keys, bounds, bounds[1:]):
-            yield Stratum(key, reads[a:b] if real[a:b].any() else reads[a:b].astype(np.int64))
+            values = reads[a:b] if real[a:b].any() else reads[a:b].astype(np.int64)
+            values.flags.writeable = False
+            strata.append(Stratum(key, values))
+        return tuple(strata)
 
     def years(self) -> list[int]:
         return sorted({key.year for key in self.keys})

@@ -13,26 +13,32 @@ a warm cache answers without any network traffic, and a torn write
 corrupts at most its own line. Failures are returned but never cached,
 so a transient outage does not poison later runs.
 
-A batch that fails with a 429 or a 5xx is retried with exponential
-backoff. A 429 that carries ``Retry-After`` in seconds waits at least that
-long, up to ``RETRY_AFTER_CAP``; an HTTP-date or unreadable value leaves the
-backoff alone.
+Requests go out through the standard library's ``urllib.request``, which
+honours the proxy environment variables and verifies HTTPS against the
+system's trust store. A batch that fails with a 429, a 5xx, a connection
+error or a timeout is retried with exponential backoff. A 429 that carries
+``Retry-After`` in seconds waits at least that long, up to
+``RETRY_AFTER_CAP``; an HTTP-date or unreadable value leaves the backoff
+alone. Any other 4xx, or a 2xx whose body is not a JSON array, marks the
+batch failed without a retry.
 """
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-import requests
-
-from .ingest import decode_line_chunks
+from .ingest import decode_line_chunks, gc_paused
 
 __all__ = [
     "Cache",
@@ -95,8 +101,7 @@ class ProviderConfig:
             raise ValueError("min_match_probability must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class FetchResult:
+class FetchResult(NamedTuple):
     """Outcome for one DOI.
 
     reads is None either because the match probability did not clear the
@@ -147,6 +152,7 @@ class Cache:
         self.path = Path(path)
         self._lock = threading.Lock()
 
+    @gc_paused
     def read_all(self) -> dict[str, FetchResult]:
         """Latest entry per DOI, a tie going to the later line; malformed
         lines are skipped with a warning.
@@ -161,8 +167,9 @@ class Cache:
             return {}
         with open(self.path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")  # as iterating over fh splits them
-        numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
-        lines = [lines[n - 1] for n in numbers]
+        filled = list(map(str.strip, lines))
+        numbers = list(compress(range(1, len(lines) + 1), filled))
+        lines = list(compress(lines, filled))
         # (doi, reads, match_probability, fetched_at) columns, in line order
         columns: tuple[list, ...] = ([], [], [], [])
         done = 0
@@ -180,15 +187,15 @@ class Cache:
                 column.extend(values)
             done += len(chunk)
 
-        dois, reads, probs, times = columns
-        latest: dict[str, int] = {}
+        dois, _, _, times = columns
+        latest: dict[str, int] = {}  # DOI -> line of its latest entry
         for k, (doi, fetched_at) in enumerate(zip(dois, times)):
             prior = latest.get(doi)
             if prior is None or fetched_at >= times[prior]:
                 latest[doi] = k
-        return {
-            doi: FetchResult(doi, reads[k], probs[k], times[k]) for doi, k in latest.items()
-        }
+        kept = zip(*(map(column.__getitem__, latest.values()) for column in columns), repeat(None))
+        # FetchResult._make without its per-call length check
+        return dict(zip(latest, map(tuple.__new__, repeat(FetchResult), kept)))
 
     def append(self, results: Iterable[FetchResult]) -> None:
         """Serialize writes; one JSON object per line, flushed per call."""
@@ -265,6 +272,21 @@ def _failure(doi: str, reason: str) -> FetchResult:
     )
 
 
+def _post(url: str, body: bytes, headers: dict[str, str]) -> tuple[int, str | None, bytes]:
+    """POST a JSON body: the response's status, its ``Retry-After`` header
+    and, for a 2xx, its body. Raises OSError, ValueError or
+    ``http.client.HTTPException`` when no response arrives."""
+    request = urllib.request.Request(
+        url, data=body, headers={"Content-Type": "application/json", **headers}, method="POST"
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT) as response:
+            return response.status, None, response.read()
+    except urllib.error.HTTPError as exc:  # a status outside 2xx that urllib does not follow
+        exc.close()
+        return exc.code, exc.headers.get("Retry-After"), b""
+
+
 def _post_batch(
     batch: Sequence[str],
     config: ProviderConfig,
@@ -273,6 +295,7 @@ def _post_batch(
 ) -> list[FetchResult]:
     """One batch: POST with retries, map responses, fill in failures."""
     url = config.base_url.rstrip("/") + "/lookup"
+    body = json.dumps(list(batch)).encode()
     last_error = "no attempt made"
     retry_after = 0.0
     for attempt in range(config.max_retries + 1):
@@ -281,25 +304,25 @@ def _post_batch(
             retry_after = 0.0
         limiter.acquire()
         try:
-            response = requests.post(
-                url, json=list(batch), headers=headers, timeout=REQUEST_TIMEOUT
-            )
-        except requests.RequestException as exc:
+            status, retry_header, payload = _post(url, body, headers)
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             last_error = f"connection failed: {exc}"
             log.warning("attempt %d/%d: %s", attempt + 1, config.max_retries + 1, last_error)
             continue
-        if response.status_code == 429 or response.status_code >= 500:
-            last_error = f"HTTP {response.status_code}"
-            if response.status_code == 429:
-                retry_after = _retry_after(response.headers.get("Retry-After"))
+        if status == 429 or status >= 500:
+            last_error = f"HTTP {status}"
+            if status == 429:
+                retry_after = _retry_after(retry_header)
             log.warning("attempt %d/%d: %s", attempt + 1, config.max_retries + 1, last_error)
             continue
-        if response.status_code >= 400:
+        if status >= 400:
             # A well-formed refusal: mark the batch failed, let the run go on.
-            return [_failure(doi, f"HTTP {response.status_code}") for doi in batch]
+            return [_failure(doi, f"HTTP {status}") for doi in batch]
         try:
-            payload = response.json()
-            by_doi = {str(item["doi"]): item for item in payload}
+            items = json.loads(payload)
+            if not isinstance(items, list):
+                raise TypeError(f"expected a JSON array, got {type(items).__name__}")
+            by_doi = {str(item["doi"]): item for item in items}
         except (ValueError, KeyError, TypeError) as exc:
             return [_failure(doi, f"unreadable response: {exc}") for doi in batch]
         results = []
@@ -336,7 +359,7 @@ def fetch_counts(
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
     known = cache.read_all()
-    missing = sorted({doi for doi in dois if doi not in known})
+    missing = sorted(set(dois).difference(known))
     if missing:
         key = os.environ.get(config.api_key_env, "")
         headers = {"Authorization": f"Bearer {key}"} if key else {}
@@ -355,4 +378,4 @@ def fetch_counts(
             for batch_results in pool.map(run_batch, batches):
                 for result in batch_results:
                     known[result.doi] = result
-    return [known[doi] for doi in dois]
+    return list(map(known.__getitem__, dois))

@@ -80,17 +80,26 @@ class StubProvider:
 
     ``responses`` maps a DOI to a (readers, match_probability) pair; DOIs
     absent from the map are left out of the response body. ``fail_first``
-    makes the server answer 500 to that many requests before behaving;
-    ``throttle_first`` answers 429 to that many, with ``retry_after`` as the
-    ``Retry-After`` header when given. Request bodies and arrival times
-    (monotonic clock) are recorded.
+    makes the server answer ``fail_status`` (500 unless given) to that many
+    requests before behaving; ``throttle_first`` answers 429 to that many,
+    with ``retry_after`` as the ``Retry-After`` header when given;
+    ``deny_status`` answers that status to every request. Each of these
+    answers carries a short JSON error body. ``body``, when given, is sent
+    as it is in place of every 200 answer's JSON array. Request bodies and
+    arrival times (monotonic clock) are recorded.
     """
 
-    def __init__(self, responses=None, fail_first=0, throttle_first=0, retry_after=None):
+    def __init__(
+        self, responses=None, fail_first=0, throttle_first=0, retry_after=None,
+        fail_status=500, deny_status=None, body=None,
+    ):
         self.responses = dict(responses or {})
         self.fail_first = fail_first
         self.throttle_first = throttle_first
         self.retry_after = retry_after
+        self.fail_status = fail_status
+        self.deny_status = deny_status
+        self.body = body
         self.requests: list[list[str]] = []
         self.arrivals: list[float] = []
         self.headers_seen: list[dict] = []
@@ -106,18 +115,18 @@ class StubProvider:
                     provider.arrivals.append(arrived)
                     provider.requests.append(list(dois))
                     provider.headers_seen.append(dict(self.headers))
-                    must_fail = provider.fail_first > 0
-                    if must_fail:
+                    status = provider.deny_status
+                    if status is None and provider.fail_first > 0:
                         provider.fail_first -= 1
-                    throttled = not must_fail and provider.throttle_first > 0
-                    if throttled:
+                        status = provider.fail_status
+                    elif status is None and provider.throttle_first > 0:
                         provider.throttle_first -= 1
-                if must_fail or throttled:
-                    self.send_response(500 if must_fail else 429)
-                    if throttled and provider.retry_after is not None:
-                        self.send_header("Retry-After", provider.retry_after)
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
+                        status = 429
+                if status is not None:
+                    self._answer(status, json.dumps({"error": status}).encode())
+                    return
+                if provider.body is not None:
+                    self._answer(200, provider.body)
                     return
                 out = []
                 for doi in dois:
@@ -126,8 +135,12 @@ class StubProvider:
                         out.append(
                             {"doi": doi, "readers": readers, "match_probability": prob}
                         )
-                body = json.dumps(out).encode()
-                self.send_response(200)
+                self._answer(200, json.dumps(out).encode())
+
+            def _answer(self, status, body):
+                self.send_response(status)
+                if status == 429 and provider.retry_after is not None:
+                    self.send_header("Retry-After", provider.retry_after)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
@@ -155,8 +168,8 @@ class StubProvider:
 def stub_provider():
     servers = []
 
-    def start(responses=None, fail_first=0, throttle_first=0, retry_after=None):
-        server = StubProvider(responses, fail_first, throttle_first, retry_after)
+    def start(responses=None, **options):
+        server = StubProvider(responses, **options)
         servers.append(server)
         return server
 

@@ -725,6 +725,29 @@ def test_importing_the_cli_leaves_requests_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_fetch_run_leaves_requests_unloaded(tmp_path, stub_provider):
+    # the provider client speaks HTTP through the standard library
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(
+        os.environ, NO_PROXY="127.0.0.1", no_proxy="127.0.0.1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    corpus = write_corpus(tmp_path / "c.jsonl", make_records([3, 4], "Bio", 2010, prefix="10.6/bio"))
+    server = stub_provider({"10.6/bio-0000": (30, 0.99), "10.6/bio-0001": (40, 0.5)})
+    fetch = [
+        "fetch", "--input", corpus, "--out", str(tmp_path / "out"),
+        "--provider-url", server.url, "--cache", str(tmp_path / "cache.jsonl"),
+    ]
+    code = (
+        "import sys; from readscale.cli import main\n"
+        f"assert main({fetch!r}) == 0\n"
+        "assert 'readscale.fetch' in sys.modules and 'requests' not in sys.modules\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert "resolved 2 dois: 1 matched, 1 below threshold, 0 failed, 1 merged" in run.stdout
+    assert server.request_count == 1
+
+
 def test_fetch_cli_merges_only_corpus_rows_with_extra_dois(tmp_path, stub_provider, capsys):
     records = make_records([3, 4], "Bio", 2010, prefix="10.5/bio")
     corpus = write_corpus(tmp_path / "c.jsonl", records)

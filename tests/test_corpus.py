@@ -123,6 +123,21 @@ def test_stratum_reads_are_real_once_any_value_is():
     assert group_stats(next(iter(stratify(Corpus.from_records(records[:1]))))).r_max == 12
 
 
+def test_strata_are_built_once_and_read_only():
+    records = make_records([3, 1], "Ints", 2010, prefix="i") + [
+        PublicationRecord("r1", "Reals", 2010, 4.5)
+    ]
+    strata = stratify(Corpus.from_records(records))
+    first, again = list(strata), list(strata)
+    assert [s.key.field for s in first] == ["Ints", "Reals"]
+    assert all(a is b for a, b in zip(first, again))
+    for stratum in first:
+        assert not stratum.reads.flags.writeable
+        with pytest.raises(ValueError):
+            stratum.reads[0] = 0
+    assert [s.reads.tolist() for s in strata] == [[3, 1], [4.5]]
+
+
 def test_concat_merges_label_tables():
     first = Corpus.from_records(make_records([1, 2], "Zeta", 2010, prefix="z"))
     second = Corpus.from_records(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import socket
 import tempfile
 import threading
 import time
@@ -114,16 +115,64 @@ def test_server_down_is_fatal_with_cache_intact(stub_provider, tmp_path):
     assert cache.read_all().get("10.6/a").reads == 3  # prior cache untouched
 
 
-def test_http_4xx_marks_batch_failed_without_abort(tmp_path, monkeypatch):
-    class Deny:
-        status_code = 403
-
-    monkeypatch.setattr(
-        fetch_mod.requests, "post", lambda url, json=None, headers=None, timeout=None: Deny()
-    )
-    results = fetch_counts(["10.7/x"], _config("http://unused"), Cache(tmp_path / "c.jsonl"))
+def test_http_4xx_marks_batch_failed_without_abort(stub_provider, tmp_path):
+    server = stub_provider({"10.7/x": (5, 0.95)}, deny_status=403)
+    results = fetch_counts(["10.7/x"], _config(server.url), Cache(tmp_path / "c.jsonl"))
     assert results[0].error == "HTTP 403"
     assert results[0].reads is None
+    assert server.request_count == 1  # a refusal is not retried
+
+
+@pytest.mark.parametrize(
+    "body", [b"not json", b"", b"{}", b'{"doi": "10.19/a"}', b'"10.19/a"', b"7", b"\xff\xfe["]
+)
+def test_body_that_is_not_a_json_array_marks_batch_unreadable(stub_provider, tmp_path, body):
+    server = stub_provider({"10.19/a": (5, 0.95)}, body=body)
+    cache = Cache(tmp_path / "c.jsonl")
+    results = fetch_counts(["10.19/a", "10.19/b"], _config(server.url), cache)
+    assert [r.error.split(":")[0] for r in results] == ["unreadable response"] * 2
+    assert all(r.reads is None for r in results)
+    assert server.request_count == 1
+    assert cache.read_all() == {}
+
+
+def test_5xx_with_a_body_is_retried(stub_provider, tmp_path):
+    server = stub_provider({"10.20/x": (9, 0.95)}, fail_first=1, fail_status=503)
+    results = fetch_counts(["10.20/x"], _config(server.url), Cache(tmp_path / "c.jsonl"))
+    assert results[0].reads == 9 and results[0].error is None
+    assert server.request_count == 2
+
+
+def test_request_posts_a_json_array(stub_provider, tmp_path):
+    server = stub_provider({"10.21/a": (1, 0.95)})
+    fetch_counts(["10.21/a", "10.21/ä"], _config(server.url), Cache(tmp_path / "c.jsonl"))
+    assert server.headers_seen[-1]["Content-Type"] == "application/json"
+    assert server.requests == [["10.21/a", "10.21/ä"]]
+
+
+def test_timeout_is_retried_as_connection_failure(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(fetch_mod, "REQUEST_TIMEOUT", 0.2)
+    with socket.socket() as silent:  # accepts connections, never answers
+        silent.bind(("127.0.0.1", 0))
+        silent.listen(4)
+        url = "http://127.0.0.1:%d" % silent.getsockname()[1]
+        with pytest.raises(FetchError, match="connection failed"):
+            fetch_counts(["10.22/x"], _config(url, max_retries=1), Cache(tmp_path / "c.jsonl"))
+    assert caplog.text.count("connection failed") == 2
+
+
+def test_fetch_result_is_an_immutable_record():
+    result = FetchResult("10.23/a", 3, 0.95, 1.5)
+    assert FetchResult._fields == ("doi", "reads", "match_probability", "fetched_at", "error")
+    assert result.error is None
+    assert repr(result) == (
+        "FetchResult(doi='10.23/a', reads=3, match_probability=0.95, fetched_at=1.5, error=None)"
+    )
+    with pytest.raises(AttributeError):
+        result.reads = 4
+    same = FetchResult(doi="10.23/a", reads=3, match_probability=0.95, fetched_at=1.5, error=None)
+    assert result == same and hash(result) == hash(same)
+    assert result != result._replace(error="HTTP 403")
 
 
 def test_cache_latest_entry_wins(tmp_path):
@@ -401,6 +450,9 @@ def _cache_lines(draw):
     return lines
 
 
+inf, nan = float("inf"), float("nan")
+
+
 def _entry_line(doi, reads, fetched_at=2.0, probability=0.95):
     return json.dumps(
         {"doi": doi, "reads": reads, "match_probability": probability, "fetched_at": fetched_at}
@@ -416,6 +468,18 @@ def _entry_line(doi, reads, fetched_at=2.0, probability=0.95):
 @example([_entry_line("a", 1), _entry_line("b", 2.0)], "\n", 4096)
 @example([_entry_line(7, 1), _entry_line("b", 2)], "\n", 4096)
 @example([_entry_line("a", 1)] * 3 + [_entry_line("b", False)], "\n", 3)
+# fetched_at edges: infinities, NaN before and after a finite time, a signed-zero tie
+@example([_entry_line("a", 1, inf), _entry_line("a", 2, -inf), _entry_line("a", 3, inf)], "\n", 4096)
+@example([_entry_line("b", 1, -inf), _entry_line("b", 2, -inf), _entry_line("b", 3, nan)], "\n", 4096)
+@example([_entry_line("a", 1, nan), _entry_line("a", 2), _entry_line("a", 3, nan)], "\n", 4096)
+@example([_entry_line("b", 1), _entry_line("b", 2, nan), _entry_line("b", 3, 1.0)], "\n", 4096)
+@example([_entry_line("a", 1, 0.0), _entry_line("a", 2, -0.0), _entry_line("b", 3, -0.0),
+          _entry_line("b", 4, 0.0)], "\n", 4096)
+# one DOI's entries on both sides of a chunk boundary, the later chunk plain or not
+@example([_entry_line("a", 1), _entry_line("b", 2), _entry_line("c", 3, 3.0),
+          _entry_line("c", 4, 1.0), _entry_line("c", 5, 3.0)], "\n", 3)
+@example([_entry_line("a", 1), _entry_line("b", 2), _entry_line("c", 3, 3.0),
+          _entry_line("c", 4, 5.0), _entry_line("d", True)], "\n", 3)
 def test_cache_read_all_equals_line_by_line_reference(lines, newline, chunk_lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
