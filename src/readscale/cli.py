@@ -29,9 +29,7 @@ import numpy as np
 
 from .corpus import (
     Corpus,
-    DuplicateIdError,
     EmptyCorpusError,
-    GroupKey,
     Strata,
     group_stats,
     stratify,
@@ -344,15 +342,12 @@ def cmd_fit(args, strata: Strata) -> int:
     """Per-stratum lognormal fits with a Bonferroni-corrected normality test."""
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
     rows: list[dict] = []
-    p_values: dict[GroupKey, float] = {}
     for stratum in strata:
         key = stratum.key
         stats = group_stats(stratum)
         row: dict = {
             "field": key.field, "year": key.year, "obs": stats.n,
             "r0": stats.r_mean, "r_max": stats.r_max,
-            "sw_p": None, "mu": None, "sigma2": None, "loglik": None,
-            "reject": None, "note": "",
         }
         notes = []
         reads = stratum.reads
@@ -364,18 +359,15 @@ def cmd_fit(args, strata: Strata) -> int:
         try:
             test = test_lognormality(reads, policy, alpha=args.alpha, m=1)
             row["sw_p"] = test.p
-            p_values[key] = test.p
-        except (DegenerateSampleError, UnsupportedSizeError, ZeroVarianceError) as exc:
+        except (UnsupportedSizeError, ZeroVarianceError) as exc:
             notes.append(f"normality test failed: {exc}")
         row["note"] = "; ".join(notes)
         rows.append(row)
 
-    m = args.m if args.m is not None else max(len(p_values), 1)
-    threshold = args.alpha / m
-    for row in rows:
-        key = GroupKey(row["field"], row["year"])
-        if key in p_values:
-            row["reject"] = bool(p_values[key] < threshold)
+    tested = [row for row in rows if "sw_p" in row]
+    threshold = args.alpha / (args.m if args.m is not None else max(len(tested), 1))
+    for row in tested:
+        row["reject"] = bool(row["sw_p"] < threshold)
 
     write_table(rows, _FIT_COLUMNS, _FIT_RENDER, Path(args.out), "fit", args.format)
     return 0
@@ -417,10 +409,7 @@ def cmd_collapse(args, strata: Strata) -> int:
                 continue
             written[name] = repr(key.field)
             write_ccdf_tsv(ccdf(sample.values), out_dir / name)
-        row: dict = {
-            "year": year, "n_strata": len(samples), "obs": None,
-            "mu": None, "sigma2": None, "loglik": None, "note": "",
-        }
+        row: dict = {"year": year, "n_strata": len(samples)}
         notes = [f"skipped all-zero strata: {', '.join(skipped)}"] if skipped else []
         notes += clashes
         if samples:
@@ -450,11 +439,6 @@ def _css_class_labels(k: int) -> list[str]:
 def _css_row(head: dict, values: np.ndarray, k: int, rule: str, labels: Sequence[str]) -> dict:
     row = dict(head)
     row["obs"] = int(values.size)
-    for j in range(k):
-        row[f"beta{j + 1}"] = None
-    for name in labels:
-        row[f"count_{name}"] = None
-        row[f"share_{name}"] = None
     notes = []
     try:
         betas = characteristic_scores(values, k=k, rule=rule)
@@ -535,8 +519,7 @@ def cmd_topz(args, strata: Strata) -> int:
                     report = top_share_report(year_strata, z, variant, args.tie_rule)
                 except ValueError as exc:
                     log.warning("topz %d z=%g %s: %s", year, z, variant, exc)
-                    rows.append({**head, "n_fields": None, "sigma_z": None,
-                                 "within_tolerance": None, "note": str(exc)})
+                    rows.append({**head, "note": str(exc)})
                     continue
                 rows.append({**head, "n_fields": report.n_c, "sigma_z": report.sigma_z,
                              "within_tolerance": report.within_tolerance, "note": ""})
@@ -562,7 +545,6 @@ def cmd_topz(args, strata: Strata) -> int:
 
 def cmd_report(args, strata: Strata) -> int:
     """fit + collapse + css + topz over the same corpus and flags."""
-    args.format = None
     code = 0
     for command in (cmd_fit, cmd_collapse, cmd_css, cmd_topz):
         code = max(code, command(args, strata))
@@ -676,11 +658,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run fit, collapse, css and topz together")
     _add_io_options(p)
-    _add_table_options(p)
     _add_fit_options(p)
     _add_css_options(p)
     _add_topz_options(p)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, format=None)
 
     return parser
 
@@ -712,13 +693,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command in ANALYSIS_COMMANDS:
             return args.func(args, _load_strata(args.input, args.year))
         return args.func(args)
-    except (IngestError, EmptyCorpusError, DuplicateIdError) as exc:
-        log.error("%s", exc)
-        return 1
-    except OSError as exc:
-        log.error("%s", exc)
-        return 1
-    except ValueError as exc:
+    except (IngestError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -52,6 +52,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 REQUEST_TIMEOUT = 30.0  # seconds per HTTP attempt
+WORKERS = 4  # threads posting batches at once, all behind one rate limiter
 BACKOFF_BASE = 0.5  # first retry delay, doubled per attempt
 BACKOFF_CAP = 8.0
 # Longest wait a provider's Retry-After can impose before a retry, in seconds.
@@ -343,12 +344,11 @@ def fetch_counts(
     dois: Sequence[str],
     config: ProviderConfig,
     cache: Cache,
-    concurrency: int = 4,
 ) -> list[FetchResult]:
     """Resolve DOIs to reader counts, one FetchResult per input DOI.
 
     Cached DOIs are answered locally; the rest are queried in batches of
-    config.batch_size over at most ``concurrency`` worker threads sharing
+    config.batch_size over at most ``WORKERS`` worker threads sharing
     one rate limiter. Every successful lookup (matched or below
     threshold) is appended to the cache as its batch completes, so an
     interrupted run keeps what it already paid for.
@@ -356,8 +356,6 @@ def fetch_counts(
     Raises FetchError if the provider cannot be reached at all for some
     batch; results cached before that point remain on disk.
     """
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
     known = cache.read_all()
     missing = sorted(set(dois).difference(known))
     if missing:
@@ -374,7 +372,7 @@ def fetch_counts(
             cache.append(results)  # failures are filtered out inside
             return results
 
-        with ThreadPoolExecutor(max_workers=min(concurrency, len(batches))) as pool:
+        with ThreadPoolExecutor(max_workers=min(WORKERS, len(batches))) as pool:
             for batch_results in pool.map(run_batch, batches):
                 for result in batch_results:
                     known[result.doi] = result

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,7 +81,11 @@ class Columns(NamedTuple):
 
     @classmethod
     def from_records(cls, records: Iterable[PublicationRecord]) -> "Columns":
-        return cls(*_columns([(r.id, r.field, r.year, r.reads, r.cites) for r in records]))
+        records = list(records)
+        return cls(
+            [r.id for r in records], [r.field for r in records], [r.year for r in records],
+            [r.reads for r in records], [r.cites for r in records],
+        )
 
     @classmethod
     def concat(cls, parts: Sequence["Columns"]) -> "Columns":
@@ -476,7 +480,7 @@ def _json_object(id, field, year, reads, cites) -> dict:
     return obj
 
 
-def _json_lines(columns: Columns) -> list[str]:
+def _json_lines(columns: Columns) -> Iterator[str]:
     """``json.dumps(obj, ensure_ascii=False)`` of each row's object, one line
     each, built from the columns: ids are encoded once each and field labels
     once per label, with the string encoder ``json.dumps`` itself uses.
@@ -491,16 +495,14 @@ def _json_lines(columns: Columns) -> list[str]:
         and np.isfinite([r for r in reads if type(r) is float]).all()
     )
     if not plain:
-        return [
-            json.dumps(_json_object(*row), ensure_ascii=False) + "\n" for row in zip(*columns)
-        ]
+        for row in zip(*columns):
+            yield json.dumps(_json_object(*row), ensure_ascii=False) + "\n"
+        return
     encode = json.encoder.encode_basestring  # what ensure_ascii=False encodes strings with
     label = {f: encode(f) for f in set(fields)}
-    tails = ["}\n" if c is None else f', "cites": {c}}}\n' for c in cites]
-    return [
-        f'{{"id": {i}, "field": {label[f]}, "year": {y}, "reads": {r!r}{tail}'
-        for i, f, y, r, tail in zip(map(encode, ids), fields, years, reads, tails)
-    ]
+    for i, f, y, r, c in zip(map(encode, ids), fields, years, reads, cites):
+        tail = "}\n" if c is None else f', "cites": {c}}}\n'
+        yield f'{{"id": {i}, "field": {label[f]}, "year": {y}, "reads": {r!r}{tail}'
 
 
 def write_diagnostics(report: IngestReport, target) -> None:

@@ -88,6 +88,26 @@ def test_fit_default_family_size_is_number_of_tested_strata(two_field_corpus, tm
     assert default_rows["Mathematics"]["reject"] == "false"
 
 
+def test_fit_default_family_size_leaves_out_untested_strata(tmp_path):
+    # Tiny's one record is never tested, so the default m is 2; at alpha 0.06
+    # maths' p = 0.02592 lies between alpha/3 and alpha/2
+    records = (
+        make_records(MATHS_COUNTS, "Mathematics", 2010)
+        + make_records(SURGERY_COUNTS, "Surgery", 2010)
+        + make_records([44], "Tiny", 2010)
+    )
+    corpus = write_corpus(tmp_path / "c.jsonl", records)
+    rejects = {}
+    for label, flags in (("default", []), ("m2", ["--m", "2"]), ("m3", ["--m", "3"])):
+        out = tmp_path / label
+        assert main(["fit", "--input", corpus, "--out", str(out), "--alpha", "0.06", *flags]) == 0
+        rows = {r["field"]: r for r in read_jsonl(out / "fit.jsonl")}
+        assert rows["Mathematics"]["sw_p"] == pytest.approx(0.02592, abs=5e-6)
+        assert rows["Tiny"]["sw_p"] is None and rows["Tiny"]["reject"] is None
+        rejects[label] = rows["Mathematics"]["reject"]
+    assert rejects == {"default": True, "m2": True, "m3": False}
+
+
 def test_fit_single_record_stratum_noted_not_fatal(tmp_path):
     records = make_records(SURGERY_COUNTS, "Surgery", 2010) + make_records(
         [44], "Tiny", 2010
@@ -176,6 +196,31 @@ def test_collapse_all_zero_stratum_skipped_with_note(tmp_path, caplog):
     assert row["n_strata"] == "1"
     assert "Silent" in row["note"]
     assert "skipped" in caplog.text
+
+
+def test_collapse_year_without_a_usable_or_fittable_pool(tmp_path):
+    # 2010: only all-zero strata; 2011: one one-record stratum, a pool of one
+    records = (
+        make_records([0, 0, 0], "Silent", 2010)
+        + make_records([7], "Lonely", 2011)
+        + make_records(SURGERY_COUNTS, "Surgery", 2012)
+    )
+    corpus = write_corpus(tmp_path / "c.jsonl", records)
+    out = tmp_path / "out"
+    assert main(["collapse", "--input", corpus, "--out", str(out)]) == 0
+    rows = {r["year"]: r for r in read_tsv(out / "collapse.tsv")}
+    assert rows["2010"] == {
+        "year": "2010", "n_strata": "0", "obs": "NA", "mu": "NA", "sigma2": "NA", "loglik": "NA",
+        "note": "skipped all-zero strata: Silent; no usable strata",
+    }
+    assert rows["2011"] == {
+        "year": "2011", "n_strata": "1", "obs": "1", "mu": "NA", "sigma2": "NA", "loglik": "NA",
+        "note": "pooled fit failed: need at least 2 positive values after zero policy, have 1",
+    }
+    assert rows["2012"]["mu"] != "NA" and rows["2012"]["note"] == ""
+    assert read_jsonl(out / "collapse.jsonl")[0]["obs"] is None
+    assert not (out / "ccdf_merged_2010.tsv").exists()
+    assert (out / "ccdf_merged_2011.tsv").exists()
 
 
 def test_collapse_slug_collision_keeps_first_curve_and_notes_both(tmp_path, caplog):
@@ -309,6 +354,25 @@ def test_ingest_flags_duplicate_ids(tmp_path, capsys):
     assert "accepted 1 rejected 1" in capsys.readouterr().out
 
 
+def test_ingest_joins_inputs_in_order_and_reads_tsv_by_extension(tmp_path, capsys):
+    first = tmp_path / "a.csv"
+    first.write_text("id,field,year,reads\na1,Bio,2010,5\na2,Bio,frog,1\n", encoding="utf-8")
+    second = tmp_path / "b.tsv"
+    second.write_text(
+        "id\tfield\tyear\treads\tcites\nb1\tBio, Chem\t2011\t7\t2\na1\tBio\t2010\t3\t\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(first), "--input", str(second), "--out", str(out)]) == 0
+    assert "accepted 2 rejected 2" in capsys.readouterr().out
+    assert read_jsonl(out / "corpus.jsonl") == [
+        {"id": "a1", "field": "Bio", "year": 2010, "reads": 5},
+        {"id": "b1", "field": "Bio, Chem", "year": 2011, "reads": 7, "cites": 2},
+    ]
+    reasons = [d["reason"] for d in read_jsonl(out / "ingest_diagnostics.jsonl")]
+    assert reasons == ["a.csv: invalid year 'frog'", "duplicate id a1"]
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -418,6 +482,32 @@ def test_fetch_cli_requires_input_or_dois(tmp_path):
     assert code == 2
 
 
+def test_fetch_cli_year_filter_resolves_and_writes_only_that_year(
+    tmp_path, stub_provider, capsys, caplog
+):
+    records = make_records([3, 4], "Bio", 2010, prefix="10.7/a") + make_records(
+        [5], "Bio", 2011, prefix="10.7/b"
+    )
+    corpus = write_corpus(tmp_path / "c.jsonl", records)
+    server = stub_provider({"10.7/a-0000": (30, 0.99), "10.7/b-0000": (50, 0.99)})
+    fetch = [
+        "fetch", "--input", corpus, "--provider-url", server.url,
+        "--cache", str(tmp_path / "cache.jsonl"),
+    ]
+    out = tmp_path / "out"
+    assert main([*fetch, "--out", str(out), "--year", "2011"]) == 0
+    assert "resolved 1 dois: 1 matched, 0 below threshold, 0 failed, 1 merged" in capsys.readouterr().out
+    assert read_jsonl(out / "corpus.jsonl") == [
+        {"id": "10.7/b-0000", "field": "Bio", "year": 2011, "reads": 50},
+    ]
+    assert server.requests == [["10.7/b-0000"]]
+
+    with caplog.at_level("ERROR"):
+        assert main([*fetch, "--out", str(tmp_path / "none"), "--year", "1999"]) == 1
+    assert "no records loaded for the requested years" in caplog.text
+    assert len(server.requests) == 1
+
+
 def test_fetch_cli_unreachable_provider_exits_1(tmp_path):
     dois = tmp_path / "dois.txt"
     dois.write_text("10.4/a\n", encoding="utf-8")
@@ -443,6 +533,17 @@ def test_report_writes_all_tables_quietly(two_field_corpus, tmp_path, capsys):
         assert (out / f"{name}.tsv").exists()
         assert (out / f"{name}.jsonl").exists()
     assert (out / "ccdf_merged_2010.tsv").exists()
+
+
+def test_report_has_no_format_option(two_field_corpus, tmp_path, capsys):
+    # report echoes no table, so it offers no choice of echo format
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--input", two_field_corpus, "--out", str(tmp_path), "--format", "tsv"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--help"])
+    assert info.value.code == 0
+    assert "--format" not in capsys.readouterr().out
 
 
 def test_report_rerun_is_byte_identical(two_field_corpus, tmp_path):

@@ -327,6 +327,14 @@ def test_negative_reader_count_is_a_failure(stub_provider, tmp_path):
     assert Cache(tmp_path / "c.jsonl").read_all().get("10.16/bad") is None
 
 
+def test_match_probability_outside_unit_interval_is_a_bad_entry(stub_provider, tmp_path):
+    server = stub_provider({"10.16/odd": (4, 1.5), "10.16/ok": (5, 0.95)})
+    results = fetch_counts(["10.16/odd", "10.16/ok"], _config(server.url), Cache(tmp_path / "c.jsonl"))
+    assert results[0].error == "bad response entry: match probability 1.5 outside [0, 1]"
+    assert results[0].reads is None and results[1].reads == 5
+    assert set(Cache(tmp_path / "c.jsonl").read_all()) == {"10.16/ok"}
+
+
 # ---------------------------------------------------------------------------
 # Retry-After on 429
 

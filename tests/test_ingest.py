@@ -71,6 +71,19 @@ def test_missing_mandatory_column_is_fatal():
     assert err.value.column == "reads"
 
 
+def test_empty_delimited_file_lacks_the_id_column():
+    with pytest.raises(SchemaError) as err:
+        ingest.parse_columns(io.StringIO(""))
+    assert err.value.column == "id"
+
+
+def test_binary_stream_is_read_as_utf8():
+    text = CSV_OK.replace("Surgery", "Chirurgie générale")
+    columns, report = ingest.parse_columns(io.BytesIO(text.encode("utf-8")))
+    assert (columns, report) == ingest.parse_columns(io.StringIO(text))
+    assert columns.fields[2] == "Chirurgie générale"
+
+
 def test_unknown_columns_ignored(caplog):
     text = "id,field,year,reads,shelf\np1,A,2010,3,x\n"
     with caplog.at_level("WARNING"):
