@@ -19,23 +19,16 @@ import argparse
 import dataclasses
 import json
 import logging
+import numbers
 import sys
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from .corpus import (
-    Corpus,
-    EmptyCorpusError,
-    Strata,
-    group_stats,
-    stratify,
-)
-from .css import CLASS_NAMES, TRUNCATION_RULES, characteristic_scores, classify
-from .distfit import DegenerateSampleError, ZeroPolicy, fit_lognormal, test_lognormality
+# numpy and the analysis modules load only for the commands that use them,
+# so that ingest and fetch start on the standard library alone
+from .choices import TIE_RULES, TRUNCATION_RULES
 from .ingest import (
     Columns,
     IngestError,
@@ -46,10 +39,11 @@ from .ingest import (
     write_diagnostics,
     write_records,
 )
-from .rescale import AllUnreadGroupError, ccdf, ccdf_filename, collapse, rescale_group, write_ccdf_tsv
-from .swilk import UnsupportedSizeError, ZeroVarianceError
-from .synth import SynthSpec, generate_corpus, generator_metadata
-from .topz import TIE_RULES, VARIANTS, top_share_report
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .corpus import EmptyCorpusError, Strata
 
 __all__ = ["main", "build_parser"]
 
@@ -86,7 +80,7 @@ def _fmt_int(v) -> str:
 
 def _fmt_num(v) -> str:
     """Counts that are usually integers but may be real on synthetic data."""
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):  # numpy integers too
         return str(int(v))
     return f"{float(v):g}"
 
@@ -96,12 +90,14 @@ def _fmt_bool(v) -> str:
 
 
 def _plain(v):
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.integer):
+    """The Python int, float or bool a numpy scalar holds, which json.dumps
+    writes; any other value as it is."""
+    if isinstance(v, numbers.Integral):
         return int(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
+    if isinstance(v, numbers.Real):
+        return float(v)
+    if type(v).__module__ == "numpy":  # numpy's bool
+        return v.item()
     return v
 
 
@@ -114,16 +110,13 @@ def _json_float(v) -> str:
     return _NONFINITE.get(text, text)
 
 
-# a cell's line-JSON text by its exact type, as json.dumps writes the value
-# _plain makes of it; any other type goes through json.dumps itself
+# a cell's line-JSON text by its exact type, as json.dumps writes it; any
+# other type, numpy's scalars among them, goes through json.dumps of _plain
 _JSON_CELL: dict[type, Callable] = {
     str: encode_basestring_ascii,
     float: _json_float,
-    np.float64: _json_float,
     int: int.__repr__,
-    np.int64: lambda v: int.__repr__(int(v)),
     bool: _fmt_bool,
-    np.bool_: _fmt_bool,
     type(None): lambda v: "null",
 }
 
@@ -203,6 +196,8 @@ def _parse_inputs(paths: Sequence[str], parse: Callable) -> tuple[list, list]:
 
 
 def _no_records(years: Sequence[int] | None) -> EmptyCorpusError:
+    from .corpus import EmptyCorpusError
+
     return EmptyCorpusError("no records loaded" + (" for the requested years" if years else ""))
 
 
@@ -220,6 +215,10 @@ def _load_columns(paths: Sequence[str], years: Sequence[int] | None) -> Columns:
 
 def _load_strata(paths: Sequence[str], years: Sequence[int] | None) -> Strata:
     """The inputs as one columnar corpus, grouped by (field, year)."""
+    import numpy as np
+
+    from .corpus import Corpus, stratify
+
     parts, _ = _parse_inputs(paths, parse_corpus)
     corpus = Corpus.concat(parts)
     if years:
@@ -262,19 +261,21 @@ def cmd_ingest(args) -> int:
 
 def cmd_synth(args) -> int:
     """Generate a corpus from a JSON spec; same spec + seed = same bytes."""
+    from .synth import SynthSpec, generate_columns, generator_metadata
+
     spec = SynthSpec.load(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    records = generate_corpus(spec)
+    columns = generate_columns(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(records, out_dir / "corpus.jsonl", format="line-json")
+    write_records(columns, out_dir / "corpus.jsonl", format="line-json")
     meta = generator_metadata(spec)
     meta["spec"] = json.loads(spec.to_json())
     (out_dir / "corpus.meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"generated {len(records)} records in {len(spec.fields)} fields")
+    print(f"generated {len(columns.ids)} records in {len(spec.fields)} fields")
     return 0
 
 
@@ -295,7 +296,8 @@ def cmd_fetch(args) -> int:
         columns = _load_columns(args.input, args.year)
         dois.extend(columns.ids)
     if args.dois:
-        for line in Path(args.dois).read_text(encoding="utf-8").splitlines():
+        # a byte-order mark would stay on the first DOI through str.strip
+        for line in Path(args.dois).read_text(encoding="utf-8-sig").splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 dois.append(line)
@@ -340,6 +342,10 @@ _FIT_RENDER = {
 
 def cmd_fit(args, strata: Strata) -> int:
     """Per-stratum lognormal fits with a Bonferroni-corrected normality test."""
+    from .corpus import group_stats
+    from .distfit import DegenerateSampleError, ZeroPolicy, fit_lognormal, test_lognormality
+    from .swilk import UnsupportedSizeError, ZeroVarianceError
+
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
     rows: list[dict] = []
     for stratum in strata:
@@ -382,6 +388,10 @@ _COLLAPSE_RENDER = {
 
 def cmd_collapse(args, strata: Strata) -> int:
     """Pool mean-rescaled strata per year; emit pooled fits and CCDF files."""
+    from .distfit import DegenerateSampleError, ZeroPolicy, fit_lognormal
+    from .rescale import AllUnreadGroupError, ccdf, ccdf_filename, collapse, rescale_group, write_ccdf_tsv
+    from .swilk import ZeroVarianceError
+
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -431,12 +441,16 @@ def cmd_collapse(args, strata: Strata) -> int:
 
 
 def _css_class_labels(k: int) -> list[str]:
+    from .css import CLASS_NAMES
+
     if k + 1 <= len(CLASS_NAMES):
         return list(CLASS_NAMES[: k + 1])
     return [str(i + 1) for i in range(k + 1)]
 
 
 def _css_row(head: dict, values: np.ndarray, k: int, rule: str, labels: Sequence[str]) -> dict:
+    from .css import characteristic_scores, classify
+
     row = dict(head)
     row["obs"] = int(values.size)
     notes = []
@@ -459,6 +473,8 @@ def _css_row(head: dict, values: np.ndarray, k: int, rule: str, labels: Sequence
 
 def cmd_css(args, strata: Strata) -> int:
     """Characteristic-score classes, pooled per year and per stratum."""
+    import numpy as np
+
     k, rule = args.k, args.css_strict
     labels = _css_class_labels(k)
     columns = (
@@ -507,6 +523,8 @@ _SHARE_RENDER = {
 
 def cmd_topz(args, strata: Strata) -> int:
     """Per-field share of the global top z%, before and after rescaling."""
+    from .topz import VARIANTS, top_share_report
+
     zs = tuple(args.z) if args.z else DEFAULT_Z
     out_dir = Path(args.out)
     rows: list[dict] = []

@@ -21,10 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# Default bounds for a plausible publication year; ingest validation uses
-# these unless the caller overrides them.
-YEAR_MIN = 1900
-YEAR_MAX = 2100
+from .ingest import YEAR_MAX, YEAR_MIN, repeated_positions  # noqa: F401 -- exported here too
 
 
 class EmptyCorpusError(ValueError):
@@ -276,13 +273,6 @@ class Strata:
             bounds=np.concatenate(([0], np.cumsum(sizes))),
             positions=np.arange(sizes.sum()),
         )
-
-
-def repeated_positions(ids: Sequence[str]) -> list[int]:
-    """The 0-based positions of the ids that repeat an earlier one, ascending."""
-    seen: set[str] = set()
-    # set.add returns None: a first occurrence is recorded and passed over
-    return [pos for pos, i in enumerate(ids) if i in seen or seen.add(i)]
 
 
 def stratify(corpus: Corpus) -> Strata:

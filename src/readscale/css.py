@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .choices import TRUNCATION_RULES
+
 __all__ = [
     "CssResult",
     "characteristic_scores",
@@ -26,8 +28,6 @@ __all__ = [
 
 # Roman labels for up to four classes, outermost first.
 CLASS_NAMES = ("I", "II", "III", "IV")
-
-TRUNCATION_RULES = ("ge", "gt")
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,22 @@ import gc
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import itemgetter
+from operator import itemgetter, not_
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord, repeated_positions
+if TYPE_CHECKING:  # readscale.corpus loads numpy, which ingest itself never needs
+    from .corpus import Corpus, PublicationRecord
 
 log = logging.getLogger(__name__)
+
+# Default bounds for a plausible publication year; validation uses these
+# unless the caller overrides them.
+YEAR_MIN = 1900
+YEAR_MAX = 2100
 
 MANDATORY_COLUMNS = ("id", "field", "year", "reads")
 KNOWN_COLUMNS = frozenset(MANDATORY_COLUMNS + ("cites",))
@@ -161,11 +166,13 @@ def _row_values(row: dict) -> tuple:
 
 
 def _open_text(source) -> IO[str]:
+    """A text stream over ``source``; paths and byte streams are read as UTF-8
+    without the byte-order mark that spreadsheet exports often start with."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return open(source, "r", encoding="utf-8-sig", newline="")
     if isinstance(source, io.TextIOBase):
         return source
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
 
 
 @gc_paused
@@ -205,6 +212,8 @@ def parse_records(
     delimiter: str = ",",
 ) -> tuple[list[PublicationRecord], IngestReport]:
     """:func:`parse_columns`, with the records as :class:`PublicationRecord` objects."""
+    from .corpus import PublicationRecord
+
     columns, report = parse_columns(source, format, delimiter)
     return list(map(PublicationRecord, *columns)), report
 
@@ -215,6 +224,8 @@ def parse_corpus(
     delimiter: str = ",",
 ) -> tuple[Corpus, IngestReport]:
     """:func:`parse_columns`, with the records as a :class:`Corpus`."""
+    from .corpus import Corpus
+
     columns, report = parse_columns(source, format, delimiter)
     return Corpus.from_columns(*columns), report
 
@@ -254,22 +265,25 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
     table = list(zip(*(row if len(row) == width else misfit for row in rows))) or [()] * width
     ids, fields, years, reads = (table[source[col]] for col in MANDATORY_COLUMNS)
     cites = table[source["cites"]] if "cites" in source else ("",) * len(rows)
-    plain = (
-        _filled(ids) & _filled(fields) & _counts(years) & _counts(reads)
-        & (_counts(cites) | ~_filled(cites))
-    )
-    keep = plain.tolist()
+    # a text of 1 to 18 decimal digits is what _row_values returns int(text)
+    # for, as year, cites and reads alike (its float is finite and integral,
+    # so _coerce_reads keeps the int)
+    plain = [
+        i and f and y.isdecimal() and len(y) <= 18 and r.isdecimal() and len(r) <= 18
+        and (not c or c.isdecimal() and len(c) <= 18)
+        for i, f, y, r, c in zip(ids, fields, years, reads, cites)
+    ]
     columns = Columns(
-        list(map(str.strip, compress(ids, keep))),
-        list(map(str.strip, compress(fields, keep))),
-        list(map(int, compress(years, keep))),
-        list(map(int, compress(reads, keep))),
-        [int(c) if c else None for c in compress(cites, keep)],
+        list(map(str.strip, compress(ids, plain))),
+        list(map(str.strip, compress(fields, plain))),
+        list(map(int, compress(years, plain))),
+        list(map(int, compress(reads, plain))),
+        [int(c) if c else None for c in compress(cites, plain)],
     )
 
     taken: dict[int, tuple] = {}
     diagnostics: list[tuple[int, str]] = []
-    for pos in np.flatnonzero(~plain).tolist():
+    for pos in compress(range(len(rows)), map(not_, plain)):
         row = rows[pos]
         values = {name: row[i] if i < len(row) else None for name, i in source.items()}
         try:
@@ -277,27 +291,13 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
         except ValueError as exc:
             diagnostics.append((pos + 2, str(exc)))  # line 1 is the header
     if taken:
-        at = np.flatnonzero(plain).tolist() + list(taken)
+        at = [*compress(range(len(rows)), plain), *taken]
         order = sorted(range(len(at)), key=at.__getitem__)
         extra = _columns(list(taken.values()))
         columns = Columns(*(
             list(map([*column, *more].__getitem__, order)) for column, more in zip(columns, extra)
         ))
     return columns, diagnostics
-
-
-def _filled(texts: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(bool, texts), bool, len(texts))
-
-
-def _counts(texts: Sequence[str]) -> np.ndarray:
-    """Which texts are 1 to 18 decimal digits: for them :func:`_row_values`
-    returns ``int(text)``, as year, cites and reads alike (their float is
-    finite and integral, so :func:`_coerce_reads` keeps the int)."""
-    n = len(texts)
-    return np.fromiter(map(str.isdecimal, texts), bool, n) & (
-        np.fromiter(map(len, texts), np.int64, n) <= 18
-    )
 
 
 def _parse_line_json(lines: list[str]) -> tuple[Columns, list]:
@@ -370,16 +370,18 @@ def _decode_line_json(lines: list[str]) -> Columns | None:
             unknown = extra.keys() - KNOWN_COLUMNS
     ids, fields, years, reads, cites = columns
     try:
-        counts = np.array(reads, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        plain = (
+            _types(ids) <= {str} and all(ids)
+            and _types(fields) <= {str} and all(fields)
+            and _types(years) <= {int}
+            # a sum is finite only if every term is; finite reads whose sum
+            # overflows merely leave the file to the per-row path
+            and _types(reads) <= {int, float} and math.isfinite(sum(reads))
+            and min(reads, default=0) >= 0
+            and _types(cites) <= {int, type(None)} and min(filter(None, cites), default=0) >= 0
+        )
+    except OverflowError:  # an int beyond float range, which the per-row path reads as non-finite
         return None
-    plain = (
-        _types(ids) <= {str} and all(ids)
-        and _types(fields) <= {str} and all(fields)
-        and _types(years) <= {int}
-        and _types(reads) <= {int, float} and np.isfinite(counts).all() and (counts >= 0).all()
-        and _types(cites) <= {int, type(None)} and min(filter(None, cites), default=0) >= 0
-    )
     if not plain:
         return None
     if unknown:
@@ -415,6 +417,13 @@ def _parse_line_json_rows(lines: list[str]) -> tuple[Columns, list]:
         except ValueError as exc:
             diagnostics.append((lineno, str(exc)))
     return _columns(rows), diagnostics
+
+
+def repeated_positions(ids: Sequence[str]) -> list[int]:
+    """The 0-based positions of the ids that repeat an earlier one, ascending."""
+    seen: set[str] = set()
+    # set.add returns None: a first occurrence is recorded and passed over
+    return [pos for pos, i in enumerate(ids) if i in seen or seen.add(i)]
 
 
 def validate(
@@ -492,7 +501,7 @@ def _json_lines(columns: Columns) -> Iterator[str]:
     plain = (
         _types(ids) <= {str} and _types(fields) <= {str} and _types(years) <= {int}
         and _types(reads) <= {int, float} and _types(cites) <= {int, type(None)}
-        and np.isfinite([r for r in reads if type(r) is float]).all()
+        and all(map(math.isfinite, [r for r in reads if type(r) is float]))
     )
     if not plain:
         for row in zip(*columns):

@@ -14,18 +14,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import PublicationRecord, field_slug
+from .ingest import Columns
 from .normal import ndtri
 
 __all__ = [
     "GENERATOR_ID",
     "FieldSpec",
     "SynthSpec",
+    "generate_columns",
     "generate_corpus",
     "generator_metadata",
     "lognormal_mean",
@@ -156,28 +159,31 @@ def field_values(spec: SynthSpec, index: int) -> np.ndarray:
     return _counts(spec, spec.fields[index], ndtri(uniforms), inflate)
 
 
-def generate_corpus(spec: SynthSpec) -> list[PublicationRecord]:
-    """Materialize the corpus: same spec and seed, byte-identical records."""
+def generate_columns(spec: SynthSpec) -> Columns:
+    """Materialize the corpus as :class:`Columns`: same spec and seed,
+    byte-identical records. Reads are ints unless the spec keeps continuous
+    values; no record has cites."""
     draws = [_draws(spec, i) for i in range(len(spec.fields))]
     # ndtri is elementwise with a fixed cost per call, so one call serves every field
     normals = ndtri(np.concatenate([uniforms for uniforms, _ in draws]))
-    records: list[PublicationRecord] = []
+    ids: list[str] = []
+    fields: list[str] = []
+    reads: list[int | float] = []
     start = 0
     for fs, (_, inflate) in zip(spec.fields, draws):
-        values = _counts(spec, fs, normals[start:start + fs.n], inflate)
+        values = _counts(spec, fs, normals[start:start + fs.n], inflate).tolist()
         start += fs.n
         slug = field_slug(fs.label)
-        integral = spec.discretization != "none"
-        for j, v in enumerate(values):
-            records.append(
-                PublicationRecord(
-                    id=f"{slug}-{spec.year}-{j:05d}",
-                    field=fs.label,
-                    year=spec.year,
-                    reads=int(v) if integral else float(v),
-                )
-            )
-    return records
+        ids.extend([f"{slug}-{spec.year}-{j:05d}" for j in range(fs.n)])
+        fields.extend(repeat(fs.label, fs.n))
+        # int() of an infinite draw raises, as it should
+        reads.extend(values if spec.discretization == "none" else map(int, values))
+    return Columns(ids, fields, [spec.year] * len(ids), reads, [None] * len(ids))
+
+
+def generate_corpus(spec: SynthSpec) -> list[PublicationRecord]:
+    """:func:`generate_columns`, with the records as :class:`PublicationRecord` objects."""
+    return list(map(PublicationRecord, *generate_columns(spec)))
 
 
 def generator_metadata(spec: SynthSpec) -> dict:

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .choices import TIE_RULES
 from .corpus import Corpus, PublicationRecord, Strata, stratify
 from .rescale import rescale_group
 
@@ -27,7 +28,6 @@ __all__ = ["TopZReport", "sigma_z", "top_membership", "top_share_report"]
 log = logging.getLogger(__name__)
 
 VARIANTS = ("original", "rescaled")
-TIE_RULES = ("rank", "threshold")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import readscale.cli as cli_mod
+import readscale.corpus as corpus_mod
 import readscale.fetch as fetch_mod
 from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records
 from readscale.cli import main
@@ -344,6 +345,18 @@ def test_ingest_reports_accepted_and_rejected(tmp_path, capsys):
     assert all("raw.csv" in d["reason"] for d in diags)
 
 
+def test_ingest_reads_csv_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet exports often open with U+FEFF, which must not join the first column's name
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\ufeffid,field,year,reads\na1,Biology,2010,5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(raw), "--out", str(out)]) == 0
+    assert "accepted 1 rejected 0" in capsys.readouterr().out
+    assert read_jsonl(out / "corpus.jsonl") == [
+        {"id": "a1", "field": "Biology", "year": 2010, "reads": 5}
+    ]
+
+
 def test_ingest_flags_duplicate_ids(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text(
@@ -475,6 +488,20 @@ def test_fetch_cli_doi_list_only(tmp_path, stub_provider, capsys):
     assert "resolved 2 dois: 2 matched, 0 below threshold, 0 failed" in capsys.readouterr().out
 
 
+def test_fetch_cli_doi_list_with_a_byte_order_mark(tmp_path, stub_provider, capsys):
+    dois = tmp_path / "dois.txt"
+    dois.write_text("\ufeff10.3/a\n10.3/b\n", encoding="utf-8")
+    server = stub_provider({"10.3/a": (7, 0.95), "10.3/b": (8, 0.95)})
+    code = main(
+        [
+            "fetch", "--dois", str(dois), "--provider-url", server.url,
+            "--cache", str(tmp_path / "cache.jsonl"),
+        ]
+    )
+    assert code == 0
+    assert "resolved 2 dois: 2 matched, 0 below threshold, 0 failed" in capsys.readouterr().out
+
+
 def test_fetch_cli_requires_input_or_dois(tmp_path):
     code = main(
         ["fetch", "--provider-url", "http://x", "--cache", str(tmp_path / "cache.jsonl")]
@@ -573,15 +600,15 @@ def _two_year_corpus(tmp_path):
     return [write_corpus(tmp_path / "a.jsonl", first), str(tmp_path / "b.csv")]
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=cli_mod):
     calls = []
-    original = getattr(cli_mod, name)
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -589,7 +616,8 @@ def test_report_parses_each_input_once_and_groups_once(tmp_path, monkeypatch):
     inputs = _two_year_corpus(tmp_path)
     parses = _counting(monkeypatch, "parse_corpus")
     column_parses = _counting(monkeypatch, "parse_columns")
-    groupings = _counting(monkeypatch, "stratify")
+    # the cli imports stratify where it groups, so it is counted at home
+    groupings = _counting(monkeypatch, "stratify", corpus_mod)
     io = [arg for path in inputs for arg in ("--input", path)]
     assert main(["report", *io, "--out", str(tmp_path / "out")]) == 0
     assert len(parses) == len(inputs)
@@ -824,6 +852,57 @@ def test_importing_the_cli_leaves_requests_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import readscale.cli, sys; assert 'requests' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# every module that loads numpy
+ANALYSIS_MODULES = ("corpus", "css", "distfit", "swilk", "normal", "rescale", "topz", "synth")
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_an_analysis_module():
+    # numpy and the analysis modules cost every command about 0.1 s of start-up
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    modules = ["numpy"] + [f"readscale.{name}" for name in ANALYSIS_MODULES]
+    code = (
+        "import readscale.cli, sys\n"
+        f"loaded = [m for m in {modules!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_ingest_and_fetch_run_without_numpy(tmp_path, stub_provider):
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(
+        os.environ, NO_PROXY="127.0.0.1", no_proxy="127.0.0.1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "id,field,year,reads,cites\n10.6/bio-0000,Bio,2010,3,1\n10.6/bio-0001,Bio,2010,4,\n"
+        "10.6/bio-0002,Bio,frog,5,\n10.6/bio-0000,Bio,2010,6,\n",
+        encoding="utf-8",
+    )
+    server = stub_provider({"10.6/bio-0000": (30, 0.99), "10.6/bio-0001": (40, 0.5)})
+    ingest = ["ingest", "--input", str(raw), "--out", str(tmp_path / "in")]
+    fetch = [
+        "fetch", "--input", str(tmp_path / "in" / "corpus.jsonl"), "--out", str(tmp_path / "out"),
+        "--provider-url", server.url, "--cache", str(tmp_path / "cache.jsonl"),
+    ]
+    code = (
+        "import sys; sys.modules['numpy'] = None  # import numpy now fails\n"
+        "from readscale.cli import main\n"
+        f"assert main({ingest!r}) == 0 and main({fetch!r}) == 0\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert run.stdout.splitlines() == [
+        "accepted 2 rejected 2",
+        "resolved 2 dois: 1 matched, 1 below threshold, 0 failed, 1 merged",
+    ]
+    assert read_jsonl(tmp_path / "out" / "corpus.jsonl") == [
+        {"id": "10.6/bio-0000", "field": "Bio", "year": 2010, "reads": 30, "cites": 1},
+        {"id": "10.6/bio-0001", "field": "Bio", "year": 2010, "reads": 4},
+    ]
 
 
 def test_fetch_run_leaves_requests_unloaded(tmp_path, stub_provider):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readscale import ingest
@@ -82,6 +82,26 @@ def test_binary_stream_is_read_as_utf8():
     columns, report = ingest.parse_columns(io.BytesIO(text.encode("utf-8")))
     assert (columns, report) == ingest.parse_columns(io.StringIO(text))
     assert columns.fields[2] == "Chirurgie générale"
+
+
+@pytest.mark.parametrize("as_path", [True, False])
+def test_csv_byte_order_mark_is_not_part_of_the_header(tmp_path, as_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff" + CSV_OK, encoding="utf-8")
+    source = path if as_path else io.BytesIO(path.read_bytes())
+    records, report = parse_records(source)
+    assert records == parse_records(io.StringIO(CSV_OK))[0]
+    assert report == IngestReport(3, 0)
+
+
+def test_line_json_byte_order_mark_is_not_part_of_line_one(tmp_path):
+    path = tmp_path / "bom.jsonl"
+    path.write_text(
+        "\ufeff" + '{"id": "p1", "field": "A", "year": 2010, "reads": 5}\n', encoding="utf-8"
+    )
+    records, report = parse_records(path, format="line-json")
+    assert records == [PublicationRecord("p1", "A", 2010, 5)]
+    assert report == IngestReport(1, 0)
 
 
 def test_unknown_columns_ignored(caplog):
@@ -285,8 +305,17 @@ def _line_json(lines, end):
     return "\n".join(lines) + end
 
 
+def _reads_line(reads) -> str:
+    return json.dumps({"id": "r", "field": "A", "year": 2010, "reads": reads})
+
+
 @settings(max_examples=300, deadline=None)
 @given(_lines(), st.sampled_from(["", "\n", "\r\n"]))
+# reads the fast path's checks must leave to the per-row path: an int beyond
+# float range, a bool and a NaN, each beside a clean row
+@example([_reads_line(1), _reads_line(10**400)], "\n")
+@example([_reads_line(True), _reads_line(2)], "\n")
+@example([_reads_line(3.5), _reads_line(float("nan"))], "\n")
 @pytest.mark.parametrize("chunk_lines", [ingest._CHUNK_LINES, 3])
 def test_line_json_fast_path_equals_per_row_path(chunk_lines, lines, end):
     text = _line_json(lines, end)

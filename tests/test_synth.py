@@ -15,6 +15,7 @@ from readscale.synth import (
     FieldSpec,
     SynthSpec,
     field_values,
+    generate_columns,
     generate_corpus,
     generator_metadata,
     lognormal_mean,
@@ -153,6 +154,22 @@ def test_a_uniform_draw_of_zero_gives_a_read_of_zero(monkeypatch):
     assert values[0] == 0.0 and expected[0] != 0.0
     assert np.array_equal(values[1:], expected[1:])
     assert [r.reads for r in generate_corpus(spec)] == values.tolist()
+
+
+def test_a_count_beyond_float_range_raises():
+    # exp(800) overflows to inf, which no integer count can hold
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        generate_columns(_spec(fields=(FieldSpec("F", 10, 800.0, 1.0),)))
+
+
+@pytest.mark.parametrize("discretization", DISCRETIZATIONS)
+def test_columns_hold_each_fields_values(discretization):
+    spec = _spec(discretization=discretization, zero_inflation=0.1)
+    columns = generate_columns(spec)
+    expected = np.concatenate([field_values(spec, i) for i in range(len(spec.fields))])
+    assert columns.reads == expected.tolist()
+    assert {type(r) for r in columns.reads} == {float if discretization == "none" else int}
+    assert set(columns.years) == {2010} and set(columns.cites) == {None}
 
 
 def test_fit_recovers_parameters_on_undiscretized_fields():
