@@ -16,7 +16,6 @@ unreadable inputs, broken schemas or an unreachable provider abort.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import numbers
@@ -33,6 +32,7 @@ from .ingest import (
     Columns,
     IngestError,
     IngestReport,
+    gc_paused,
     parse_columns,
     parse_corpus,
     validate,
@@ -213,8 +213,10 @@ def _load_columns(paths: Sequence[str], years: Sequence[int] | None) -> Columns:
     return columns
 
 
+@gc_paused
 def _load_strata(paths: Sequence[str], years: Sequence[int] | None) -> Strata:
-    """The inputs as one columnar corpus, grouped by (field, year)."""
+    """The inputs as one columnar corpus, grouped by (field, year); loading
+    makes no reference cycles, so it runs with the garbage collector paused."""
     import numpy as np
 
     from .corpus import Corpus, stratify
@@ -261,6 +263,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_synth(args) -> int:
     """Generate a corpus from a JSON spec; same spec + seed = same bytes."""
+    import dataclasses
+
     from .synth import SynthSpec, generate_columns, generator_metadata
 
     spec = SynthSpec.load(args.spec)
@@ -686,9 +690,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if getattr(args, "z", None):
+        labels: dict[str, float] = {}  # the z label of the topz_shares file names -> its --z
         for z in args.z:
             if not 0.0 < z < 100.0:
                 parser.error(f"--z must lie in (0, 100), got {z:g}")
+            label = f"{z:g}"
+            if label in labels:
+                parser.error(f"--z {labels[label]!r} and --z {z!r} would both write the z{label} tables")
+            labels[label] = z
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not 0.0 < alpha < 1.0:
         parser.error(f"--alpha must lie in (0, 1), got {alpha:g}")

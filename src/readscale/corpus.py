@@ -14,14 +14,13 @@ trimming, case preserved, so distinct categories never merge silently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import YEAR_MAX, YEAR_MIN, repeated_positions  # noqa: F401 -- exported here too
+from .ingest import YEAR_MAX, YEAR_MIN, Columns, repeated_positions  # noqa: F401 -- exported here too
 
 
 class EmptyCorpusError(ValueError):
@@ -36,8 +35,7 @@ class DuplicateIdError(ValueError):
         super().__init__(f"duplicate record ids: {', '.join(self.ids)}")
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
+class PublicationRecord(NamedTuple):
     """One article.
 
     Attributes
@@ -66,23 +64,33 @@ class PublicationRecord:
     cites: int | None = None
 
 
-@dataclass(frozen=True, order=True)
-class GroupKey:
-    """A (field, year) stratum key. Field labels are trimmed, nothing more."""
-
+class _GroupKey(NamedTuple):
     field: str
     year: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "field", self.field.strip())
+
+class GroupKey(_GroupKey):
+    """A (field, year) stratum key, ordered by field, then year. Field labels
+    are trimmed, nothing more."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: str, year: int) -> "GroupKey":
+        return super().__new__(cls, field.strip(), year)
+
+    @classmethod
+    def _make(cls, values) -> "GroupKey":  # so that _replace trims too
+        return cls(*values)
 
 
-@dataclass(frozen=True)
 class Group:
     """The records of one (field, year) stratum, in input order."""
 
-    key: GroupKey
-    records: tuple[PublicationRecord, ...]
+    __slots__ = ("key", "records")
+
+    def __init__(self, key: GroupKey, records: tuple[PublicationRecord, ...]):
+        self.key = key
+        self.records = records
 
     @property
     def reads(self) -> np.ndarray:
@@ -100,8 +108,7 @@ class Group:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     """Summary statistics of one stratum.
 
     ``r_mean`` is the arithmetic mean of all reads in the group, zeros
@@ -115,7 +122,6 @@ class GroupStats:
     zero_share: float
 
 
-@dataclass(frozen=True, eq=False)
 class Corpus:
     """Publication records as parallel columns, one row per record.
 
@@ -126,13 +132,23 @@ class Corpus:
     NaN where a record has none.
     """
 
-    ids: np.ndarray
-    fields: np.ndarray
-    labels: tuple[str, ...]
-    years: np.ndarray
-    reads: np.ndarray
-    real: np.ndarray
-    cites: np.ndarray
+    def __init__(
+        self,
+        ids: np.ndarray,
+        fields: np.ndarray,
+        labels: tuple[str, ...],
+        years: np.ndarray,
+        reads: np.ndarray,
+        real: np.ndarray,
+        cites: np.ndarray,
+    ):
+        self.ids = ids
+        self.fields = fields
+        self.labels = labels
+        self.years = years
+        self.reads = reads
+        self.real = real
+        self.cites = cites
 
     @classmethod
     def from_columns(
@@ -144,34 +160,79 @@ class Corpus:
         cites: Sequence[int | None],
     ) -> "Corpus":
         """Build from one sequence per record attribute (``cites`` may hold None)."""
-        trimmed = {f: f.strip() for f in set(fields)}
-        labels = tuple(sorted(set(trimmed.values())))
-        code = {label: i for i, label in enumerate(labels)}
-        codes = {f: code[label] for f, label in trimmed.items()}
-        n = len(ids)
+        codes, labels = _coded(fields)
         try:
             year_column = np.array(years, dtype=np.int64)
         except OverflowError:
             raise ValueError("a year does not fit in 64 bits") from None
         return cls(
             ids=np.array(ids, dtype=object),
-            fields=np.fromiter(map(codes.__getitem__, fields), np.int64, n),
+            fields=codes,
             labels=labels,
             years=year_column,
             reads=np.array(reads, dtype=float),
-            real=np.fromiter(map(isinstance, reads, repeat((float, np.floating))), bool, n),
+            real=np.fromiter(map(isinstance, reads, repeat((float, np.floating))), bool, len(ids)),
             cites=np.array(cites, dtype=float),  # None becomes NaN
         )
 
     @classmethod
-    def from_records(cls, records: Sequence[PublicationRecord]) -> "Corpus":
-        return cls.from_columns(
-            [r.id for r in records],
-            [r.field for r in records],
-            [r.year for r in records],
-            [r.reads for r in records],
-            [r.cites for r in records],
+    def from_json_columns(
+        cls, ids: list, fields: list, years: list, reads: list, cites: list
+    ) -> "Corpus | None":
+        """The corpus of line-JSON values as the decoder made them, or None
+        when a row needs the per-row path of :mod:`readscale.ingest`: an id or
+        field that is not a non-empty string, a year that is not a 64-bit
+        integer, reads that are not a finite non-negative int or float (a bool,
+        a null or a string among them), or cites that are not a non-negative
+        int or null. The result equals :meth:`from_columns` of what the
+        per-row path makes of the same rows.
+
+        The years' type is read off their array's dtype; the reads' type set,
+        which tells a bool from an int, also says whether any row is real.
+        """
+        n = len(ids)
+        try:
+            id_column = np.fromiter(map(str.strip, ids), object, n)  # TypeError: a non-string id
+            names = set(fields)  # TypeError: an unhashable field
+            year_column = np.array(years)  # ValueError: nested lists of uneven length
+        except (TypeError, ValueError):
+            return None
+        if not (all(ids) and set(map(type, names)) <= {str} and "" not in names):
+            return None
+        # numpy takes bools beside ints as int64, and the per-row path reads
+        # a bool year as its int: the same value
+        if year_column.dtype != np.int64 or year_column.shape != (n,):
+            return None
+        kinds = set(map(type, reads))
+        if not kinds <= {int, float}:
+            return None
+        try:
+            read_column = np.array(reads, dtype=float)
+        except OverflowError:  # an int beyond float range, which the per-row path rejects
+            return None
+        if not np.isfinite(read_column).all() or (read_column < 0).any():
+            return None
+        if float in kinds:
+            real = np.fromiter(map(isinstance, reads, repeat(float)), bool, n)
+        else:
+            real = np.zeros(n, dtype=bool)
+        if cites.count(None) == n:
+            cite_column = np.full(n, np.nan)
+        elif set(map(type, cites)) <= {int, type(None)}:
+            cite_column = np.array(cites, dtype=float)  # None becomes NaN
+            if (cite_column < 0).any():
+                return None
+        else:
+            return None
+        codes, labels = _coded(fields)
+        return cls(
+            ids=id_column, fields=codes, labels=labels,
+            years=year_column, reads=read_column, real=real, cites=cite_column,
         )
+
+    @classmethod
+    def from_records(cls, records: Sequence[PublicationRecord]) -> "Corpus":
+        return cls.from_columns(*Columns.from_records(records))
 
     @classmethod
     def concat(cls, parts: Sequence["Corpus"]) -> "Corpus":
@@ -211,20 +272,30 @@ class Corpus:
         return rank
 
 
-@dataclass(frozen=True, eq=False)
+def _coded(fields: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each field's code into the sorted table of trimmed labels, and the table."""
+    trimmed = {f: f.strip() for f in set(fields)}
+    labels = tuple(sorted(set(trimmed.values())))
+    code = {label: i for i, label in enumerate(labels)}
+    codes = {f: code[label] for f, label in trimmed.items()}
+    return np.fromiter(map(codes.__getitem__, fields), np.int64, len(fields)), labels
+
+
 class Stratum:
     """One stratum of a :class:`Strata`: its key and its reads, as
     :attr:`Group.reads` has them (int64, or float64 once any value is real),
     read-only."""
 
-    key: GroupKey
-    reads: np.ndarray
+    __slots__ = ("key", "reads")
+
+    def __init__(self, key: GroupKey, reads: np.ndarray):
+        self.key = key
+        self.reads = reads
 
     def __len__(self) -> int:
         return self.reads.size
 
 
-@dataclass(frozen=True, eq=False)
 class Strata:
     """A corpus grouped by (field, year).
 
@@ -234,10 +305,13 @@ class Strata:
     gives each row's input position.
     """
 
-    corpus: Corpus
-    keys: tuple[GroupKey, ...]
-    bounds: np.ndarray
-    positions: np.ndarray
+    def __init__(
+        self, corpus: Corpus, keys: tuple[GroupKey, ...], bounds: np.ndarray, positions: np.ndarray
+    ):
+        self.corpus = corpus
+        self.keys = keys
+        self.bounds = bounds
+        self.positions = positions
 
     def __iter__(self) -> Iterator[Stratum]:
         return iter(self._strata)
@@ -263,16 +337,26 @@ class Strata:
         :mod:`readscale.topz` and reused for every z."""
         return {}
 
+    @cached_property
+    def _years(self) -> dict[int, "Strata"]:
+        return {}
+
     def of_year(self, year: int) -> "Strata":
-        """The strata of one year, taken as a corpus of their own in stratum order."""
-        keep = [i for i, key in enumerate(self.keys) if key.year == year]
-        sizes = np.diff(self.bounds)[keep]
-        return Strata(
-            corpus=self.corpus.take(self.corpus.years == year),
-            keys=tuple(self.keys[i] for i in keep),
-            bounds=np.concatenate(([0], np.cumsum(sizes))),
-            positions=np.arange(sizes.sum()),
-        )
+        """The strata of one year, taken as a corpus of their own in stratum
+        order; built once per year and kept, with its strata shared with these."""
+        strata = self._years.get(year)
+        if strata is None:
+            keep = [i for i, key in enumerate(self.keys) if key.year == year]
+            sizes = np.diff(self.bounds)[keep]
+            strata = self._years[year] = Strata(
+                corpus=self.corpus.take(self.corpus.years == year),
+                keys=tuple(self.keys[i] for i in keep),
+                bounds=np.concatenate(([0], np.cumsum(sizes))),
+                positions=np.arange(sizes.sum()),
+            )
+            # the year's rows come in the same order here, so its strata are these
+            strata._strata = tuple(map(self._strata.__getitem__, keep))
+        return strata
 
 
 def stratify(corpus: Corpus) -> Strata:
@@ -288,8 +372,8 @@ def stratify(corpus: Corpus) -> Strata:
     if not len(corpus):
         raise EmptyCorpusError("cannot group an empty corpus")
     ids = corpus.ids.tolist()
-    repeats = repeated_positions(ids)
-    if repeats:
+    if len(set(ids)) < len(ids):
+        repeats = repeated_positions(ids)
         raise DuplicateIdError(list(dict.fromkeys(ids[pos] for pos in repeats)))
     order = np.lexsort((corpus.years, corpus.fields))
     rows = corpus.take(order)

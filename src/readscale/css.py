@@ -11,8 +11,7 @@ distributions, largely independent of field and year.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ __all__ = [
 CLASS_NAMES = ("I", "II", "III", "IV")
 
 
-@dataclass(frozen=True)
-class CssResult:
+class CssResult(NamedTuple):
     """Class partition induced by a set of characteristic scores.
 
     ``thresholds`` holds the k+1 half-open intervals, ``class_counts`` and

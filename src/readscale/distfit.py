@@ -18,8 +18,7 @@ ties and all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,18 +40,26 @@ class DegenerateSampleError(ValueError):
     """Too few usable values remain after applying the zero policy."""
 
 
-@dataclass(frozen=True)
-class ZeroPolicy:
+class _ZeroPolicy(NamedTuple):
+    mode: str = "exclude"
+
+
+class ZeroPolicy(_ZeroPolicy):
     """How zero counts are treated before taking logs.
 
     ``exclude`` drops them; ``shift-one`` replaces every count r by r + 1.
     """
 
-    mode: str = "exclude"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ZERO_POLICIES:
-            raise ValueError(f"unknown zero policy {self.mode!r}, expected one of {ZERO_POLICIES}")
+    def __new__(cls, mode: str = "exclude") -> "ZeroPolicy":
+        if mode not in ZERO_POLICIES:
+            raise ValueError(f"unknown zero policy {mode!r}, expected one of {ZERO_POLICIES}")
+        return super().__new__(cls, mode)
+
+    @classmethod
+    def _make(cls, values) -> "ZeroPolicy":  # so that _replace checks too
+        return cls(*values)
 
     def apply(self, values: np.ndarray) -> tuple[np.ndarray, int]:
         """Return (retained values, number dropped)."""
@@ -62,8 +69,7 @@ class ZeroPolicy:
         return kept, values.size - kept.size
 
 
-@dataclass(frozen=True)
-class LognormalFit:
+class LognormalFit(NamedTuple):
     """ML fit of the lognormal model.
 
     ``mu`` and ``sigma2`` are the mean and (divisor-n) variance of ln r over

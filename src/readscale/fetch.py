@@ -33,7 +33,6 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -73,15 +72,7 @@ class FetchError(RuntimeError):
     """Provider unreachable after all retries; partial cache is intact."""
 
 
-@dataclass(frozen=True)
-class ProviderConfig:
-    """Where and how to talk to the provider.
-
-    api_key_env names an environment variable; the key itself never
-    appears in config files or flags. rate_limit is the maximum number
-    of requests per second, enforced across all worker threads.
-    """
-
+class _ProviderConfig(NamedTuple):
     base_url: str
     api_key_env: str = "READSCALE_API_KEY"
     batch_size: int = 50
@@ -89,7 +80,19 @@ class ProviderConfig:
     max_retries: int = 3
     min_match_probability: float = 0.90
 
-    def __post_init__(self):
+
+class ProviderConfig(_ProviderConfig):
+    """Where and how to talk to the provider.
+
+    api_key_env names an environment variable; the key itself never
+    appears in config files or flags. rate_limit is the maximum number
+    of requests per second, enforced across all worker threads.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ProviderConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.base_url:
             raise ValueError("base_url must be non-empty")
         if self.batch_size < 1:
@@ -100,6 +103,11 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
         if not 0.0 <= self.min_match_probability <= 1.0:
             raise ValueError("min_match_probability must lie in [0, 1]")
+        return self
+
+    @classmethod
+    def _make(cls, values) -> "ProviderConfig":  # so that _replace checks too
+        return cls(*values)
 
 
 class FetchResult(NamedTuple):

@@ -20,11 +20,10 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter, not_
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # readscale.corpus loads numpy, which ingest itself never needs
     from .corpus import Corpus, PublicationRecord
@@ -55,8 +54,7 @@ class SchemaError(IngestError):
         super().__init__(f"missing mandatory column: {column!r}")
 
 
-@dataclass(frozen=True)
-class IngestReport:
+class IngestReport(NamedTuple):
     """Outcome of a parse or validation pass.
 
     ``accepted + rejected`` equals the number of input rows, and
@@ -175,6 +173,45 @@ def _open_text(source) -> IO[str]:
     return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
 
 
+def _lines(stream, source) -> list[str]:
+    """The lines of a line-JSON stream as iterating over it splits them, read in
+    one call; a caller's own text stream, whose line breaks are its own
+    choice, is iterated."""
+    if stream is source:
+        return list(stream)
+    text = stream.read()
+    if "\r" in text:  # opened with newline="", the stream breaks lines at "\r\n", "\r" and "\n"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def _parse(source, format: str, delimiter: str, bulk: Callable) -> tuple[object, list]:
+    """The records of ``source`` and the ``(line, reason)`` pairs of the rows
+    skipped. A line-JSON file whose rows :func:`_json_columns` decodes in bulk
+    and ``bulk`` takes gives what ``bulk`` made of its columns; every other
+    file gives :class:`Columns`."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
+    stream = _open_text(source)
+    try:
+        if format == "delimited":
+            return _parse_delimited(stream, delimiter)
+        lines = _lines(stream, source)
+        parsed = _decode_line_json(lines, bulk)
+        if parsed is not None:
+            return parsed, []
+        return _parse_line_json_rows(lines)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"input is not valid UTF-8: {exc}") from exc
+    finally:
+        if isinstance(source, (str, Path)):
+            stream.close()
+
+
+def _report(accepted: int, diagnostics: list) -> IngestReport:
+    return IngestReport(accepted, len(diagnostics), tuple(diagnostics))
+
+
 @gc_paused
 def parse_columns(
     source,
@@ -188,22 +225,8 @@ def parse_columns(
     :class:`SchemaError` if a mandatory column is absent and
     :class:`IngestError` if the stream cannot be decoded as UTF-8.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    stream = _open_text(source)
-    try:
-        if format == "delimited":
-            columns, diagnostics = _parse_delimited(stream, delimiter)
-        else:
-            columns, diagnostics = _parse_line_json(list(stream))
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"input is not valid UTF-8: {exc}") from exc
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
-    return columns, IngestReport(
-        accepted=len(columns[0]), rejected=len(diagnostics), diagnostics=tuple(diagnostics)
-    )
+    columns, diagnostics = _parse(source, format, delimiter, _plain_columns)
+    return columns, _report(len(columns.ids), diagnostics)
 
 
 def parse_records(
@@ -218,16 +241,20 @@ def parse_records(
     return list(map(PublicationRecord, *columns)), report
 
 
+@gc_paused
 def parse_corpus(
     source,
     format: str = "delimited",
     delimiter: str = ",",
 ) -> tuple[Corpus, IngestReport]:
-    """:func:`parse_columns`, with the records as a :class:`Corpus`."""
+    """:func:`parse_columns`, with the records as a :class:`Corpus`; a
+    line-JSON file decoded in bulk goes from its decoded values to the
+    corpus's arrays in one pass (:meth:`Corpus.from_json_columns`)."""
     from .corpus import Corpus
 
-    columns, report = parse_columns(source, format, delimiter)
-    return Corpus.from_columns(*columns), report
+    parsed, diagnostics = _parse(source, format, delimiter, Corpus.from_json_columns)
+    corpus = parsed if isinstance(parsed, Corpus) else Corpus.from_columns(*parsed)
+    return corpus, _report(len(corpus), diagnostics)
 
 
 def _columns(rows: list[tuple]) -> Columns:
@@ -300,13 +327,6 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
     return columns, diagnostics
 
 
-def _parse_line_json(lines: list[str]) -> tuple[Columns, list]:
-    columns = _decode_line_json(lines)
-    if columns is not None:
-        return columns, []
-    return _parse_line_json_rows(lines)
-
-
 def decode_line_chunks(lines: list[str], keys: frozenset[str]):
     """Decode line-JSON objects with one ``json.loads`` per chunk of lines.
 
@@ -328,7 +348,10 @@ def decode_line_chunks(lines: list[str], keys: frozenset[str]):
 
 
 def _flat_objects(lines: list[str], keys: frozenset[str]) -> list[dict] | None:
-    if not all(map(str.startswith, map(str.lstrip, lines), repeat("{"))):
+    # first characters alone tell, unless some line opens with blanks
+    if set(map(itemgetter(0), lines)) != {"{"} and not all(
+        map(str.startswith, map(str.lstrip, lines), repeat("{"))
+    ):
         return None
     text = ",\n".join(lines)
     try:
@@ -345,30 +368,39 @@ def _flat_objects(lines: list[str], keys: frozenset[str]) -> list[dict] | None:
     return rows
 
 
-def _decode_line_json(lines: list[str]) -> Columns | None:
-    """The columns of a line-JSON file decoded in chunks (see
-    :func:`decode_line_chunks`) and checked in bulk, or None when some row
-    needs the per-row path: a line that is not one flat object, a missing or
-    empty value, a value of another type than a plain string id and field,
-    integer year, integer or float reads and integer cites (so a bool, a
-    null, a numeric string or a float year), or a negative or non-finite count.
-    """
+def _json_columns(lines: list[str]) -> tuple[tuple[list, ...], set[str]] | None:
+    """The (ids, fields, years, reads, cites) values of a line-JSON file as
+    decoded in chunks (see :func:`decode_line_chunks`), cites None where a row
+    has none, and the keys outside :data:`KNOWN_COLUMNS` of the first row that
+    has any; None when a line is not one flat object or lacks a mandatory key."""
     lines = list(filter(str.strip, lines))
     columns: tuple[list, ...] = ([], [], [], [], [])
     unknown: set[str] = set()
+    width = len(MANDATORY_COLUMNS) + 1  # the keys of a row with cites and no other
     for _, rows in decode_line_chunks(lines, KNOWN_COLUMNS):
         if rows is None:
             return None
         try:
             for column, key in zip(columns, MANDATORY_COLUMNS):
-                column.extend([row[key] for row in rows])
+                column.extend(map(itemgetter(key), rows))
         except KeyError:
             return None
-        columns[4].extend([row.get("cites") for row in rows])
-        if not unknown and not KNOWN_COLUMNS.issuperset(set().union(*rows)):
-            extra = next(row for row in rows if not row.keys() <= KNOWN_COLUMNS)
-            unknown = extra.keys() - KNOWN_COLUMNS
-    ids, fields, years, reads, cites = columns
+        cites = list(map(dict.get, rows, repeat("cites")))
+        columns[4].extend(cites)
+        # a null cites, counted as no cites, sends the chunk to the key scan too
+        if not unknown and sum(map(len, rows)) != width * len(rows) - cites.count(None):
+            if not KNOWN_COLUMNS.issuperset(set().union(*rows)):
+                extra = next(row for row in rows if not row.keys() <= KNOWN_COLUMNS)
+                unknown = extra.keys() - KNOWN_COLUMNS
+    return columns, unknown
+
+
+def _plain_columns(ids: list, fields: list, years: list, reads: list, cites: list) -> Columns | None:
+    """The decoded values as :class:`Columns`, or None when some row needs
+    the per-row path: a missing or empty value, a value of another type than
+    a plain string id and field, integer year, integer or float reads and
+    integer cites (so a bool, a null, a numeric string or a float year), or a
+    negative or non-finite count."""
     try:
         plain = (
             _types(ids) <= {str} and all(ids)
@@ -384,9 +416,21 @@ def _decode_line_json(lines: list[str]) -> Columns | None:
         return None
     if not plain:
         return None
-    if unknown:
-        log.warning("ignoring unknown keys: %s", ", ".join(sorted(unknown)))
     return Columns(list(map(str.strip, ids)), list(map(str.strip, fields)), years, reads, cites)
+
+
+def _decode_line_json(lines: list[str], bulk: Callable = _plain_columns):
+    """What ``bulk`` makes of the columns of a line-JSON file decoded by
+    :func:`_json_columns`, or None when some row needs the per-row path: the
+    file does not decode in bulk, or ``bulk`` declines its values."""
+    decoded = _json_columns(lines)
+    if decoded is None:
+        return None
+    columns, unknown = decoded
+    parsed = bulk(*columns)
+    if parsed is not None and unknown:
+        log.warning("ignoring unknown keys: %s", ", ".join(sorted(unknown)))
+    return parsed
 
 
 def _types(values: list) -> set[type]:

@@ -9,9 +9,8 @@ sample at least as large as each distinct value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +32,7 @@ class AllUnreadGroupError(ValueError):
     """Every count in the group is zero, so the rescaling divisor vanishes."""
 
 
-@dataclass(frozen=True)
-class RescaledSample:
+class RescaledSample(NamedTuple):
     """One stratum's counts divided by its internal mean ``r0``."""
 
     key: GroupKey
@@ -42,8 +40,7 @@ class RescaledSample:
     r0: float
 
 
-@dataclass(frozen=True)
-class CcdfCurve:
+class CcdfCurve(NamedTuple):
     """Empirical complementary CDF.
 
     ``points`` has one row (x, p) per distinct sample value, ascending in x,

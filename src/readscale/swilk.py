@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +53,7 @@ class ZeroVarianceError(ValueError):
     """All sample values identical; W is undefined."""
 
 
-@dataclass(frozen=True)
-class SwTestResult:
+class SwTestResult(NamedTuple):
     """W statistic, p-value, sample size and the rejection decision.
 
     ``reject`` is evaluated against the threshold the caller supplied

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ log = logging.getLogger(__name__)
 VARIANTS = ("original", "rescaled")
 
 
-@dataclass(frozen=True)
-class TopZReport:
+class TopZReport(NamedTuple):
     """Per-field shares of the global top z% and the tolerance verdict."""
 
     z: float

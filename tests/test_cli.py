@@ -315,6 +315,24 @@ def test_topz_out_of_range_z_is_a_usage_error(two_field_corpus, tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "zs, message",
+    [
+        (("5", "5.000001"), "--z 5.0 and --z 5.000001 would both write the z5 tables"),
+        (("5", "5"), "--z 5.0 and --z 5.0 would both write the z5 tables"),
+        (("10", "7", "1e1"), "--z 10.0 and --z 10.0 would both write the z10 tables"),
+    ],
+)
+def test_topz_z_values_sharing_a_file_label_are_a_usage_error(two_field_corpus, tmp_path, capsys, zs, message):
+    # both would write topz_shares_<year>_z<label>_<variant>, the second over the first
+    with pytest.raises(SystemExit) as info:
+        main(["topz", "--input", two_field_corpus, "--out", str(tmp_path / "out")]
+             + [arg for z in zs for arg in ("--z", z)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_alpha_out_of_range_is_a_usage_error(two_field_corpus, tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["fit", "--input", two_field_corpus, "--out", str(tmp_path), "--alpha", "1.5"])
@@ -869,6 +887,44 @@ def test_importing_the_cli_loads_neither_numpy_nor_an_analysis_module():
         "assert not loaded, loaded\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_command_imports_leave_dataclasses_unloaded():
+    # building dataclasses costs start-up 10-15 ms, and importing dataclasses
+    # loads inspect; ingest and fetch load neither, the analysis commands no
+    # dataclasses (numpy itself imports inspect)
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    analysis = ", ".join(f"readscale.{name}" for name in ANALYSIS_MODULES if name != "synth")
+    code = (
+        "import sys\n"
+        "import readscale.cli, readscale.ingest, readscale.fetch\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        f"import {analysis}\n"
+        "assert 'dataclasses' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_report_builds_each_stratum_once(tmp_path, monkeypatch):
+    # collapse, css and topz each take every year's strata; the years share
+    # the strata the corpus was grouped into
+    built = []
+    init = corpus_mod.Stratum.__init__
+
+    def counting(self, key, reads):
+        built.append(key)
+        init(self, key, reads)
+
+    monkeypatch.setattr(corpus_mod.Stratum, "__init__", counting)
+    records = [
+        r for year in (2010, 2011) for field in ("A", "B", "C")
+        for r in make_records([1, 4, 2, 7], field, year, prefix=f"{field}{year}")
+    ]
+    corpus = write_corpus(tmp_path / "c.jsonl", records)
+    assert main(["report", "--input", corpus, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(built) == [GroupKey(f, y) for f in ("A", "B", "C") for y in (2010, 2011)]
 
 
 def test_ingest_and_fetch_run_without_numpy(tmp_path, stub_provider):

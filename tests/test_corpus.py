@@ -152,3 +152,20 @@ def test_concat_merges_label_tables():
 def test_year_beyond_64_bits_is_a_value_error():
     with pytest.raises(ValueError, match="64 bits"):
         Corpus.from_records([PublicationRecord("y1", "A", 10**19, 3)])
+
+
+def test_of_year_is_built_once_and_shares_its_strata():
+    records = (
+        make_records([3, 1], "A", 2010, prefix="a10")
+        + make_records([5], "B", 2011, prefix="b11")
+        + make_records([2, 8], "A", 2011, prefix="a11")
+    )
+    strata = stratify(Corpus.from_records(records))
+    year = strata.of_year(2011)
+    assert strata.of_year(2011) is year
+    assert year.keys == (GroupKey("A", 2011), GroupKey("B", 2011))
+    assert year.corpus.ids.tolist() == ["a11-0000", "a11-0001", "b11-0000"]
+    assert year.bounds.tolist() == [0, 2, 3] and year.positions.tolist() == [0, 1, 2]
+    assert [s.reads.tolist() for s in year] == [[2, 8], [5]]
+    own = dict(zip(strata.keys, strata))
+    assert all(s is own[s.key] for s in year)

@@ -13,11 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readscale import ingest
-from readscale.corpus import PublicationRecord
+from readscale.corpus import Corpus, PublicationRecord
 from readscale.ingest import (
     IngestError,
     IngestReport,
     SchemaError,
+    parse_corpus,
     parse_records,
     validate,
     write_diagnostics,
@@ -328,6 +329,59 @@ def test_line_json_fast_path_equals_per_row_path(chunk_lines, lines, end):
     assert list(map(repr, records)) == list(map(repr, map(PublicationRecord, *columns)))
     assert report == IngestReport(len(records), len(diagnostics), tuple(diagnostics))
     assert fast_log == row_log
+
+
+def _corpus_or_error(fn, *args):
+    """The corpus's columns, dtypes and bits included (repr tells -0.0 from
+    0.0, tobytes tells NaNs apart), or the ValueError ``fn`` raised."""
+    try:
+        corpus = fn(*args)
+    except ValueError as exc:
+        return repr(exc)
+    if isinstance(corpus, tuple):
+        corpus, report = corpus
+        assert report.accepted == len(corpus)
+    columns = (corpus.ids, corpus.fields, corpus.years, corpus.reads, corpus.real, corpus.cites)
+    return (
+        corpus.labels, [(c.dtype.str, c.shape, repr(c.tolist()), c.tobytes()) for c in columns[1:]],
+        repr(corpus.ids.tolist()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lines(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+# values the one-pass corpus build must leave to the per-row path or read as
+# it does: bool reads beside ints, ints beyond int64 and beyond float range,
+# a bool year and bool cites (which the per-row path reads as 1), and ints
+# beside reals, whose rows alone are flagged real
+@example([_reads_line(1), _reads_line(True)], "\n", True)
+@example([_reads_line(2**63), _reads_line(2**70), _reads_line(10**400)], "\n", True)
+@example([_reads_line(1), _reads_line(2.5), _reads_line(-0.0)], "\r\n", False)
+@example([json.dumps({"id": "y", "field": "A", "year": True, "reads": 1, "cites": True})], "\n", True)
+@pytest.mark.parametrize("chunk_lines", [ingest._CHUNK_LINES, 3])
+def test_line_json_corpus_equals_per_row_corpus(chunk_lines, lines, newline, last):
+    text = newline.join(lines) + (newline if last else "")
+    with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+        fast, fast_log = _logged(
+            _corpus_or_error, parse_corpus, io.BytesIO(text.encode("utf-8")), "line-json"
+        )
+    # a file read with newline="" breaks lines at "\r\n", "\r" and "\n"
+    (columns, _), row_log = _logged(
+        ingest._parse_line_json_rows, io.StringIO(text, newline="").readlines()
+    )
+    assert fast == _corpus_or_error(Corpus.from_columns, *columns)
+    assert fast_log == row_log
+
+
+def test_line_json_corpus_reports_per_row_rejections_with_line_numbers(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        _reads_line(1) + "\r\n" + _reads_line(True) + "\r" + "\r\n" + _reads_line(-1) + "\n",
+        encoding="utf-8",
+    )
+    corpus, report = parse_corpus(path, format="line-json")
+    assert corpus.reads.tolist() == [1.0]
+    assert report == IngestReport(1, 2, ((2, "invalid reads True"), (4, "negative reads")))
 
 
 @settings(max_examples=100, deadline=None)
