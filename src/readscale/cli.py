@@ -19,7 +19,11 @@ import argparse
 import json
 import logging
 import numbers
+import os
 import sys
+import threading
+from bisect import bisect_left
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from pathlib import Path
@@ -35,6 +39,7 @@ from .ingest import (
     gc_paused,
     parse_columns,
     parse_corpus,
+    parse_numbered,
     validate,
     write_diagnostics,
     write_records,
@@ -56,6 +61,9 @@ DEFAULT_Z = (5.0, 10.0, 20.0)
 
 # subcommands that take the corpus's (field, year) strata, loaded once in main
 ANALYSIS_COMMANDS = ("fit", "collapse", "css", "topz", "report")
+
+# the variables by which a user sets the threads of numpy's OpenBLAS
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +185,19 @@ def _input_format(path: Path) -> tuple[str, str]:
     return "delimited", ","
 
 
-def _parse_inputs(paths: Sequence[str], parse: Callable) -> tuple[list, list]:
-    """What ``parse`` (``parse_columns`` or ``parse_corpus``) makes of each
-    input file, and the rejections as ``(line, "<file>: <reason>")``."""
+def _parse_inputs(paths: Sequence[str], parse: Callable) -> list[tuple]:
+    """``(path, *parse(path))`` for each input file: what ``parse``
+    (``parse_columns``, ``parse_numbered`` or ``parse_corpus``) makes of it,
+    its :class:`IngestReport` second."""
     parsed = []
-    diagnostics: list[tuple[int, str]] = []
     for p in paths:
         path = Path(p)
         fmt, delimiter = _input_format(path)
-        result, report = parse(path, format=fmt, delimiter=delimiter)
-        if report.rejected:
-            log.warning("%s: skipped %d malformed rows", path, report.rejected)
-        diagnostics.extend(
-            (lineno, f"{path.name}: {reason}") for lineno, reason in report.diagnostics
-        )
-        parsed.append(result)
-    return parsed, diagnostics
+        result = parse(path, format=fmt, delimiter=delimiter)
+        if result[1].rejected:
+            log.warning("%s: skipped %d malformed rows", path, result[1].rejected)
+        parsed.append((path, *result))
+    return parsed
 
 
 def _no_records(years: Sequence[int] | None) -> EmptyCorpusError:
@@ -203,14 +208,23 @@ def _no_records(years: Sequence[int] | None) -> EmptyCorpusError:
 
 def _load_columns(paths: Sequence[str], years: Sequence[int] | None) -> Columns:
     """The records of the inputs as parsed, in input order, as :class:`Columns`."""
-    parts, _ = _parse_inputs(paths, parse_columns)
-    columns = Columns.concat(parts)
+    columns = Columns.concat([part for _, part, _ in _parse_inputs(paths, parse_columns)])
     if years:
         wanted = set(years)
         columns = columns.take(year in wanted for year in columns.years)
     if not columns.ids:
         raise _no_records(years)
     return columns
+
+
+def _one_blas_thread() -> None:
+    """Have numpy's OpenBLAS, once numpy loads, start no thread of its own,
+    unless the user chose a thread count. OpenBLAS otherwise starts a thread
+    per CPU, which spins on the other CPU and which a forked worker lacks,
+    while readscale's only BLAS calls, swilk's dot products of at most 5000
+    values, run on one thread anyway."""
+    if "numpy" not in sys.modules and not any(map(os.environ.__contains__, BLAS_THREAD_VARIABLES)):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 @gc_paused
@@ -221,8 +235,7 @@ def _load_strata(paths: Sequence[str], years: Sequence[int] | None) -> Strata:
 
     from .corpus import Corpus, stratify
 
-    parts, _ = _parse_inputs(paths, parse_corpus)
-    corpus = Corpus.concat(parts)
+    corpus = Corpus.concat([part for _, part, _ in _parse_inputs(paths, parse_corpus)])
     if years:
         corpus = corpus.take(np.isin(corpus.years, years))
     if not len(corpus):
@@ -238,11 +251,21 @@ def cmd_ingest(args) -> int:
     """Normalize raw inputs into one validated line-JSON corpus."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    parts, diagnostics = _parse_inputs(args.input, parse_columns)
-    columns = Columns.concat(parts)
+    files = _parse_inputs(args.input, parse_numbered)
+    diagnostics = [
+        (line, f"{path.name}: {reason}")
+        for path, _, report, _ in files for line, reason in report.diagnostics
+    ]
+    columns = Columns.concat([part for _, part, _, _ in files])
 
+    # validate numbers the rows by position in all inputs; each finding takes
+    # its row's file and line, as the parse rejections do
     check = validate(columns)
-    diagnostics.extend(check.diagnostics)
+    ends = list(accumulate(len(part.ids) for _, part, _, _ in files))
+    for pos, reason in check.diagnostics:
+        i = bisect_left(ends, pos)
+        path, _, _, lines = files[i]
+        diagnostics.append((lines[pos - 1 - (ends[i - 1] if i else 0)], f"{path.name}: {reason}"))
     flagged = {pos for pos, _ in check.diagnostics}
     years = set(args.year or ())
     kept = columns.take(
@@ -347,8 +370,8 @@ _FIT_RENDER = {
 def cmd_fit(args, strata: Strata) -> int:
     """Per-stratum lognormal fits with a Bonferroni-corrected normality test."""
     from .corpus import group_stats
-    from .distfit import DegenerateSampleError, ZeroPolicy, fit_lognormal, test_lognormality
-    from .swilk import UnsupportedSizeError, ZeroVarianceError
+    from .distfit import DegenerateSampleError, ZeroPolicy, fit_logs, log_sample
+    from .swilk import UnsupportedSizeError, ZeroVarianceError, shapiro_wilk
 
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
     rows: list[dict] = []
@@ -360,15 +383,15 @@ def cmd_fit(args, strata: Strata) -> int:
             "r0": stats.r_mean, "r_max": stats.r_max,
         }
         notes = []
-        reads = stratum.reads
+        # the fit and the normality test take the same logs
+        logs, n_dropped = log_sample(stratum.reads, policy)
         try:
-            fit = fit_lognormal(reads, policy)
+            fit = fit_logs(logs, n_dropped)
             row.update(mu=fit.mu, sigma2=fit.sigma2, loglik=fit.loglik)
         except (DegenerateSampleError, ZeroVarianceError) as exc:
             notes.append(f"fit failed: {exc}")
         try:
-            test = test_lognormality(reads, policy, alpha=args.alpha, m=1)
-            row["sw_p"] = test.p
+            row["sw_p"] = shapiro_wilk(logs).p
         except (UnsupportedSizeError, ZeroVarianceError) as exc:
             notes.append(f"normality test failed: {exc}")
         row["note"] = "; ".join(notes)
@@ -565,11 +588,57 @@ def cmd_topz(args, strata: Strata) -> int:
     return 0
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return 1
+
+
+def _forks() -> bool:
+    """Whether ``report`` runs collapse in a forked worker: the platform
+    forks, the process may run on two CPUs or more, and no other thread
+    runs, which a forked child would lack."""
+    return hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1
+
+
+def _report_forked(args, strata: Strata) -> int:
+    """The four stages of ``report``: collapse in a forked
+    :class:`~readscale.worker.Worker`, fit, css and topz here. Log records
+    and failures come out as in sequence: fit's, collapse's, then css's and
+    topz's, held until collapse's are out."""
+    from .worker import Worker, held_records, replay
+
+    worker = Worker(cmd_collapse, args, strata)
+    try:
+        code = cmd_fit(args, strata)
+        failure = None
+        with held_records() as held:
+            try:
+                for command in (cmd_css, cmd_topz):
+                    code = max(code, command(args, strata))
+            except Exception as exc:  # raised after collapse's outcome, which comes first
+                failure = exc
+        code = max(code, worker.join())
+        replay(held)
+        if failure is not None:
+            raise failure
+        return code
+    finally:
+        worker.stop()
+
+
 def cmd_report(args, strata: Strata) -> int:
-    """fit + collapse + css + topz over the same corpus and flags."""
-    code = 0
-    for command in (cmd_fit, cmd_collapse, cmd_css, cmd_topz):
-        code = max(code, command(args, strata))
+    """fit + collapse + css + topz over the same corpus and flags; collapse
+    runs in a forked worker where :func:`_forks` allows, with the same
+    output, log and exit code as in sequence."""
+    if _forks():
+        code = _report_forked(args, strata)
+    else:
+        code = 0
+        for command in (cmd_fit, cmd_collapse, cmd_css, cmd_topz):
+            code = max(code, command(args, strata))
     print(f"report written to {args.out}")
     return code
 
@@ -718,6 +787,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _validate_args(parser, args)
     try:
         if args.command in ANALYSIS_COMMANDS:
+            _one_blas_thread()
             return args.func(args, _load_strata(args.input, args.year))
         return args.func(args)
     except (IngestError, OSError, ValueError) as exc:

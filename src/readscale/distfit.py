@@ -95,6 +95,39 @@ class LognormalFit(NamedTuple):
         return self.sigma2 * math.sqrt(2.0 / self.n_used)
 
 
+def log_sample(reads: Sequence[float], policy: ZeroPolicy = ZeroPolicy()) -> tuple[np.ndarray, int]:
+    """ln r of the counts that ``policy`` retains, and how many it dropped:
+    the sample that :func:`fit_lognormal` fits and :func:`test_lognormality`
+    tests, for a caller that does both to compute once.
+
+    Raises
+    ------
+    ValueError
+        A count is negative.
+    """
+    values = np.asarray(reads, dtype=float)
+    if values.size and values.min() < 0:
+        raise ValueError("reads must be non-negative")
+    kept, n_dropped = policy.apply(values)
+    return np.log(kept), int(n_dropped)
+
+
+def fit_logs(logs: np.ndarray, n_dropped: int = 0) -> LognormalFit:
+    """:func:`fit_lognormal` of the sample that :func:`log_sample` returns."""
+    n = logs.size
+    if n < 2:
+        raise DegenerateSampleError(
+            f"need at least 2 positive values after zero policy, have {n}"
+        )
+    mu = float(logs.mean())
+    sigma2 = float(((logs - mu) ** 2).mean())
+    if sigma2 == 0.0:
+        raise ZeroVarianceError("all retained values are identical")
+    # At the optimum the quadratic term collapses to n/2.
+    loglik = -0.5 * n * math.log(2.0 * math.pi * sigma2) - float(logs.sum()) - 0.5 * n
+    return LognormalFit(mu=mu, sigma2=sigma2, loglik=float(loglik), n_used=n, n_dropped=n_dropped)
+
+
 def fit_lognormal(
     reads: Sequence[float],
     policy: ZeroPolicy = ZeroPolicy(),
@@ -116,25 +149,7 @@ def fit_lognormal(
     ZeroVarianceError
         All retained logs are identical.
     """
-    values = np.asarray(reads, dtype=float)
-    if values.size and values.min() < 0:
-        raise ValueError("reads must be non-negative")
-    kept, n_dropped = policy.apply(values)
-    if kept.size < 2:
-        raise DegenerateSampleError(
-            f"need at least 2 positive values after zero policy, have {kept.size}"
-        )
-    logs = np.log(kept)
-    mu = float(logs.mean())
-    sigma2 = float(np.mean((logs - mu) ** 2))
-    if sigma2 == 0.0:
-        raise ZeroVarianceError("all retained values are identical")
-    n = kept.size
-    # At the optimum the quadratic term collapses to n/2.
-    loglik = -0.5 * n * math.log(2.0 * math.pi * sigma2) - float(logs.sum()) - 0.5 * n
-    return LognormalFit(
-        mu=mu, sigma2=sigma2, loglik=float(loglik), n_used=n, n_dropped=int(n_dropped)
-    )
+    return fit_logs(*log_sample(reads, policy))
 
 
 def test_lognormality(
@@ -151,11 +166,8 @@ def test_lognormality(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    values = np.asarray(reads, dtype=float)
-    if values.size and values.min() < 0:
-        raise ValueError("reads must be non-negative")
-    kept, _ = policy.apply(values)
-    result = shapiro_wilk(np.log(kept))
+    logs, _ = log_sample(reads, policy)
+    result = shapiro_wilk(logs)
     return SwTestResult(
         w=result.w, p=result.p, n=result.n, reject=bool(result.p < alpha / m)
     )

@@ -20,7 +20,7 @@ import io
 import json
 import logging
 import math
-from itertools import compress, repeat
+from itertools import compress, filterfalse, repeat
 from operator import itemgetter, not_
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -185,9 +185,10 @@ def _lines(stream, source) -> list[str]:
     return text.split("\n")
 
 
-def _parse(source, format: str, delimiter: str, bulk: Callable) -> tuple[object, list]:
-    """The records of ``source`` and the ``(line, reason)`` pairs of the rows
-    skipped. A line-JSON file whose rows :func:`_json_columns` decodes in bulk
+def _parse(source, format: str, delimiter: str, bulk: Callable) -> tuple[object, list, Sequence[int]]:
+    """The records of ``source``, the ``(line, reason)`` pairs of the rows
+    skipped and the line number of each record, numbered as the skipped rows
+    are. A line-JSON file whose rows :func:`_json_columns` decodes in bulk
     and ``bulk`` takes gives what ``bulk`` made of its columns; every other
     file gives :class:`Columns`."""
     if format not in FORMATS:
@@ -195,17 +196,31 @@ def _parse(source, format: str, delimiter: str, bulk: Callable) -> tuple[object,
     stream = _open_text(source)
     try:
         if format == "delimited":
-            return _parse_delimited(stream, delimiter)
+            columns, diagnostics = _parse_delimited(stream, delimiter)
+            # line 1 is the header, and blank rows are not numbered
+            numbers: Sequence[int] = range(2, len(columns.ids) + len(diagnostics) + 2)
+            return columns, diagnostics, _unnamed(numbers, diagnostics)
         lines = _lines(stream, source)
-        parsed = _decode_line_json(lines, bulk)
-        if parsed is not None:
-            return parsed, []
-        return _parse_line_json_rows(lines)
+        decoded = _decode_line_json(lines, bulk)
+        if decoded is not None:
+            parsed, rows = decoded
+            return parsed, [], _nonblank_numbers(lines, rows)
+        columns, diagnostics = _parse_line_json_rows(lines)
+        numbers = _nonblank_numbers(lines, len(columns.ids) + len(diagnostics))
+        return columns, diagnostics, _unnamed(numbers, diagnostics)
     except UnicodeDecodeError as exc:
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
     finally:
         if isinstance(source, (str, Path)):
             stream.close()
+
+
+def _unnamed(numbers: Sequence[int], diagnostics: list) -> Sequence[int]:
+    """The line numbers in ``numbers`` that no diagnostic names."""
+    if not diagnostics:
+        return numbers
+    rejected = set(map(itemgetter(0), diagnostics))
+    return list(filterfalse(rejected.__contains__, numbers))
 
 
 def _report(accepted: int, diagnostics: list) -> IngestReport:
@@ -225,8 +240,21 @@ def parse_columns(
     :class:`SchemaError` if a mandatory column is absent and
     :class:`IngestError` if the stream cannot be decoded as UTF-8.
     """
-    columns, diagnostics = _parse(source, format, delimiter, _plain_columns)
-    return columns, _report(len(columns.ids), diagnostics)
+    columns, report, _ = parse_numbered(source, format, delimiter)
+    return columns, report
+
+
+@gc_paused
+def parse_numbered(
+    source,
+    format: str = "delimited",
+    delimiter: str = ",",
+) -> tuple[Columns, IngestReport, Sequence[int]]:
+    """:func:`parse_columns`, and each record's line number as the report
+    numbers the skipped rows: a line-JSON file counts every line, a delimited
+    file counts its header and each non-blank record."""
+    columns, diagnostics, lines = _parse(source, format, delimiter, _plain_columns)
+    return columns, _report(len(columns.ids), diagnostics), lines
 
 
 def parse_records(
@@ -252,7 +280,7 @@ def parse_corpus(
     corpus's arrays in one pass (:meth:`Corpus.from_json_columns`)."""
     from .corpus import Corpus
 
-    parsed, diagnostics = _parse(source, format, delimiter, Corpus.from_json_columns)
+    parsed, diagnostics, _ = _parse(source, format, delimiter, Corpus.from_json_columns)
     corpus = parsed if isinstance(parsed, Corpus) else Corpus.from_columns(*parsed)
     return corpus, _report(len(corpus), diagnostics)
 
@@ -419,18 +447,32 @@ def _plain_columns(ids: list, fields: list, years: list, reads: list, cites: lis
     return Columns(list(map(str.strip, ids)), list(map(str.strip, fields)), years, reads, cites)
 
 
-def _decode_line_json(lines: list[str], bulk: Callable = _plain_columns):
+def _decode_line_json(lines: list[str], bulk: Callable = _plain_columns) -> tuple[object, int] | None:
     """What ``bulk`` makes of the columns of a line-JSON file decoded by
-    :func:`_json_columns`, or None when some row needs the per-row path: the
-    file does not decode in bulk, or ``bulk`` declines its values."""
+    :func:`_json_columns`, and the number of rows; None when some row needs
+    the per-row path: the file does not decode in bulk, or ``bulk`` declines
+    its values."""
     decoded = _json_columns(lines)
     if decoded is None:
         return None
     columns, unknown = decoded
     parsed = bulk(*columns)
-    if parsed is not None and unknown:
+    if parsed is None:
+        return None
+    if unknown:
         log.warning("ignoring unknown keys: %s", ", ".join(sorted(unknown)))
-    return parsed
+    return parsed, len(columns[0])
+
+
+def _nonblank_numbers(lines: list[str], count: int) -> Sequence[int]:
+    """The 1-based numbers of the ``count`` non-blank ``lines``; a range
+    unless a blank line comes before the last non-blank one."""
+    end = len(lines)
+    while end > count and not lines[end - 1].strip():
+        end -= 1
+    if end == count:
+        return range(1, count + 1)
+    return [number for number, line in enumerate(lines, start=1) if line.strip()]
 
 
 def _types(values: list) -> set[type]:

@@ -400,8 +400,30 @@ def test_ingest_joins_inputs_in_order_and_reads_tsv_by_extension(tmp_path, capsy
         {"id": "a1", "field": "Bio", "year": 2010, "reads": 5},
         {"id": "b1", "field": "Bio, Chem", "year": 2011, "reads": 7, "cites": 2},
     ]
-    reasons = [d["reason"] for d in read_jsonl(out / "ingest_diagnostics.jsonl")]
-    assert reasons == ["a.csv: invalid year 'frog'", "duplicate id a1"]
+    assert read_jsonl(out / "ingest_diagnostics.jsonl") == [
+        {"line": 3, "reason": "a.csv: invalid year 'frog'"},
+        {"line": 3, "reason": "b.tsv: duplicate id a1"},
+    ]
+
+
+def test_ingest_names_the_file_and_line_of_every_finding(tmp_path, capsys):
+    # validate's findings (a duplicate id, a year out of range) read as the
+    # parse rejections do: the file's name and the line in that file
+    (tmp_path / "a.csv").write_text(
+        "id,field,year,reads\na0,Bio,2010,1\na2,Bio,frog,3\na1,Bio,2010,4\na3,Bio,2011,5\n"
+        "a1,Bio,2010,6\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.csv").write_text("id,field,year,reads\nb1,Bio,1850,1\nb2,Bio,2010,2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    io = ["--input", str(tmp_path / "a.csv"), "--input", str(tmp_path / "b.csv")]
+    assert main(["ingest", *io, "--out", str(out)]) == 0
+    assert "accepted 4 rejected 3" in capsys.readouterr().out
+    assert read_jsonl(out / "ingest_diagnostics.jsonl") == [
+        {"line": 3, "reason": "a.csv: invalid year 'frog'"},
+        {"line": 6, "reason": "a.csv: duplicate id a1"},
+        {"line": 2, "reason": "b.csv: year out of range: 1850"},
+    ]
 
 
 # ---------------------------------------------------------------------------

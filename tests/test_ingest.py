@@ -18,7 +18,9 @@ from readscale.ingest import (
     IngestError,
     IngestReport,
     SchemaError,
+    parse_columns,
     parse_corpus,
+    parse_numbered,
     parse_records,
     validate,
     write_diagnostics,
@@ -214,6 +216,25 @@ def test_non_utf8_input_is_fatal(tmp_path):
     path.write_bytes(b"id,field,year,reads\n\xff\xfe,A,2010,1\n")
     with pytest.raises(IngestError):
         parse_records(path)
+
+
+@pytest.mark.parametrize(
+    "format, text, numbers",
+    [
+        # blank rows are not numbered, and a rejected row's number is left out
+        ("delimited", "id,field,year,reads\na,B,2010,1\n\nb,B,2010,2\nc,B,frog,3\nd,B,2010,4\n", [2, 3, 5]),
+        # every line is numbered, blank ones too: in bulk ...
+        ("line-json", '{"id": "a", "field": "B", "year": 2010, "reads": 1}\n\n'
+         '{"id": "b", "field": "B", "year": 2010, "reads": 2}\n\n', [1, 3]),
+        # ... and row by row
+        ("line-json", '{"id": "a", "field": "B", "year": 2010, "reads": 1}\nnot json\n\n'
+         '{"id": "b", "field": "B", "year": 2010, "reads": 2}\n', [1, 4]),
+    ],
+)
+def test_parse_numbered_gives_each_record_its_line(format, text, numbers):
+    columns, report, lines = parse_numbered(io.StringIO(text), format=format)
+    assert (columns, report) == parse_columns(io.StringIO(text), format=format)
+    assert list(lines) == numbers and len(columns.ids) == len(numbers)
 
 
 def test_write_diagnostics_line_json(tmp_path):
