@@ -47,64 +47,4 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f"{__name__}.{home}"), name)
 
 
-__all__ = [
-    "AllUnreadGroupError",
-    "CLASS_NAMES",
-    "Cache",
-    "CcdfCurve",
-    "Columns",
-    "Corpus",
-    "CssResult",
-    "DegenerateSampleError",
-    "DuplicateIdError",
-    "EmptyCorpusError",
-    "FetchError",
-    "FetchResult",
-    "FieldSpec",
-    "Group",
-    "GroupKey",
-    "GroupStats",
-    "IngestError",
-    "IngestReport",
-    "LognormalFit",
-    "ProviderConfig",
-    "PublicationRecord",
-    "RateLimiter",
-    "RescaledSample",
-    "SchemaError",
-    "Strata",
-    "Stratum",
-    "SwTestResult",
-    "SynthSpec",
-    "TopZReport",
-    "UnsupportedSizeError",
-    "ZeroPolicy",
-    "ZeroVarianceError",
-    "ccdf",
-    "ccdf_filename",
-    "characteristic_scores",
-    "class_labels",
-    "classify",
-    "collapse",
-    "fetch_counts",
-    "fit_lognormal",
-    "generate_corpus",
-    "generator_metadata",
-    "group_by_field_year",
-    "group_stats",
-    "lognormal_mean",
-    "parse_columns",
-    "parse_corpus",
-    "parse_records",
-    "rescale_group",
-    "shapiro_wilk",
-    "sigma_z",
-    "stratify",
-    "test_lognormality",
-    "top_membership",
-    "top_share_report",
-    "validate",
-    "write_ccdf_tsv",
-    "write_records",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]

@@ -52,7 +52,8 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "build_parser"]
 
-log = logging.getLogger(__name__)
+# named outright: run as ``python -m readscale.cli``, __name__ is "__main__"
+log = logging.getLogger("readscale.cli")
 
 # CLI flag tokens -> distfit policy modes
 ZERO_POLICY_FLAGS = {"exclude": "exclude", "shift1": "shift-one"}

@@ -181,7 +181,7 @@ class Corpus:
     ) -> "Corpus | None":
         """The corpus of line-JSON values as the decoder made them, or None
         when a row needs the per-row path of :mod:`readscale.ingest`: an id or
-        field that is not a non-empty string, a year that is not a 64-bit
+        field that is not a string of more than blanks, a year that is not a 64-bit
         integer, reads that are not a finite non-negative int or float (a bool,
         a null or a string among them), or cites that are not a non-negative
         int or null. The result equals :meth:`from_columns` of what the
@@ -192,12 +192,12 @@ class Corpus:
         """
         n = len(ids)
         try:
-            id_column = np.fromiter(map(str.strip, ids), object, n)  # TypeError: a non-string id
+            ids = list(map(str.strip, ids))  # TypeError: a non-string id
             names = set(fields)  # TypeError: an unhashable field
             year_column = np.array(years)  # ValueError: nested lists of uneven length
         except (TypeError, ValueError):
             return None
-        if not (all(ids) and set(map(type, names)) <= {str} and "" not in names):
+        if not (all(ids) and set(map(type, names)) <= {str} and all(map(str.strip, names))):
             return None
         # numpy takes bools beside ints as int64, and the per-row path reads
         # a bool year as its int: the same value
@@ -226,7 +226,7 @@ class Corpus:
             return None
         codes, labels = _coded(fields)
         return cls(
-            ids=id_column, fields=codes, labels=labels,
+            ids=np.fromiter(ids, object, n), fields=codes, labels=labels,
             years=year_column, reads=read_column, real=real, cites=cite_column,
         )
 

@@ -33,7 +33,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -176,17 +176,13 @@ class Cache:
             return {}
         with open(self.path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")  # as iterating over fh splits them
-        filled = list(map(str.strip, lines))
-        numbers = list(compress(range(1, len(lines) + 1), filled))
-        lines = list(compress(lines, filled))
         # (doi, reads, match_probability, fetched_at) columns, in line order
         columns: tuple[list, ...] = ([], [], [], [])
-        done = 0
-        for chunk, rows in decode_line_chunks(lines, frozenset(CACHE_KEYS)):
+        for numbers, chunk, rows in decode_line_chunks(lines, frozenset(CACHE_KEYS)):
             entries = None if rows is None else _plain_entries(rows)
             if entries is None:
                 read = []
-                for lineno, line in zip(numbers[done:], chunk):
+                for lineno, line in zip(numbers, chunk):
                     try:
                         read.append(_cache_entry(json.loads(line.strip())))
                     except (KeyError, TypeError, ValueError, OverflowError):
@@ -194,7 +190,6 @@ class Cache:
                 entries = tuple(zip(*read)) or ((),) * len(CACHE_KEYS)
             for column, values in zip(columns, entries):
                 column.extend(values)
-            done += len(chunk)
 
         dois, _, _, times = columns
         latest: dict[str, int] = {}  # DOI -> line of its latest entry

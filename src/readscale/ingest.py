@@ -20,15 +20,17 @@ import io
 import json
 import logging
 import math
-from itertools import compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat
 from operator import itemgetter, not_
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 if TYPE_CHECKING:  # readscale.corpus loads numpy, which ingest itself never needs
     from .corpus import Corpus, PublicationRecord
 
 log = logging.getLogger(__name__)
+
+_T = TypeVar("_T", "Columns", "Corpus")
 
 # Default bounds for a plausible publication year; validation uses these
 # unless the caller overrides them.
@@ -91,11 +93,43 @@ class Columns(NamedTuple):
         )
 
     @classmethod
+    def from_columns(cls, *columns: Sequence) -> "Columns":
+        """The columns as they are: the counterpart of :meth:`Corpus.from_columns`."""
+        return cls(*columns)
+
+    @classmethod
+    def from_json_columns(cls, ids, fields, years, reads, cites) -> "Columns | None":
+        """Line-JSON values as decoded, ids and fields trimmed; None when a row
+        needs the per-row path: an id or field of blanks alone, or a value of
+        another type than a string id and field, integer year, integer or
+        float reads and integer cites, or a negative or non-finite count."""
+        if not _types(ids) | _types(fields) <= {str}:
+            return None
+        ids, fields = list(map(str.strip, ids)), list(map(str.strip, fields))
+        try:
+            plain = (
+                all(ids) and all(fields) and _types(years) <= {int}
+                # a sum is finite only if every term is; finite reads whose
+                # sum overflows merely leave the rows to the per-row path
+                and _types(reads) <= {int, float} and math.isfinite(sum(reads))
+                and min(reads, default=0) >= 0
+                and _types(cites) <= {int, type(None)}
+                and min(filter(None, cites), default=0) >= 0
+            )
+        except OverflowError:  # an int beyond float range, which the per-row path calls non-finite
+            return None
+        return cls(ids, fields, years, reads, cites) if plain else None
+
+    @classmethod
     def concat(cls, parts: Sequence["Columns"]) -> "Columns":
         """The rows of every part, in order."""
         if len(parts) == 1:
             return parts[0]
-        return cls(*([v for part in parts for v in part[i]] for i in range(len(cls._fields))))
+        columns: tuple[list, ...] = tuple([] for _ in cls._fields)
+        for part in parts:
+            for column, values in zip(columns, part):
+                column.extend(values)
+        return cls(*columns)
 
     def take(self, keep: Iterable[bool]) -> "Columns":
         """The rows whose ``keep`` flag is true."""
@@ -139,7 +173,7 @@ def _coerce_reads(text: str) -> int | float:
 def _row_values(row: dict) -> tuple:
     """(id, field, year, reads, cites) of one row, or ValueError naming the fault."""
     for col in MANDATORY_COLUMNS:
-        if row.get(col) in (None, ""):
+        if row.get(col) in (None, "") or col in ("id", "field") and not str(row[col]).strip():
             raise ValueError(f"empty {col}")
     try:
         year = int(row["year"])
@@ -185,12 +219,10 @@ def _lines(stream, source) -> list[str]:
     return text.split("\n")
 
 
-def _parse(source, format: str, delimiter: str, bulk: Callable) -> tuple[object, list, Sequence[int]]:
-    """The records of ``source``, the ``(line, reason)`` pairs of the rows
-    skipped and the line number of each record, numbered as the skipped rows
-    are. A line-JSON file whose rows :func:`_json_columns` decodes in bulk
-    and ``bulk`` takes gives what ``bulk`` made of its columns; every other
-    file gives :class:`Columns`."""
+def _parse(source, format: str, delimiter: str, target: type[_T]) -> tuple[_T, list, Sequence[int]]:
+    """The records of ``source`` as ``target`` (:class:`Columns` or :class:`Corpus`)
+    makes them, the ``(line, reason)`` pairs of the rows skipped and each
+    record's line number, numbered as the skipped rows are."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     stream = _open_text(source)
@@ -199,20 +231,45 @@ def _parse(source, format: str, delimiter: str, bulk: Callable) -> tuple[object,
             columns, diagnostics = _parse_delimited(stream, delimiter)
             # line 1 is the header, and blank rows are not numbered
             numbers: Sequence[int] = range(2, len(columns.ids) + len(diagnostics) + 2)
-            return columns, diagnostics, _unnamed(numbers, diagnostics)
-        lines = _lines(stream, source)
-        decoded = _decode_line_json(lines, bulk)
-        if decoded is not None:
-            parsed, rows = decoded
-            return parsed, [], _nonblank_numbers(lines, rows)
-        columns, diagnostics = _parse_line_json_rows(lines)
-        numbers = _nonblank_numbers(lines, len(columns.ids) + len(diagnostics))
-        return columns, diagnostics, _unnamed(numbers, diagnostics)
+            return target.from_columns(*columns), diagnostics, _unnamed(numbers, diagnostics)
+        return _parse_line_json(_lines(stream, source), target)
     except UnicodeDecodeError as exc:
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
     finally:
         if isinstance(source, (str, Path)):
             stream.close()
+
+
+def _parse_line_json(lines: list[str], target: type[_T]) -> tuple[_T, list, Sequence[int]]:
+    """:func:`_parse` of line-JSON ``lines`` a chunk at a time: what
+    ``target.from_json_columns`` makes of a chunk's decoded values, or else
+    what :func:`_parse_line_json_rows` makes of its lines, which become
+    ``target`` last, so that one it cannot hold (a year beyond 64 bits in a
+    :class:`Corpus`) raises after the unknown-keys warning, as per row."""
+    # per_row: where in parts the per-row Columns are; numbers: each part's lines
+    parts, per_row, diagnostics, numbers = [], [], [], []
+    warned = False
+    for chunk_numbers, chunk, rows in decode_line_chunks(lines, KNOWN_COLUMNS):
+        values = None if rows is None else _chunk_values(rows)
+        part = None if values is None else target.from_json_columns(*values)
+        if part is None:
+            part, skipped, warned = _parse_line_json_rows(chunk, chunk_numbers, warned)
+            per_row.append(len(parts))
+            diagnostics += skipped
+            chunk_numbers = _unnamed(chunk_numbers, skipped)
+        elif not warned:
+            warned = _warn_unknown(rows, values[4])
+        parts.append(part)
+        numbers.append(chunk_numbers)
+    for i in per_row:
+        parts[i] = target.from_columns(*parts[i])
+    if not parts:
+        parts.append(target.from_columns(*_columns([])))
+    count = sum(map(len, numbers))
+    last = next((n[-1] for n in reversed(numbers) if n), 0)
+    # ascending numbers from 1 up that end at their count are 1 to count
+    numbered = range(1, count + 1) if last == count else list(chain(*numbers))
+    return target.concat(parts), diagnostics, numbered
 
 
 def _unnamed(numbers: Sequence[int], diagnostics: list) -> Sequence[int]:
@@ -227,7 +284,6 @@ def _report(accepted: int, diagnostics: list) -> IngestReport:
     return IngestReport(accepted, len(diagnostics), tuple(diagnostics))
 
 
-@gc_paused
 def parse_columns(
     source,
     format: str = "delimited",
@@ -253,7 +309,7 @@ def parse_numbered(
     """:func:`parse_columns`, and each record's line number as the report
     numbers the skipped rows: a line-JSON file counts every line, a delimited
     file counts its header and each non-blank record."""
-    columns, diagnostics, lines = _parse(source, format, delimiter, _plain_columns)
+    columns, diagnostics, lines = _parse(source, format, delimiter, Columns)
     return columns, _report(len(columns.ids), diagnostics), lines
 
 
@@ -276,12 +332,11 @@ def parse_corpus(
     delimiter: str = ",",
 ) -> tuple[Corpus, IngestReport]:
     """:func:`parse_columns`, with the records as a :class:`Corpus`; a
-    line-JSON file decoded in bulk goes from its decoded values to the
+    line-JSON chunk decoded in bulk goes from its decoded values to the
     corpus's arrays in one pass (:meth:`Corpus.from_json_columns`)."""
     from .corpus import Corpus
 
-    parsed, diagnostics, _ = _parse(source, format, delimiter, Corpus.from_json_columns)
-    corpus = parsed if isinstance(parsed, Corpus) else Corpus.from_columns(*parsed)
+    corpus, diagnostics, _ = _parse(source, format, delimiter, Corpus)
     return corpus, _report(len(corpus), diagnostics)
 
 
@@ -295,10 +350,10 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
     column wins, a short row lacks its last values and a long row's surplus is
     dropped.
 
-    Rows of the header's width whose values are plain -- a non-empty id and
-    field, a year and reads of at most 18 decimal digits, cites empty or such
-    digits -- are converted a column at a time; every other row goes through
-    :func:`_row_values`, which judges it exactly.
+    Rows of the header's width whose values are plain -- an id and field of
+    more than blanks, a year and reads of at most 18 decimal digits, cites
+    empty or such digits -- are converted a column at a time; every other row
+    goes through :func:`_row_values`, which judges it exactly.
     """
     reader = csv.reader(stream, delimiter=delimiter)
     names = next(reader, None)
@@ -324,8 +379,8 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
     # for, as year, cites and reads alike (its float is finite and integral,
     # so _coerce_reads keeps the int)
     plain = [
-        i and f and y.isdecimal() and len(y) <= 18 and r.isdecimal() and len(r) <= 18
-        and (not c or c.isdecimal() and len(c) <= 18)
+        i.strip() and f.strip() and y.isdecimal() and len(y) <= 18
+        and r.isdecimal() and len(r) <= 18 and (not c or c.isdecimal() and len(c) <= 18)
         for i, f, y, r, c in zip(ids, fields, years, reads, cites)
     ]
     columns = Columns(
@@ -355,32 +410,34 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
     return columns, diagnostics
 
 
-def decode_line_chunks(lines: list[str], keys: frozenset[str]):
-    """Decode line-JSON objects with one ``json.loads`` per chunk of lines.
-
-    ``lines`` are non-blank. Yields each chunk of ``_CHUNK_LINES`` lines with
-    its objects, or with None when the chunk holds anything but one flat
-    object per line: invalid JSON, a non-object, a line with two objects, or
-    a nested value under a key outside ``keys`` (the caller checks the values
-    under ``keys``, and must reject nested ones).
+def decode_line_chunks(lines: list[str], keys: frozenset[str]) -> Iterator[tuple]:
+    """Decode line-JSON objects with one ``json.loads`` per chunk of
+    ``_CHUNK_LINES`` lines. Yields the 1-based numbers of a chunk's non-blank
+    lines, those lines, and their objects, or None when the chunk holds
+    anything but one flat object per line: invalid JSON, a non-object, a line
+    with two objects, or a nested value under a key outside ``keys`` (the
+    caller checks the values under ``keys``, and must reject nested ones).
 
     The lines are decoded joined by line breaks, which no JSON token can
     contain, and each opens with "{"; with only flat objects and as many as
     there are lines, each line holds exactly one of them. Chunks keep the
-    decoded objects, which take several times the memory of the values the
-    caller keeps, from adding up.
-    """
+    decoded objects, several times the size of the values kept, from adding up."""
     for start in range(0, len(lines), _CHUNK_LINES):
         chunk = lines[start:start + _CHUNK_LINES]
-        yield chunk, _flat_objects(chunk, keys)
+        numbers: Sequence[int] = range(start + 1, start + len(chunk) + 1)
+        # first characters alone tell, unless some line is blank or opens with blanks
+        if not all(chunk) or set(map(itemgetter(0), chunk)) != {"{"}:
+            filled = [bool(line.strip()) for line in chunk]
+            numbers, chunk = list(compress(numbers, filled)), list(compress(chunk, filled))
+            if not chunk:
+                continue
+            if not all(map(str.startswith, map(str.lstrip, chunk), repeat("{"))):
+                yield numbers, chunk, None
+                continue
+        yield numbers, chunk, _flat_objects(chunk, keys)
 
 
 def _flat_objects(lines: list[str], keys: frozenset[str]) -> list[dict] | None:
-    # first characters alone tell, unless some line opens with blanks
-    if set(map(itemgetter(0), lines)) != {"{"} and not all(
-        map(str.startswith, map(str.lstrip, lines), repeat("{"))
-    ):
-        return None
     text = ",\n".join(lines)
     try:
         rows = json.loads("[" + text + "]")
@@ -396,94 +453,41 @@ def _flat_objects(lines: list[str], keys: frozenset[str]) -> list[dict] | None:
     return rows
 
 
-def _json_columns(lines: list[str]) -> tuple[tuple[list, ...], set[str]] | None:
-    """The (ids, fields, years, reads, cites) values of a line-JSON file as
-    decoded in chunks (see :func:`decode_line_chunks`), cites None where a row
-    has none, and the keys outside :data:`KNOWN_COLUMNS` of the first row that
-    has any; None when a line is not one flat object or lacks a mandatory key."""
-    lines = list(filter(str.strip, lines))
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    unknown: set[str] = set()
-    width = len(MANDATORY_COLUMNS) + 1  # the keys of a row with cites and no other
-    for _, rows in decode_line_chunks(lines, KNOWN_COLUMNS):
-        if rows is None:
-            return None
-        try:
-            for column, key in zip(columns, MANDATORY_COLUMNS):
-                column.extend(map(itemgetter(key), rows))
-        except KeyError:
-            return None
-        cites = list(map(dict.get, rows, repeat("cites")))
-        columns[4].extend(cites)
-        # a null cites, counted as no cites, sends the chunk to the key scan too
-        if not unknown and sum(map(len, rows)) != width * len(rows) - cites.count(None):
-            if not KNOWN_COLUMNS.issuperset(set().union(*rows)):
-                extra = next(row for row in rows if not row.keys() <= KNOWN_COLUMNS)
-                unknown = extra.keys() - KNOWN_COLUMNS
-    return columns, unknown
-
-
-def _plain_columns(ids: list, fields: list, years: list, reads: list, cites: list) -> Columns | None:
-    """The decoded values as :class:`Columns`, or None when some row needs
-    the per-row path: a missing or empty value, a value of another type than
-    a plain string id and field, integer year, integer or float reads and
-    integer cites (so a bool, a null, a numeric string or a float year), or a
-    negative or non-finite count."""
+def _chunk_values(rows: list[dict]) -> list[list] | None:
+    """The (ids, fields, years, reads, cites) values of decoded rows, cites None
+    where a row has none; None when a row lacks a mandatory key."""
     try:
-        plain = (
-            _types(ids) <= {str} and all(ids)
-            and _types(fields) <= {str} and all(fields)
-            and _types(years) <= {int}
-            # a sum is finite only if every term is; finite reads whose sum
-            # overflows merely leave the file to the per-row path
-            and _types(reads) <= {int, float} and math.isfinite(sum(reads))
-            and min(reads, default=0) >= 0
-            and _types(cites) <= {int, type(None)} and min(filter(None, cites), default=0) >= 0
-        )
-    except OverflowError:  # an int beyond float range, which the per-row path reads as non-finite
+        values = [list(map(itemgetter(key), rows)) for key in MANDATORY_COLUMNS]
+    except KeyError:
         return None
-    if not plain:
-        return None
-    return Columns(list(map(str.strip, ids)), list(map(str.strip, fields)), years, reads, cites)
+    values.append(list(map(dict.get, rows, repeat("cites"))))
+    return values
 
 
-def _decode_line_json(lines: list[str], bulk: Callable = _plain_columns) -> tuple[object, int] | None:
-    """What ``bulk`` makes of the columns of a line-JSON file decoded by
-    :func:`_json_columns`, and the number of rows; None when some row needs
-    the per-row path: the file does not decode in bulk, or ``bulk`` declines
-    its values."""
-    decoded = _json_columns(lines)
-    if decoded is None:
-        return None
-    columns, unknown = decoded
-    parsed = bulk(*columns)
-    if parsed is None:
-        return None
-    if unknown:
-        log.warning("ignoring unknown keys: %s", ", ".join(sorted(unknown)))
-    return parsed, len(columns[0])
-
-
-def _nonblank_numbers(lines: list[str], count: int) -> Sequence[int]:
-    """The 1-based numbers of the ``count`` non-blank ``lines``; a range
-    unless a blank line comes before the last non-blank one."""
-    end = len(lines)
-    while end > count and not lines[end - 1].strip():
-        end -= 1
-    if end == count:
-        return range(1, count + 1)
-    return [number for number, line in enumerate(lines, start=1) if line.strip()]
+def _warn_unknown(rows: list[dict], cites: list) -> bool:
+    """Warn of the unknown keys of the first row with any, as per row; whether one has."""
+    width = len(MANDATORY_COLUMNS) + 1  # the keys of a row with cites and no other
+    # a null cites, counted as no cites, sends the rows to the key scan too
+    if sum(map(len, rows)) == width * len(rows) - cites.count(None):
+        return False
+    extra = next(filter(None, (row.keys() - KNOWN_COLUMNS for row in rows)), None)
+    if extra:
+        log.warning("ignoring unknown keys: %s", ", ".join(sorted(extra)))
+    return bool(extra)
 
 
 def _types(values: list) -> set[type]:
     return set(map(type, values))
 
 
-def _parse_line_json_rows(lines: list[str]) -> tuple[Columns, list]:
+def _parse_line_json_rows(lines: list[str], numbers=None, warned=False) -> tuple:
+    """The :class:`Columns` of line-JSON ``lines`` judged one at a time, the
+    ``(line, reason)`` pairs of the rows rejected, numbered by ``numbers`` (1
+    up by default), and whether this call or (``warned``) an earlier one
+    logged the unknown-keys warning."""
     rows: list[tuple] = []
     diagnostics: list[tuple[int, str]] = []
-    warned_unknown = False
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in zip(range(1, len(lines) + 1) if numbers is None else numbers, lines):
         if not line.strip():
             continue
         try:
@@ -495,14 +499,14 @@ def _parse_line_json_rows(lines: list[str]) -> tuple[Columns, list]:
             diagnostics.append((lineno, "not a JSON object"))
             continue
         unknown = set(row) - KNOWN_COLUMNS
-        if unknown and not warned_unknown:
+        if unknown and not warned:
             log.warning("ignoring unknown keys: %s", ", ".join(sorted(unknown)))
-            warned_unknown = True
+            warned = True
         try:
             rows.append(_row_values(row))
         except ValueError as exc:
             diagnostics.append((lineno, str(exc)))
-    return _columns(rows), diagnostics
+    return _columns(rows), diagnostics, warned
 
 
 def repeated_positions(ids: Sequence[str]) -> list[int]:

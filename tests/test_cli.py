@@ -861,6 +861,22 @@ def test_empty_year_filter_exits_1(two_field_corpus, tmp_path):
     assert code == 1
 
 
+def test_cli_run_as_a_module_logs_as_readscale_cli(two_field_corpus, tmp_path):
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    corpus = Path(two_field_corpus)
+    with corpus.open("a", encoding="utf-8") as fh:
+        fh.write('{"id": "bad", "field": "Surgery", "year": 2010, "reads": -1}\n')
+    out = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-m", "readscale.cli", "report", "--input", str(corpus), "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert f"WARNING readscale.cli: {corpus}: skipped 1 malformed rows" in run.stderr
+    assert f"INFO readscale.cli: wrote fit.tsv and fit.jsonl under {out}" in run.stderr
+    assert "__main__" not in run.stderr
+
+
 def test_importing_the_cli_leaves_scipy_special_unloaded():
     # scipy.special costs every command about 0.3 s; only normality tests need it
     src = str(Path(cli_mod.__file__).resolve().parents[1])

@@ -269,7 +269,7 @@ def _logged(fn, *args):
 
 
 _PLAIN = {
-    "id": st.text(min_size=1, max_size=6),
+    "id": st.text(min_size=1, max_size=6).filter(str.strip),  # blanks alone are no id
     "field": st.sampled_from(["A", "Bio Chem", " Ärzte ", "日本"]),
     "year": st.integers(1800, 2200),
     "reads": st.one_of(st.integers(0, 10**18), st.floats(0, 1e12)),
@@ -277,8 +277,8 @@ _PLAIN = {
 # per key, values the per-row path rejects, coerces or reads otherwise than
 # the fast path would
 _FAULTS = {
-    "id": st.sampled_from(["", None, 7, True]),
-    "field": st.sampled_from(["", None, 3, False]),
+    "id": st.sampled_from(["", " ", "\t ", None, 7, True]),
+    "field": st.sampled_from(["", " ", None, 3, False]),
     "year": st.sampled_from([2010.0, 2010.5, float("inf"), "2010", True, None, 10**400]),
     "reads": st.sampled_from([-1, -0.5, True, False, None, "12", "", float("nan"), float("inf"), 10**400]),
     "cites": st.sampled_from([-1, 2.5, 3.0, "4", "", True, float("inf")]),
@@ -343,7 +343,7 @@ def test_line_json_fast_path_equals_per_row_path(chunk_lines, lines, end):
     text = _line_json(lines, end)
     with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
         (records, report), fast_log = _logged(parse_records, io.StringIO(text), "line-json")
-    (columns, diagnostics), row_log = _logged(
+    (columns, diagnostics, _), row_log = _logged(
         ingest._parse_line_json_rows, io.StringIO(text).readlines()
     )
     # repr tells 12 from 12.0 and -0.0 from 0.0
@@ -387,7 +387,7 @@ def test_line_json_corpus_equals_per_row_corpus(chunk_lines, lines, newline, las
             _corpus_or_error, parse_corpus, io.BytesIO(text.encode("utf-8")), "line-json"
         )
     # a file read with newline="" breaks lines at "\r\n", "\r" and "\n"
-    (columns, _), row_log = _logged(
+    (columns, _, _), row_log = _logged(
         ingest._parse_line_json_rows, io.StringIO(text, newline="").readlines()
     )
     assert fast == _corpus_or_error(Corpus.from_columns, *columns)
@@ -405,10 +405,22 @@ def test_line_json_corpus_reports_per_row_rejections_with_line_numbers(tmp_path)
     assert report == IngestReport(1, 2, ((2, "invalid reads True"), (4, "negative reads")))
 
 
+def _bulk_parts(lines):
+    """The :class:`Columns` of each chunk's values as the line-JSON reader
+    decodes them, None for a chunk left to the per-row path."""
+    return [
+        rows and ingest.Columns.from_json_columns(*ingest._chunk_values(rows))
+        for _, _, rows in ingest.decode_line_chunks(lines, ingest.KNOWN_COLUMNS)
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_CLEAN_LINE, min_size=1, max_size=12))
 def test_line_json_fast_path_takes_clean_files(lines):
-    assert ingest._decode_line_json([line + "\n" for line in lines]) is not None
+    for chunk_lines in (ingest._CHUNK_LINES, 3):
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+            parts = _bulk_parts([line + "\n" for line in lines])
+        assert parts and None not in parts
 
 
 def test_line_json_fast_path_declines_rows_spanning_lines():
@@ -423,9 +435,56 @@ def test_line_json_fast_path_declines_rows_spanning_lines():
     )
     lines = io.StringIO(text).readlines()
     assert len(json.loads("[" + ",".join(lines) + "]")) == len(lines)
-    assert ingest._decode_line_json(lines) is None
+    assert _bulk_parts(lines) == [None]
     records, report = parse_records(io.StringIO(text), format="line-json")
     assert records == [] and [line for line, _ in report.diagnostics] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("parse", [parse_columns, parse_corpus])
+def test_line_json_malformed_line_sends_only_its_chunk_to_the_per_row_path(parse):
+    lines = [
+        json.dumps({"id": f"r{i}", "field": "A", "year": 2010, "reads": i}) for i in range(1, 10)
+    ]
+    lines[4] = _reads_line(-1)  # line 5, in the second chunk of three lines
+    text = "\n".join(lines) + "\n"
+    spy = mock.patch.object(ingest, "_row_values", wraps=ingest._row_values)
+    with mock.patch.object(ingest, "_CHUNK_LINES", 3), spy as row_values:
+        parsed, report = parse(io.StringIO(text), format="line-json")
+    assert row_values.call_count == 3  # lines 4 to 6
+    assert report == IngestReport(8, 1, ((5, "negative reads"),))
+    assert list(parsed.ids) == ["r1", "r2", "r3", "r4", "r6", "r7", "r8", "r9"]
+
+
+def test_line_json_reader_numbers_lines_across_chunks_blank_lines_and_rejections():
+    text = "\n".join([_reads_line(1), "", _reads_line(2), "  ", "", _reads_line(-1), _reads_line(3)])
+    with mock.patch.object(ingest, "_CHUNK_LINES", 2):
+        columns, report, numbers = parse_numbered(io.StringIO(text), format="line-json")
+    assert list(numbers) == [1, 3, 7]
+    assert report.diagnostics == ((6, "negative reads"),)
+    assert list(columns.reads) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("parse", [parse_columns, parse_corpus])
+@pytest.mark.parametrize("line, reason", [
+    ('"  ",A,2010,3', "empty id"),
+    ('p3,\t,2010,3', "empty field"),
+])
+def test_delimited_blank_id_or_field_is_rejected(parse, line, reason):
+    text = "id,field,year,reads\np1,A,2010,1\n" + line + "\np4,A,2010,4\n"
+    parsed, report = parse(io.StringIO(text))
+    assert report == IngestReport(2, 1, ((3, reason),))
+    assert list(parsed.ids) == ["p1", "p4"]
+
+
+@pytest.mark.parametrize("parse", [parse_columns, parse_corpus])
+@pytest.mark.parametrize("key, reason", [("id", "empty id"), ("field", "empty field")])
+def test_line_json_blank_id_or_field_is_rejected(parse, key, reason):
+    rows = [{"id": f"p{i}", "field": "A", "year": 2010, "reads": i} for i in range(3)]
+    rows[1][key] = " "
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    parsed, report = parse(io.StringIO(text), format="line-json")
+    assert report == IngestReport(2, 1, ((2, reason),))
+    assert list(parsed.ids) == ["p0", "p2"]
 
 
 # ---------------------------------------------------------------------------
