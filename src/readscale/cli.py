@@ -308,30 +308,48 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    """Resolve DOIs to reader counts; optionally merge them into a corpus."""
-    # the provider client loads urllib.request and a thread pool, which no other command needs
-    from .fetch import Cache, FetchError, ProviderConfig, fetch_counts
+    """Resolve DOIs to reader counts; optionally merge them into a corpus.
+
+    Given a corpus, the cache is decoded in a forked
+    :class:`~readscale.worker.Worker` where :func:`_forks` allows, while
+    this process loads the provider client and parses the corpus; the
+    output, log and exit code are those of the steps in sequence."""
+    # the provider client loads urllib.request and a thread pool only for a
+    # DOI missing from the cache; fetch is the only command that imports it
+    from .fetch import Cache, FetchError, ProviderConfig, fetch_counts, load_client
 
     if not args.input and not args.dois:
         log.error("fetch needs --input and/or --dois")
         return 2
     config = ProviderConfig(base_url=args.provider_url)
     cache = Cache(args.cache)
+    reader = None
+    if args.input and _forks():
+        from .worker import Worker
 
-    columns: Columns | None = None
-    dois: list[str] = []
-    if args.input:
-        columns = _load_columns(args.input, args.year)
-        dois.extend(columns.ids)
-    if args.dois:
-        # a byte-order mark would stay on the first DOI through str.strip
-        for line in Path(args.dois).read_text(encoding="utf-8-sig").splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                dois.append(line)
+        reader = Worker("cache reader", cache.read_columns)
+    try:
+        if reader is not None:
+            load_client()  # while the reader runs, rather than after it
+        columns: Columns | None = None
+        dois: list[str] = []
+        if args.input:
+            columns = _load_columns(args.input, args.year)
+            dois.extend(columns.ids)
+        if args.dois:
+            # a byte-order mark would stay on the first DOI through str.strip
+            for line in Path(args.dois).read_text(encoding="utf-8-sig").splitlines():
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    dois.append(line)
+        # the cache's records come after the corpus's, as in sequence
+        cached = None if reader is None else reader.join()
+    finally:
+        if reader is not None:
+            reader.stop()
 
     try:
-        results = fetch_counts(dois, config, cache)
+        results = fetch_counts(dois, config, cache, cached)
     except FetchError as exc:
         log.error("%s", exc)
         return 1
@@ -598,9 +616,9 @@ def _cpus() -> int:
 
 
 def _forks() -> bool:
-    """Whether ``report`` runs collapse in a forked worker: the platform
-    forks, the process may run on two CPUs or more, and no other thread
-    runs, which a forked child would lack."""
+    """Whether ``report`` runs collapse, and ``fetch`` decodes its cache, in
+    a forked worker: the platform forks, the process may run on two CPUs or
+    more, and no other thread runs, which a forked child would lack."""
     return hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1
 
 
@@ -611,7 +629,7 @@ def _report_forked(args, strata: Strata) -> int:
     topz's, held until collapse's are out."""
     from .worker import Worker, held_records, replay
 
-    worker = Worker(cmd_collapse, args, strata)
+    worker = Worker("collapse worker", cmd_collapse, args, strata)
     try:
         code = cmd_fit(args, strata)
         failure = None

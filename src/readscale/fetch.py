@@ -10,12 +10,17 @@ it was looked up and rejected.
 Results land in an append-only line-JSON cache (one object per line,
 latest ``fetched_at`` wins), which makes reruns cheap and crash-safe:
 a warm cache answers without any network traffic, and a torn write
-corrupts at most its own line. Failures are returned but never cached,
-so a transient outage does not poison later runs.
+corrupts at most its own line. The cache keeps the provider's count
+whatever its match probability, and the threshold applies when
+:func:`fetch_counts` answers, so a rerun with a lower threshold uses the
+counts already paid for. Failures are returned but never cached, so a
+transient outage does not poison later runs.
 
 Requests go out through the standard library's ``urllib.request``, which
 honours the proxy environment variables and verifies HTTPS against the
-system's trust store. A batch that fails with a 429, a 5xx, a connection
+system's trust store. It and the thread pool load only when a DOI is
+missing from the cache (or on :func:`load_client`), so a warm cache is
+read without them. A batch that fails with a 429, a 5xx, a connection
 error or a timeout is retried with exponential backoff. A 429 that carries
 ``Retry-After`` in seconds waits at least that long, up to
 ``RETRY_AFTER_CAP``; an HTTP-date or unreadable value leaves the backoff
@@ -24,15 +29,11 @@ batch failed without a retry.
 """
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -46,6 +47,7 @@ __all__ = [
     "ProviderConfig",
     "RateLimiter",
     "fetch_counts",
+    "load_client",
 ]
 
 log = logging.getLogger(__name__)
@@ -113,9 +115,10 @@ class ProviderConfig(_ProviderConfig):
 class FetchResult(NamedTuple):
     """Outcome for one DOI.
 
-    reads is None either because the match probability did not clear the
-    threshold or because the lookup failed; ``error`` distinguishes the
-    two. Only error-free results are cache-eligible.
+    In what :func:`fetch_counts` returns, reads is None either because the
+    match probability did not clear the threshold or because the lookup
+    failed; ``error`` distinguishes the two. Only error-free results are
+    cache-eligible, and the cache keeps the provider's count.
     """
 
     doi: str
@@ -164,7 +167,15 @@ class Cache:
     @gc_paused
     def read_all(self) -> dict[str, FetchResult]:
         """Latest entry per DOI, a tie going to the later line; malformed
-        lines are skipped with a warning.
+        lines are skipped with a warning. :meth:`latest` of
+        :meth:`read_columns`."""
+        return self.latest(self.read_columns())
+
+    @gc_paused
+    def read_columns(self) -> tuple[list, list, list, list]:
+        """The (doi, reads, match_probability, fetched_at) columns of the
+        readable lines, in line order; malformed lines are skipped with a
+        warning, and a missing file has no lines.
 
         Lines are decoded a chunk at a time (see
         :func:`readscale.ingest.decode_line_chunks`). A chunk of flat entries
@@ -172,12 +183,11 @@ class Cache:
         null reads, float probability and time -- is taken in bulk; any other
         chunk is read line by line.
         """
+        columns: tuple[list, list, list, list] = ([], [], [], [])
         if not self.path.exists():
-            return {}
+            return columns
         with open(self.path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")  # as iterating over fh splits them
-        # (doi, reads, match_probability, fetched_at) columns, in line order
-        columns: tuple[list, ...] = ([], [], [], [])
         for numbers, chunk, rows in decode_line_chunks(lines, frozenset(CACHE_KEYS)):
             entries = None if rows is None else _plain_entries(rows)
             if entries is None:
@@ -190,7 +200,13 @@ class Cache:
                 entries = tuple(zip(*read)) or ((),) * len(CACHE_KEYS)
             for column, values in zip(columns, entries):
                 column.extend(values)
+        return columns
 
+    @staticmethod
+    @gc_paused
+    def latest(columns: Sequence[Sequence]) -> dict[str, FetchResult]:
+        """The latest entry per DOI of :meth:`read_columns`'s columns, a tie
+        going to the later line."""
         dois, _, _, times = columns
         latest: dict[str, int] = {}  # DOI -> line of its latest entry
         for k, (doi, fetched_at) in enumerate(zip(dois, times)):
@@ -257,8 +273,9 @@ def _retry_after(value: str | None) -> float:
     return 0.0
 
 
-def _apply_threshold(raw: dict, threshold: float) -> FetchResult:
-    """Turn one provider response object into a FetchResult."""
+def _provider_entry(raw: dict) -> FetchResult:
+    """Turn one provider response object into a FetchResult with the
+    provider's count, whatever its match probability."""
     doi = str(raw["doi"])
     prob = float(raw["match_probability"])
     if not 0.0 <= prob <= 1.0:
@@ -266,8 +283,16 @@ def _apply_threshold(raw: dict, threshold: float) -> FetchResult:
     readers = int(raw["readers"])
     if readers < 0:
         raise ValueError(f"negative reader count {readers}")
-    reads = readers if prob > threshold else None
-    return FetchResult(doi=doi, reads=reads, match_probability=prob, fetched_at=time.time())
+    return FetchResult(doi=doi, reads=readers, match_probability=prob, fetched_at=time.time())
+
+
+def _cleared(results: Iterable[FetchResult], threshold: float) -> dict[str, FetchResult]:
+    """The results by DOI, each keeping its count only where its match
+    probability is strictly above ``threshold``."""
+    return {
+        r.doi: r if r.reads is None or r.match_probability > threshold else r._replace(reads=None)
+        for r in results
+    }
 
 
 def _failure(doi: str, reason: str) -> FetchResult:
@@ -276,10 +301,21 @@ def _failure(doi: str, reason: str) -> FetchResult:
     )
 
 
+def load_client() -> None:
+    """Import the standard-library modules that posting batches takes:
+    ``urllib.request`` (with ``http.client``) and the thread pool.
+    :func:`fetch_counts` imports them itself when a DOI is missing."""
+    import concurrent.futures.thread  # noqa: F401
+    import urllib.request  # noqa: F401
+
+
 def _post(url: str, body: bytes, headers: dict[str, str]) -> tuple[int, str | None, bytes]:
     """POST a JSON body: the response's status, its ``Retry-After`` header
     and, for a 2xx, its body. Raises OSError, ValueError or
     ``http.client.HTTPException`` when no response arrives."""
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json", **headers}, method="POST"
     )
@@ -298,6 +334,8 @@ def _post_batch(
     headers: dict[str, str],
 ) -> list[FetchResult]:
     """One batch: POST with retries, map responses, fill in failures."""
+    import http.client
+
     url = config.base_url.rstrip("/") + "/lookup"
     body = json.dumps(list(batch)).encode()
     last_error = "no attempt made"
@@ -336,7 +374,7 @@ def _post_batch(
                 results.append(_failure(doi, "missing from response"))
                 continue
             try:
-                results.append(_apply_threshold(item, config.min_match_probability))
+                results.append(_provider_entry(item))
             except (KeyError, TypeError, ValueError) as exc:
                 results.append(_failure(doi, f"bad response entry: {exc}"))
         return results
@@ -347,36 +385,51 @@ def fetch_counts(
     dois: Sequence[str],
     config: ProviderConfig,
     cache: Cache,
+    cached: Sequence[Sequence] | None = None,
 ) -> list[FetchResult]:
     """Resolve DOIs to reader counts, one FetchResult per input DOI.
 
     Cached DOIs are answered locally; the rest are queried in batches of
     config.batch_size over at most ``WORKERS`` worker threads sharing
     one rate limiter. Every successful lookup (matched or below
-    threshold) is appended to the cache as its batch completes, so an
-    interrupted run keeps what it already paid for.
+    threshold) is appended to the cache with the provider's count as its
+    batch completes, so an interrupted run keeps what it already paid for.
+    The latest cached entry per DOI is picked while the provider answers.
+    A count, cached or fresh, is returned only where its match probability
+    is strictly above ``config.min_match_probability``.
+
+    ``cached`` is what :meth:`Cache.read_columns` returned, when the caller
+    has read the cache already; by default it is read here.
 
     Raises FetchError if the provider cannot be reached at all for some
     batch; results cached before that point remain on disk.
     """
-    known = cache.read_all()
-    missing = sorted(set(dois).difference(known))
-    if missing:
-        key = os.environ.get(config.api_key_env, "")
-        headers = {"Authorization": f"Bearer {key}"} if key else {}
-        limiter = RateLimiter(config.rate_limit)
-        batches = [
-            missing[i : i + config.batch_size]
-            for i in range(0, len(missing), config.batch_size)
-        ]
+    if cached is None:
+        cached = cache.read_columns()
+    threshold = config.min_match_probability
+    missing = sorted(set(dois).difference(cached[0]))
+    if not missing:
+        known = _cleared(cache.latest(cached).values(), threshold)
+        return list(map(known.__getitem__, dois))
 
-        def run_batch(batch: Sequence[str]) -> list[FetchResult]:
-            results = _post_batch(batch, config, limiter, headers)
-            cache.append(results)  # failures are filtered out inside
-            return results
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(WORKERS, len(batches))) as pool:
-            for batch_results in pool.map(run_batch, batches):
-                for result in batch_results:
-                    known[result.doi] = result
+    key = os.environ.get(config.api_key_env, "")
+    headers = {"Authorization": f"Bearer {key}"} if key else {}
+    limiter = RateLimiter(config.rate_limit)
+    batches = [
+        missing[i : i + config.batch_size]
+        for i in range(0, len(missing), config.batch_size)
+    ]
+
+    def run_batch(batch: Sequence[str]) -> list[FetchResult]:
+        results = _post_batch(batch, config, limiter, headers)
+        cache.append(results)  # failures are filtered out inside
+        return results
+
+    with ThreadPoolExecutor(max_workers=min(WORKERS, len(batches))) as pool:
+        answers = pool.map(run_batch, batches)
+        known = _cleared(cache.latest(cached).values(), threshold)  # while the provider answers
+        for batch_results in answers:
+            known.update(_cleared(batch_results, threshold))
     return list(map(known.__getitem__, dois))

@@ -245,9 +245,14 @@ def _parse_line_json(lines: list[str], target: type[_T]) -> tuple[_T, list, Sequ
     ``target.from_json_columns`` makes of a chunk's decoded values, or else
     what :func:`_parse_line_json_rows` makes of its lines, which become
     ``target`` last, so that one it cannot hold (a year beyond 64 bits in a
-    :class:`Corpus`) raises after the unknown-keys warning, as per row."""
+    :class:`Corpus`) raises after the unknown-keys warning, as per row.
+
+    :class:`Columns` are joined a chunk at a time, so that no chunk's lists
+    are held beside the joined ones; a :class:`Corpus`'s parts are joined at
+    the end, over one label table."""
     # per_row: where in parts the per-row Columns are; numbers: each part's lines
     parts, per_row, diagnostics, numbers = [], [], [], []
+    joined = Columns([], [], [], [], []) if target is Columns else None
     warned = False
     for chunk_numbers, chunk, rows in decode_line_chunks(lines, KNOWN_COLUMNS):
         values = None if rows is None else _chunk_values(rows)
@@ -259,17 +264,21 @@ def _parse_line_json(lines: list[str], target: type[_T]) -> tuple[_T, list, Sequ
             chunk_numbers = _unnamed(chunk_numbers, skipped)
         elif not warned:
             warned = _warn_unknown(rows, values[4])
-        parts.append(part)
         numbers.append(chunk_numbers)
-    for i in per_row:
-        parts[i] = target.from_columns(*parts[i])
-    if not parts:
-        parts.append(target.from_columns(*_columns([])))
+        if joined is None:
+            parts.append(part)
+        else:
+            for column, new in zip(joined, part):
+                column.extend(new)
+    if joined is None:
+        for i in per_row:
+            parts[i] = target.from_columns(*parts[i])
+        joined = target.concat(parts) if parts else target.from_columns(*_columns([]))
     count = sum(map(len, numbers))
     last = next((n[-1] for n in reversed(numbers) if n), 0)
     # ascending numbers from 1 up that end at their count are 1 to count
     numbered = range(1, count + 1) if last == count else list(chain(*numbers))
-    return target.concat(parts), diagnostics, numbered
+    return joined, diagnostics, numbered
 
 
 def _unnamed(numbers: Sequence[int], diagnostics: list) -> Sequence[int]:

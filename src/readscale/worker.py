@@ -1,12 +1,14 @@
-"""One stage of ``readscale report`` in a forked worker process.
+"""A function run in a forked worker process, beside the parent's own work.
 
 ``report`` runs ``collapse`` in a :class:`Worker` while the parent process
-runs the other stages. The worker is forked, so it shares the loaded strata
-copy-on-write and nothing is sent to it. It holds its log records back from
-the handlers and, when its stage ends, sends its exit code, its records and
-any failure to the parent over a pipe as one pickle. The parent replays the
-records where the stage's records come in sequence, and re-raises the
-failure, so a run logs and fails as the stages run one after another would.
+runs the other stages, and ``fetch`` decodes its cache in one while the
+parent parses the corpus. The worker is forked, so it shares what the parent
+has loaded copy-on-write and nothing is sent to it. It holds its log records
+back from the handlers and, when its function returns or raises, sends the
+return value, its records and any failure to the parent over a pipe as one
+pickle. The parent replays the records where the function's records come in
+sequence, and re-raises the failure, so a run logs and fails as the steps
+run one after another would.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import logging
 import os
 import pickle
 import traceback
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 __all__ = ["Worker", "held_records", "replay"]
 
@@ -63,14 +65,15 @@ class _WorkerTraceback(Exception):
 
 
 class Worker:
-    """``stage(args, strata)`` run in a forked child of this process.
+    """``fn(*args)`` run in a forked child of this process; errors name the
+    worker ``name`` ("collapse worker", "cache reader").
 
     The caller must :meth:`join` the worker to take its outcome, and
     :meth:`stop` it in any case, so that no child outlives the caller.
     """
 
-    def __init__(self, stage: Callable[..., int], args, strata):
-        self.name = stage.__name__.removeprefix("cmd_")
+    def __init__(self, name: str, fn: Callable[..., Any], *args):
+        self.name = name
         read_end, write_end = os.pipe()
         self.pid: int | None = os.fork()
         if self.pid == 0:
@@ -80,7 +83,7 @@ class Worker:
                 os.close(read_end)
                 with held_records() as records:
                     try:
-                        outcome = (stage(args, strata), None)
+                        outcome = (fn(*args), None)
                     except BaseException as exc:
                         outcome = (None, (exc, traceback.format_exc()))
                 with open(write_end, "wb") as pipe:
@@ -90,26 +93,26 @@ class Worker:
         os.close(write_end)
         self.pipe = open(read_end, "rb")
 
-    def join(self) -> int:
-        """The stage's exit code, once its log records are replayed here;
-        raises the stage's failure, or :class:`ChildProcessError` if the
-        worker died first."""
+    def join(self) -> Any:
+        """What the function returned, once its log records are replayed
+        here; raises the function's failure, or :class:`ChildProcessError` if
+        the worker died first."""
         with self.pipe:
             payload = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
         if code < 0:
-            raise ChildProcessError(f"the {self.name} worker was killed by signal {-code}")
+            raise ChildProcessError(f"the {self.name} was killed by signal {-code}")
         try:
-            code, failure, records = pickle.loads(payload)
+            value, failure, records = pickle.loads(payload)
         except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError(f"the {self.name} worker ended without a result") from None
+            raise ChildProcessError(f"the {self.name} ended without a result") from None
         replay(records)
         if failure is not None:
             exc, text = failure
             raise exc from _WorkerTraceback(text)
-        return code
+        return value
 
     def stop(self) -> None:
         """Kill and reap the worker, unless it was joined."""

@@ -1022,6 +1022,37 @@ def test_fetch_run_leaves_requests_unloaded(tmp_path, stub_provider):
     assert server.request_count == 1
 
 
+def test_a_warm_cache_loads_no_http_client(tmp_path):
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    corpus = write_corpus(tmp_path / "c.jsonl", make_records([3, 4], "Bio", 2010, prefix="10.6/bio"))
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(
+        "".join(
+            json.dumps({"doi": f"10.6/bio-000{i}", "reads": 30 + i, "match_probability": 0.95, "fetched_at": 1.0})
+            + "\n"
+            for i in range(2)
+        ),
+        encoding="utf-8",
+    )
+    fetch = [
+        "fetch", "--input", corpus, "--out", str(tmp_path / "out"),
+        "--provider-url", "http://127.0.0.1:9", "--cache", str(cache),
+    ]
+    code = (
+        "import sys\n"
+        "client = {'urllib.request', 'http.client', 'concurrent.futures'}\n"
+        "import readscale.fetch\n"
+        "assert not client & set(sys.modules), client & set(sys.modules)\n"
+        "import readscale.cli as cli\n"
+        "cli._forks = lambda: False  # in sequence: a forked reader's parent loads the client meanwhile\n"
+        f"assert cli.main({fetch!r}) == 0\n"
+        "assert not client & set(sys.modules), client & set(sys.modules)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert run.stdout == "resolved 2 dois: 2 matched, 0 below threshold, 0 failed, 2 merged\n"
+
+
 def test_fetch_cli_merges_only_corpus_rows_with_extra_dois(tmp_path, stub_provider, capsys):
     records = make_records([3, 4], "Bio", 2010, prefix="10.5/bio")
     corpus = write_corpus(tmp_path / "c.jsonl", records)

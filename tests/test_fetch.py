@@ -97,6 +97,30 @@ def test_below_threshold_results_are_cached_but_failures_are_not(stub_provider, 
     assert server.request_count == before + 1
 
 
+def test_a_below_threshold_count_serves_a_lower_threshold_from_the_cache(stub_provider, tmp_path):
+    server = stub_provider({"10.4/low": (17, 0.80)})
+    cache = Cache(tmp_path / "cache.jsonl")
+    (strict,) = fetch_counts(["10.4/low"], _config(server.url, min_match_probability=0.90), cache)
+    assert strict.reads is None and strict.error is None
+    assert cache.read_all()["10.4/low"].reads == 17  # the provider's count is cached
+    (lenient,) = fetch_counts(["10.4/low"], _config(server.url, min_match_probability=0.50), cache)
+    assert lenient.reads == 17 and lenient.match_probability == 0.80
+    (edge,) = fetch_counts(["10.4/low"], _config(server.url, min_match_probability=0.80), cache)
+    assert edge.reads is None  # strictly above, for cached counts too
+    assert server.request_count == 1
+
+
+def test_an_old_null_cache_line_stays_below_threshold(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        json.dumps({"doi": "10.4/old", "reads": None, "match_probability": 0.8, "fetched_at": 1.0}) + "\n",
+        encoding="utf-8",
+    )
+    dead = _config("http://127.0.0.1:9", min_match_probability=0.5)  # a request would fail
+    (result,) = fetch_counts(["10.4/old"], dead, Cache(path))
+    assert result == FetchResult("10.4/old", None, 0.8, 1.0)
+
+
 def test_retry_then_success(stub_provider, tmp_path):
     server = stub_provider({"10.5/x": (12, 0.97)}, fail_first=2)
     cache = Cache(tmp_path / "cache.jsonl")
