@@ -21,7 +21,6 @@ import logging
 import numbers
 import os
 import sys
-import threading
 from bisect import bisect_left
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -310,26 +309,22 @@ def cmd_synth(args) -> int:
 def cmd_fetch(args) -> int:
     """Resolve DOIs to reader counts; optionally merge them into a corpus.
 
-    Given a corpus, the cache is decoded in a forked
-    :class:`~readscale.worker.Worker` where :func:`_forks` allows, while
-    this process loads the provider client and parses the corpus; the
-    output, log and exit code are those of the steps in sequence."""
+    The cache is decoded in a :class:`~readscale.worker.Worker`, beside the
+    client load and corpus parse if it forked; the output, log and exit code
+    are those of the steps in sequence."""
     # the provider client loads urllib.request and a thread pool only for a
     # DOI missing from the cache; fetch is the only command that imports it
     from .fetch import Cache, FetchError, ProviderConfig, fetch_counts, load_client
+    from .worker import Worker
 
     if not args.input and not args.dois:
         log.error("fetch needs --input and/or --dois")
         return 2
     config = ProviderConfig(base_url=args.provider_url)
     cache = Cache(args.cache)
-    reader = None
-    if args.input and _forks():
-        from .worker import Worker
-
-        reader = Worker("cache reader", cache.read_columns)
+    reader = Worker("cache reader", cache.read_columns)
     try:
-        if reader is not None:
+        if reader.forked:
             load_client()  # while the reader runs, rather than after it
         columns: Columns | None = None
         dois: list[str] = []
@@ -343,10 +338,9 @@ def cmd_fetch(args) -> int:
                 if line and not line.startswith("#"):
                     dois.append(line)
         # the cache's records come after the corpus's, as in sequence
-        cached = None if reader is None else reader.join()
+        cached = reader.join()
     finally:
-        if reader is not None:
-            reader.stop()
+        reader.stop()
 
     try:
         results = fetch_counts(dois, config, cache, cached)
@@ -607,26 +601,11 @@ def cmd_topz(args, strata: Strata) -> int:
     return 0
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return 1
-
-
-def _forks() -> bool:
-    """Whether ``report`` runs collapse, and ``fetch`` decodes its cache, in
-    a forked worker: the platform forks, the process may run on two CPUs or
-    more, and no other thread runs, which a forked child would lack."""
-    return hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1
-
-
-def _report_forked(args, strata: Strata) -> int:
-    """The four stages of ``report``: collapse in a forked
-    :class:`~readscale.worker.Worker`, fit, css and topz here. Log records
-    and failures come out as in sequence: fit's, collapse's, then css's and
-    topz's, held until collapse's are out."""
+def cmd_report(args, strata: Strata) -> int:
+    """fit + collapse + css + topz over the same corpus and flags. Collapse
+    runs in a :class:`~readscale.worker.Worker`, beside the other stages if
+    it forked, else after them at its join; log records and failures come out
+    as in sequence: fit's, collapse's, then css's and topz's."""
     from .worker import Worker, held_records, replay
 
     worker = Worker("collapse worker", cmd_collapse, args, strata)
@@ -643,21 +622,8 @@ def _report_forked(args, strata: Strata) -> int:
         replay(held)
         if failure is not None:
             raise failure
-        return code
     finally:
         worker.stop()
-
-
-def cmd_report(args, strata: Strata) -> int:
-    """fit + collapse + css + topz over the same corpus and flags; collapse
-    runs in a forked worker where :func:`_forks` allows, with the same
-    output, log and exit code as in sequence."""
-    if _forks():
-        code = _report_forked(args, strata)
-    else:
-        code = 0
-        for command in (cmd_fit, cmd_collapse, cmd_css, cmd_topz):
-            code = max(code, command(args, strata))
     print(f"report written to {args.out}")
     return code
 

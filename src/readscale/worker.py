@@ -1,14 +1,15 @@
-"""A function run in a forked worker process, beside the parent's own work.
+"""A function run beside the parent's own work, forked where it can be.
 
 ``report`` runs ``collapse`` in a :class:`Worker` while the parent process
 runs the other stages, and ``fetch`` decodes its cache in one while the
-parent parses the corpus. The worker is forked, so it shares what the parent
-has loaded copy-on-write and nothing is sent to it. It holds its log records
-back from the handlers and, when its function returns or raises, sends the
-return value, its records and any failure to the parent over a pipe as one
-pickle. The parent replays the records where the function's records come in
+parent parses the corpus. A forked worker shares what the parent has loaded
+copy-on-write and nothing is sent to it. It holds its log records back from
+the handlers and, when its function returns or raises, sends the return
+value, its records and any failure to the parent over a pipe as one pickle.
+The parent replays the records where the function's records come in
 sequence, and re-raises the failure, so a run logs and fails as the steps
-run one after another would.
+run one after another would. A worker that did not fork runs its function
+when it is joined, its records going straight to the handlers.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import contextlib
 import logging
 import os
 import pickle
+import threading
 import traceback
 from typing import Any, Callable, Iterator, Sequence
 
@@ -64,9 +66,25 @@ class _WorkerTraceback(Exception):
     """The traceback of a failure in the worker, as its cause."""
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return 1
+
+
+def _forks() -> bool:
+    """Whether a :class:`Worker` forks: the platform forks, the process may
+    run on two CPUs or more, and no other thread runs, which a forked child
+    would lack."""
+    return hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1
+
+
 class Worker:
-    """``fn(*args)`` run in a forked child of this process; errors name the
-    worker ``name`` ("collapse worker", "cache reader").
+    """``fn(*args)`` run in a forked child of this process where
+    :func:`_forks` allows and the fork succeeds, or else here when joined;
+    :attr:`forked` tells which. Errors name the worker ``name``.
 
     The caller must :meth:`join` the worker to take its outcome, and
     :meth:`stop` it in any case, so that no child outlives the caller.
@@ -74,8 +92,21 @@ class Worker:
 
     def __init__(self, name: str, fn: Callable[..., Any], *args):
         self.name = name
+        self.fn = fn
+        self.args = args
+        self.pid: int | None = None
+        if _forks():
+            self._fork()
+        self.forked = self.pid is not None
+
+    def _fork(self) -> None:
         read_end, write_end = os.pipe()
-        self.pid: int | None = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:  # out of process ids or memory: run in this process
+            os.close(read_end)
+            os.close(write_end)
+            return
         if self.pid == 0:
             # os._exit, whatever happens: the child runs none of the parent's
             # exit handlers and flushes none of the buffers it shares with it
@@ -83,7 +114,7 @@ class Worker:
                 os.close(read_end)
                 with held_records() as records:
                     try:
-                        outcome = (fn(*args), None)
+                        outcome = (self.fn(*self.args), None)
                     except BaseException as exc:
                         outcome = (None, (exc, traceback.format_exc()))
                 with open(write_end, "wb") as pipe:
@@ -94,9 +125,11 @@ class Worker:
         self.pipe = open(read_end, "rb")
 
     def join(self) -> Any:
-        """What the function returned, once its log records are replayed
-        here; raises the function's failure, or :class:`ChildProcessError` if
-        the worker died first."""
+        """What the function returned, once a forked worker's log records
+        are replayed here; raises the function's failure, or
+        :class:`ChildProcessError` if a forked worker died first."""
+        if not self.forked:
+            return self.fn(*self.args)
         with self.pipe:
             payload = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
@@ -115,7 +148,7 @@ class Worker:
         return value
 
     def stop(self) -> None:
-        """Kill and reap the worker, unless it was joined."""
+        """Kill and reap a forked worker, unless it was joined."""
         if self.pid is None:
             return
         import signal

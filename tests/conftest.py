@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic
@@ -63,6 +64,11 @@ def make_records(counts, field, year, prefix=None):
         PublicationRecord(id=f"{prefix}-{i:04d}", field=field, year=year, reads=int(c))
         for i, c in enumerate(counts)
     ]
+
+
+def open_fds() -> int | None:
+    """How many file descriptors this process holds, where /proc tells."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 @pytest.fixture

@@ -1045,7 +1045,8 @@ def test_a_warm_cache_loads_no_http_client(tmp_path):
         "import readscale.fetch\n"
         "assert not client & set(sys.modules), client & set(sys.modules)\n"
         "import readscale.cli as cli\n"
-        "cli._forks = lambda: False  # in sequence: a forked reader's parent loads the client meanwhile\n"
+        "import readscale.worker as worker\n"
+        "worker._forks = lambda: False  # in sequence: a forked reader's parent loads the client meanwhile\n"
         f"assert cli.main({fetch!r}) == 0\n"
         "assert not client & set(sys.modules), client & set(sys.modules)\n"
     )

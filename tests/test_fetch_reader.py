@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import readscale.cli as cli_mod
+import readscale.worker as worker_mod
 from conftest import make_records
 from readscale.cli import main
 from readscale.fetch import Cache
@@ -72,7 +73,7 @@ def reader_pids(tmp_path, monkeypatch):
 
 
 def _forks(monkeypatch, forks: bool):
-    monkeypatch.setattr(cli_mod, "_forks", lambda: forks)
+    monkeypatch.setattr(worker_mod, "_forks", lambda: forks)
 
 
 def _fetch(argv, out: Path, capsys, caplog):
@@ -217,7 +218,7 @@ def test_unreadable_cache_fails_as_in_sequence(kind, corpus, tmp_path, capsys, c
 
 
 def test_a_running_thread_keeps_fetch_in_one_process(corpus, cache_lines, tmp_path, monkeypatch, reader_pids):
-    monkeypatch.setattr(cli_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 2)
     cache = tmp_path / "cache.jsonl"
     # every id cached: the dead provider is never asked
     cache.write_text("\n".join(cache_lines + [_entry(f"10.1/bio-000{i}", i) for i in (3, 4)]) + "\n", encoding="utf-8")

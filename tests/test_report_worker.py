@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import readscale.cli as cli_mod
-from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records
+import readscale.worker as worker_mod
+from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records, open_fds
 from readscale.cli import main
 from readscale.ingest import write_records
 
@@ -57,7 +58,7 @@ def collapse_pids(tmp_path, monkeypatch):
 
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(cli_mod, "_cpus", lambda: n)
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: n)
 
 
 def _report(argv, out: Path, capsys, caplog):
@@ -187,3 +188,22 @@ def test_parent_stage_failure_reaps_the_worker(stage, inputs, tmp_path, capsys, 
     assert worker != os.getpid()
     with pytest.raises(ChildProcessError):  # reaped: neither running nor left unwaited
         os.waitpid(worker, os.WNOHANG)
+
+
+def test_failed_fork_runs_collapse_in_process(inputs, tmp_path, capsys, caplog, monkeypatch, collapse_pids):
+    caplog.set_level(logging.INFO)
+    _cpus(monkeypatch, 1)
+    sequential = _report(inputs, tmp_path / "sequential", capsys, caplog)
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    _cpus(monkeypatch, 2)
+    fds = open_fds()
+    failed_fork = _report(inputs, tmp_path / "failed_fork", capsys, caplog)
+    assert open_fds() == fds  # the pipe to the worker that never was is closed
+
+    assert failed_fork == sequential and failed_fork[0] == 0
+    assert collapse_pids() == [os.getpid(), os.getpid()]
+    assert _tree(tmp_path / "failed_fork") == _tree(tmp_path / "sequential")

@@ -1,0 +1,100 @@
+"""``Worker`` on its own: forked, or run in this process at ``join`` when it
+may not fork or the fork fails."""
+from __future__ import annotations
+
+import os
+import time
+
+import pytest
+
+import readscale.worker as worker_mod
+from conftest import open_fds
+from readscale.worker import Worker
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker is forked")
+
+
+def _fork_fails():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.fixture(params=[
+    pytest.param("forked", marks=needs_fork),
+    "one cpu",
+    pytest.param("fork fails", marks=needs_fork),
+])
+def mode(request, monkeypatch):
+    """Whether a Worker forks: it does on two CPUs, unless the fork fails."""
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 1 if request.param == "one cpu" else 2)
+    if request.param == "fork fails":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    return request.param
+
+
+def test_join_returns_the_value(mode):
+    fds = open_fds()
+    worker = Worker("test worker", lambda a, b: {"sum": a + b, "pid": os.getpid()}, 2, 3)
+    try:
+        assert worker.forked is (mode == "forked")
+        value = worker.join()
+    finally:
+        worker.stop()
+    assert value["sum"] == 5
+    assert (value["pid"] != os.getpid()) is worker.forked
+    assert open_fds() == fds
+
+
+def test_in_process_function_runs_at_join(monkeypatch):
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 1)
+    order = []
+    worker = Worker("test worker", order.append, "fn")
+    order.append("before join")
+    worker.join()
+    worker.stop()
+    assert not worker.forked and order == ["before join", "fn"]
+
+
+class Boom(Exception):
+    pass
+
+
+def _fail():
+    raise Boom("no")
+
+
+def test_failure_is_raised(mode):
+    worker = Worker("test worker", _fail)
+    try:
+        with pytest.raises(Boom, match="no") as raised:
+            worker.join()
+    finally:
+        worker.stop()
+    if worker.forked:  # re-raised here, with the worker's traceback as its cause
+        cause = raised.value.__cause__
+        assert isinstance(cause, worker_mod._WorkerTraceback) and "_fail" in str(cause)
+    else:  # raised as it is
+        assert raised.value.__cause__ is None
+        assert raised.traceback[-1].name == "_fail"
+
+
+def test_stop_without_join(mode, tmp_path):
+    started = tmp_path / "started"
+
+    def run():
+        started.write_text(str(os.getpid()), encoding="utf-8")
+        time.sleep(60)
+
+    begun = time.monotonic()
+    worker = Worker("test worker", run)
+    if worker.forked:
+        while not started.exists() and time.monotonic() - begun < 30:
+            time.sleep(0.01)
+        pid = int(started.read_text(encoding="utf-8"))
+        worker.stop()
+        with pytest.raises(ChildProcessError):  # killed and reaped
+            os.waitpid(pid, os.WNOHANG)
+    else:
+        worker.stop()
+        assert not started.exists()  # never run
+    worker.stop()  # a second stop does nothing
+    assert time.monotonic() - begun < 30
