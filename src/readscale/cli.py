@@ -16,6 +16,9 @@ unreadable inputs, broken schemas or an unreachable provider abort.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import logging
 import numbers
@@ -33,11 +36,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .choices import TIE_RULES, TRUNCATION_RULES
 from .ingest import (
     Columns,
+    CorpusBuffers,
     IngestError,
     IngestReport,
     gc_paused,
     parse_columns,
-    parse_corpus,
+    parse_into,
     parse_numbered,
     validate,
     write_diagnostics,
@@ -47,7 +51,7 @@ from .ingest import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .corpus import EmptyCorpusError, Strata
+    from .corpus import Corpus, EmptyCorpusError, Strata
 
 __all__ = ["main", "build_parser"]
 
@@ -61,6 +65,12 @@ DEFAULT_Z = (5.0, 10.0, 20.0)
 
 # subcommands that take the corpus's (field, year) strata, loaded once in main
 ANALYSIS_COMMANDS = ("fit", "collapse", "css", "topz", "report")
+
+# the most input bytes the analysis commands parse in a forked loader: past
+# about this size, handing the parsed columns over to the main process costs
+# more than the imports the loader hides (on two cores of a Xeon VM, the fork
+# still gained on 18.6 MB of line-JSON, 240k records, and lost on 23 MB, 300k)
+LOADER_FORK_BYTES = 16 * 2**20
 
 # the variables by which a user sets the threads of numpy's OpenBLAS
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -187,7 +197,7 @@ def _input_format(path: Path) -> tuple[str, str]:
 
 def _parse_inputs(paths: Sequence[str], parse: Callable) -> list[tuple]:
     """``(path, *parse(path))`` for each input file: what ``parse``
-    (``parse_columns``, ``parse_numbered`` or ``parse_corpus``) makes of it,
+    (``parse_columns``, ``parse_numbered`` or ``parse_into``) makes of it,
     its :class:`IngestReport` second."""
     parsed = []
     for p in paths:
@@ -227,15 +237,46 @@ def _one_blas_thread() -> None:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
+def _load_buffers(paths: Sequence[str]) -> CorpusBuffers:
+    """The records of the inputs, in input order, in one :class:`CorpusBuffers`."""
+    buffers = CorpusBuffers()
+    _parse_inputs(paths, functools.partial(parse_into, buffers))
+    return buffers
+
+
+def _load_corpus(paths: Sequence[str]) -> Corpus:
+    """The inputs as one columnar corpus. They are parsed in a
+    :class:`~readscale.worker.Worker`, which needs no numpy: if it forked,
+    this process imports numpy and the analysis modules meanwhile, and then
+    adopts the worker's columns; the log and any failure come out as from a
+    parse in this process. Inputs of more than :data:`LOADER_FORK_BYTES` in
+    all are parsed here, after the imports."""
+    from .worker import Worker
+
+    # a path that is no file counts for nothing: the parse reports it in its turn
+    size = sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
+    loader = Worker("corpus loader", _load_buffers, paths, fork=size <= LOADER_FORK_BYTES)
+    try:
+        from .corpus import Corpus
+
+        if loader.forked:  # while the loader runs, rather than in the stages
+            from . import css, distfit, rescale, swilk, topz  # noqa: F401
+        buffers = loader.join()
+    finally:
+        loader.stop()
+    return Corpus.from_buffers(buffers)
+
+
 @gc_paused
 def _load_strata(paths: Sequence[str], years: Sequence[int] | None) -> Strata:
-    """The inputs as one columnar corpus, grouped by (field, year); loading
-    makes no reference cycles, so it runs with the garbage collector paused."""
+    """The inputs as one columnar corpus (:func:`_load_corpus`), grouped by
+    (field, year); loading makes no reference cycles, so it runs with the
+    garbage collector paused."""
+    corpus = _load_corpus(paths)  # first: it imports numpy while the loader runs
     import numpy as np
 
-    from .corpus import Corpus, stratify
+    from .corpus import stratify
 
-    corpus = Corpus.concat([part for _, part, _ in _parse_inputs(paths, parse_corpus)])
     if years:
         corpus = corpus.take(np.isin(corpus.years, years))
     if not len(corpus):
@@ -764,6 +805,10 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # the collector's last walks over every object at exit free nothing that
+    # the exit needs: every --out file is closed when a command returns
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import YEAR_MAX, YEAR_MIN, Columns, repeated_positions  # noqa: F401 -- exported here too
+from .ingest import YEAR_MAX, YEAR_MIN, Columns, CorpusBuffers, repeated_positions  # noqa: F401 -- exported here too
 
 
 class EmptyCorpusError(ValueError):
@@ -33,6 +33,9 @@ class DuplicateIdError(ValueError):
     def __init__(self, ids: Sequence[str]):
         self.ids = tuple(ids)
         super().__init__(f"duplicate record ids: {', '.join(self.ids)}")
+
+    def __reduce__(self):  # rebuilt from the ids, not from the message
+        return type(self), (self.ids,), self.__dict__
 
 
 class PublicationRecord(NamedTuple):
@@ -176,81 +179,26 @@ class Corpus:
         )
 
     @classmethod
-    def from_json_columns(
-        cls, ids: list, fields: list, years: list, reads: list, cites: list
-    ) -> "Corpus | None":
-        """The corpus of line-JSON values as the decoder made them, or None
-        when a row needs the per-row path of :mod:`readscale.ingest`: an id or
-        field that is not a string of more than blanks, a year that is not a 64-bit
-        integer, reads that are not a finite non-negative int or float (a bool,
-        a null or a string among them), or cites that are not a non-negative
-        int or null. The result equals :meth:`from_columns` of what the
-        per-row path makes of the same rows.
-
-        The years' type is read off their array's dtype; the reads' type set,
-        which tells a bool from an int, also says whether any row is real.
-        """
-        n = len(ids)
-        try:
-            ids = list(map(str.strip, ids))  # TypeError: a non-string id
-            names = set(fields)  # TypeError: an unhashable field
-            year_column = np.array(years)  # ValueError: nested lists of uneven length
-        except (TypeError, ValueError):
-            return None
-        if not (all(ids) and set(map(type, names)) <= {str} and all(map(str.strip, names))):
-            return None
-        # numpy takes bools beside ints as int64, and the per-row path reads
-        # a bool year as its int: the same value
-        if year_column.dtype != np.int64 or year_column.shape != (n,):
-            return None
-        kinds = set(map(type, reads))
-        if not kinds <= {int, float}:
-            return None
-        try:
-            read_column = np.array(reads, dtype=float)
-        except OverflowError:  # an int beyond float range, which the per-row path rejects
-            return None
-        if not np.isfinite(read_column).all() or (read_column < 0).any():
-            return None
-        if float in kinds:
-            real = np.fromiter(map(isinstance, reads, repeat(float)), bool, n)
-        else:
-            real = np.zeros(n, dtype=bool)
-        if cites.count(None) == n:
-            cite_column = np.full(n, np.nan)
-        elif set(map(type, cites)) <= {int, type(None)}:
-            cite_column = np.array(cites, dtype=float)  # None becomes NaN
-            if (cite_column < 0).any():
-                return None
-        else:
-            return None
-        codes, labels = _coded(fields)
+    def from_buffers(cls, buffers: CorpusBuffers) -> "Corpus":
+        """Adopt the columns that :mod:`readscale.ingest` built without numpy,
+        the field codes renumbered into the sorted label table."""
+        names = list(buffers.labels)  # in code order
+        labels = tuple(sorted(names))
+        code = {label: i for i, label in enumerate(labels)}
+        recode = np.fromiter(map(code.__getitem__, names), np.int64, len(names))
         return cls(
-            ids=np.fromiter(ids, object, n), fields=codes, labels=labels,
-            years=year_column, reads=read_column, real=real, cites=cite_column,
+            ids=np.array(buffers.ids, dtype=object),
+            fields=recode[np.frombuffer(buffers.fields, np.int64)],
+            labels=labels,
+            years=np.frombuffer(buffers.years, np.int64),
+            reads=np.frombuffer(buffers.reads, np.float64),
+            real=np.frombuffer(buffers.real, bool),
+            cites=np.frombuffer(buffers.cites, np.float64),
         )
 
     @classmethod
     def from_records(cls, records: Sequence[PublicationRecord]) -> "Corpus":
         return cls.from_columns(*Columns.from_records(records))
-
-    @classmethod
-    def concat(cls, parts: Sequence["Corpus"]) -> "Corpus":
-        """The rows of every part, in order, over one merged label table."""
-        if len(parts) == 1:
-            return parts[0]
-        labels = tuple(sorted(set().union(*(p.labels for p in parts))))
-        code = {label: i for i, label in enumerate(labels)}
-        recode = [np.array([code[label] for label in p.labels], dtype=np.int64) for p in parts]
-        return cls(
-            ids=np.concatenate([p.ids for p in parts]),
-            fields=np.concatenate([r[p.fields] for r, p in zip(recode, parts)]),
-            labels=labels,
-            years=np.concatenate([p.years for p in parts]),
-            reads=np.concatenate([p.reads for p in parts]),
-            real=np.concatenate([p.real for p in parts]),
-            cites=np.concatenate([p.cites for p in parts]),
-        )
 
     def __len__(self) -> int:
         return len(self.ids)

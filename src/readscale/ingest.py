@@ -19,18 +19,18 @@ import gc
 import io
 import json
 import logging
+import marshal
 import math
+from array import array
 from itertools import chain, compress, filterfalse, repeat
 from operator import itemgetter, not_
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # readscale.corpus loads numpy, which ingest itself never needs
     from .corpus import Corpus, PublicationRecord
 
 log = logging.getLogger(__name__)
-
-_T = TypeVar("_T", "Columns", "Corpus")
 
 # Default bounds for a plausible publication year; validation uses these
 # unless the caller overrides them.
@@ -54,6 +54,9 @@ class SchemaError(IngestError):
     def __init__(self, column: str):
         self.column = column
         super().__init__(f"missing mandatory column: {column!r}")
+
+    def __reduce__(self):  # rebuilt from the column, not from the message
+        return type(self), (self.column,), self.__dict__
 
 
 class IngestReport(NamedTuple):
@@ -93,19 +96,15 @@ class Columns(NamedTuple):
         )
 
     @classmethod
-    def from_columns(cls, *columns: Sequence) -> "Columns":
-        """The columns as they are: the counterpart of :meth:`Corpus.from_columns`."""
-        return cls(*columns)
-
-    @classmethod
     def from_json_columns(cls, ids, fields, years, reads, cites) -> "Columns | None":
         """Line-JSON values as decoded, ids and fields trimmed; None when a row
         needs the per-row path: an id or field of blanks alone, or a value of
         another type than a string id and field, integer year, integer or
         float reads and integer cites, or a negative or non-finite count."""
-        if not _types(ids) | _types(fields) <= {str}:
+        try:
+            ids, fields = list(map(str.strip, ids)), list(map(str.strip, fields))
+        except TypeError:  # a value that is not a string
             return None
-        ids, fields = list(map(str.strip, ids)), list(map(str.strip, fields))
         try:
             plain = (
                 all(ids) and all(fields) and _types(years) <= {int}
@@ -113,8 +112,8 @@ class Columns(NamedTuple):
                 # sum overflows merely leave the rows to the per-row path
                 and _types(reads) <= {int, float} and math.isfinite(sum(reads))
                 and min(reads, default=0) >= 0
-                and _types(cites) <= {int, type(None)}
-                and min(filter(None, cites), default=0) >= 0
+                and (cites.count(None) == len(cites) or _types(cites) <= {int, type(None)}
+                     and min(filter(None, cites), default=0) >= 0)
             )
         except OverflowError:  # an int beyond float range, which the per-row path calls non-finite
             return None
@@ -135,6 +134,78 @@ class Columns(NamedTuple):
         """The rows whose ``keep`` flag is true."""
         keep = list(keep)
         return Columns(*(list(compress(column, keep)) for column in self))
+
+    def extend(self, part: "Columns") -> None:
+        """Append the rows of ``part`` to these columns, which must be lists."""
+        for column, values in zip(self, part):
+            column.extend(values)
+
+
+class CorpusBuffers:
+    """The columns of a :class:`~readscale.corpus.Corpus`, built without numpy
+    in growing standard-library buffers that :meth:`Corpus.from_buffers`
+    adopts: ids as a list of str, each field's code into ``labels`` (trimmed
+    label -> code, in order of first sight), years as int64, reads as
+    float64 with a flag per row that marks a real number, and cites as
+    float64, NaN where a record has none.
+
+    A part whose years do not all fit in 64 bits is left out and sets
+    :attr:`overflow`; :func:`parse_into` raises once the file is read, so
+    that the file's warnings come first, as they would from a corpus built
+    at the end. Pickled, the ids go through :mod:`marshal`, several times
+    faster than pickle on a list of str.
+    """
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.labels: dict[str, int] = {}
+        self.fields = array("q")
+        self.years = array("q")
+        self.reads = array("d")
+        self.real = bytearray()
+        self.cites = array("d")
+        self.overflow = False
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "ids": marshal.dumps(self.ids)}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state, ids=marshal.loads(state["ids"]))
+
+    def extend(self, part: Columns) -> None:
+        """Append the rows of ``part``: fields trimmed, years int, reads int or
+        float, cites int or None, as :class:`Columns` hold them."""
+        try:
+            years = array("q", part.years)
+        except OverflowError:
+            self.overflow = True
+            return
+        labels = self.labels
+        try:
+            codes = array("q", list(map(labels.__getitem__, part.fields)))
+        except KeyError:  # a label first seen here
+            for label in sorted(set(part.fields) - labels.keys()):
+                labels[label] = len(labels)
+            codes = array("q", list(map(labels.__getitem__, part.fields)))
+        # arrays built whole and then joined: extend takes a list value by value
+        self.fields += codes
+        self.ids += part.ids
+        self.years += years
+        reads = part.reads
+        self.reads += array("d", reads)
+        try:
+            real = type(sum(reads)) is float  # ints sum to an int, and a float makes it a float
+        except OverflowError:  # ints beyond float range, then a float
+            real = True
+        self.real += bytes(map(isinstance, reads, repeat(float))) if real else bytes(len(reads))
+        cites = part.cites
+        if cites.count(None) == len(cites):
+            self.cites += array("d", [math.nan]) * len(cites)
+        else:
+            self.cites += array("d", [math.nan if c is None else c for c in cites])
 
 
 def gc_paused(fn):
@@ -219,20 +290,21 @@ def _lines(stream, source) -> list[str]:
     return text.split("\n")
 
 
-def _parse(source, format: str, delimiter: str, target: type[_T]) -> tuple[_T, list, Sequence[int]]:
-    """The records of ``source`` as ``target`` (:class:`Columns` or :class:`Corpus`)
-    makes them, the ``(line, reason)`` pairs of the rows skipped and each
-    record's line number, numbered as the skipped rows are."""
+def _parse(source, format: str, delimiter: str, sink) -> tuple[list, Sequence[int]]:
+    """Feed the records of ``source`` to ``sink.extend`` as :class:`Columns`,
+    a part at a time; the ``(line, reason)`` pairs of the rows skipped and
+    each record's line number, numbered as the skipped rows are."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     stream = _open_text(source)
     try:
         if format == "delimited":
             columns, diagnostics = _parse_delimited(stream, delimiter)
+            sink.extend(columns)
             # line 1 is the header, and blank rows are not numbered
             numbers: Sequence[int] = range(2, len(columns.ids) + len(diagnostics) + 2)
-            return target.from_columns(*columns), diagnostics, _unnamed(numbers, diagnostics)
-        return _parse_line_json(_lines(stream, source), target)
+            return diagnostics, _unnamed(numbers, diagnostics)
+        return _parse_line_json(_lines(stream, source), sink)
     except UnicodeDecodeError as exc:
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
     finally:
@@ -240,45 +312,29 @@ def _parse(source, format: str, delimiter: str, target: type[_T]) -> tuple[_T, l
             stream.close()
 
 
-def _parse_line_json(lines: list[str], target: type[_T]) -> tuple[_T, list, Sequence[int]]:
+def _parse_line_json(lines: list[str], sink) -> tuple[list, Sequence[int]]:
     """:func:`_parse` of line-JSON ``lines`` a chunk at a time: what
-    ``target.from_json_columns`` makes of a chunk's decoded values, or else
-    what :func:`_parse_line_json_rows` makes of its lines, which become
-    ``target`` last, so that one it cannot hold (a year beyond 64 bits in a
-    :class:`Corpus`) raises after the unknown-keys warning, as per row.
-
-    :class:`Columns` are joined a chunk at a time, so that no chunk's lists
-    are held beside the joined ones; a :class:`Corpus`'s parts are joined at
-    the end, over one label table."""
-    # per_row: where in parts the per-row Columns are; numbers: each part's lines
-    parts, per_row, diagnostics, numbers = [], [], [], []
-    joined = Columns([], [], [], [], []) if target is Columns else None
+    :meth:`Columns.from_json_columns` makes of a chunk's decoded values, or
+    else what :func:`_parse_line_json_rows` makes of its lines, goes to
+    ``sink`` before the next chunk is decoded."""
+    diagnostics, numbers = [], []  # numbers: each chunk's lines
     warned = False
     for chunk_numbers, chunk, rows in decode_line_chunks(lines, KNOWN_COLUMNS):
         values = None if rows is None else _chunk_values(rows)
-        part = None if values is None else target.from_json_columns(*values)
+        part = None if values is None else Columns.from_json_columns(*values)
         if part is None:
             part, skipped, warned = _parse_line_json_rows(chunk, chunk_numbers, warned)
-            per_row.append(len(parts))
             diagnostics += skipped
             chunk_numbers = _unnamed(chunk_numbers, skipped)
         elif not warned:
             warned = _warn_unknown(rows, values[4])
         numbers.append(chunk_numbers)
-        if joined is None:
-            parts.append(part)
-        else:
-            for column, new in zip(joined, part):
-                column.extend(new)
-    if joined is None:
-        for i in per_row:
-            parts[i] = target.from_columns(*parts[i])
-        joined = target.concat(parts) if parts else target.from_columns(*_columns([]))
+        sink.extend(part)
     count = sum(map(len, numbers))
     last = next((n[-1] for n in reversed(numbers) if n), 0)
     # ascending numbers from 1 up that end at their count are 1 to count
     numbered = range(1, count + 1) if last == count else list(chain(*numbers))
-    return joined, diagnostics, numbered
+    return diagnostics, numbered
 
 
 def _unnamed(numbers: Sequence[int], diagnostics: list) -> Sequence[int]:
@@ -318,7 +374,8 @@ def parse_numbered(
     """:func:`parse_columns`, and each record's line number as the report
     numbers the skipped rows: a line-JSON file counts every line, a delimited
     file counts its header and each non-blank record."""
-    columns, diagnostics, lines = _parse(source, format, delimiter, Columns)
+    columns = Columns([], [], [], [], [])
+    diagnostics, lines = _parse(source, format, delimiter, columns)
     return columns, _report(len(columns.ids), diagnostics), lines
 
 
@@ -335,18 +392,33 @@ def parse_records(
 
 
 @gc_paused
+def parse_into(
+    buffers: CorpusBuffers,
+    source,
+    format: str = "delimited",
+    delimiter: str = ",",
+) -> tuple[CorpusBuffers, IngestReport]:
+    """:func:`parse_columns`, with the records appended to ``buffers``, and
+    the report of this source's rows alone. Raises :class:`ValueError`, after
+    the source's warnings, if a year does not fit in 64 bits."""
+    before = len(buffers)
+    diagnostics, _ = _parse(source, format, delimiter, buffers)
+    if buffers.overflow:
+        raise ValueError("a year does not fit in 64 bits")
+    return buffers, _report(len(buffers) - before, diagnostics)
+
+
 def parse_corpus(
     source,
     format: str = "delimited",
     delimiter: str = ",",
 ) -> tuple[Corpus, IngestReport]:
-    """:func:`parse_columns`, with the records as a :class:`Corpus`; a
-    line-JSON chunk decoded in bulk goes from its decoded values to the
-    corpus's arrays in one pass (:meth:`Corpus.from_json_columns`)."""
+    """:func:`parse_columns`, with the records as a :class:`Corpus`: the
+    columns of :func:`parse_into`, adopted."""
     from .corpus import Corpus
 
-    corpus, diagnostics, _ = _parse(source, format, delimiter, Corpus)
-    return corpus, _report(len(corpus), diagnostics)
+    buffers, report = parse_into(CorpusBuffers(), source, format, delimiter)
+    return Corpus.from_buffers(buffers), report
 
 
 def _columns(rows: list[tuple]) -> Columns:

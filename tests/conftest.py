@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -64,6 +65,26 @@ def make_records(counts, field, year, prefix=None):
         PublicationRecord(id=f"{prefix}-{i:04d}", field=field, year=year, reads=int(c))
         for i, c in enumerate(counts)
     ]
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def ingest_logged(fn, *args):
+    """What ``fn(*args)`` returns, and the messages readscale.ingest logged meanwhile."""
+    handler = _Messages()
+    logger = logging.getLogger("readscale.ingest")
+    logger.addHandler(handler)
+    try:
+        return fn(*args), handler.messages
+    finally:
+        logger.removeHandler(handler)
 
 
 def open_fds() -> int | None:

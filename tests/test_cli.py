@@ -14,6 +14,7 @@ import pytest
 import readscale.cli as cli_mod
 import readscale.corpus as corpus_mod
 import readscale.fetch as fetch_mod
+import readscale.worker as worker_mod
 from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records
 from readscale.cli import main
 from readscale.corpus import Group, GroupKey
@@ -654,7 +655,9 @@ def _counting(monkeypatch, name, module=cli_mod):
 
 def test_report_parses_each_input_once_and_groups_once(tmp_path, monkeypatch):
     inputs = _two_year_corpus(tmp_path)
-    parses = _counting(monkeypatch, "parse_corpus")
+    # on one CPU the loader parses in this process, where its calls are counted
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 1)
+    parses = _counting(monkeypatch, "parse_into")
     column_parses = _counting(monkeypatch, "parse_columns")
     # the cli imports stratify where it groups, so it is counted at home
     groupings = _counting(monkeypatch, "stratify", corpus_mod)

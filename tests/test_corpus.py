@@ -138,17 +138,6 @@ def test_strata_are_built_once_and_read_only():
     assert [s.reads.tolist() for s in strata] == [[3, 1], [4.5]]
 
 
-def test_concat_merges_label_tables():
-    first = Corpus.from_records(make_records([1, 2], "Zeta", 2010, prefix="z"))
-    second = Corpus.from_records(
-        make_records([3], "Alpha", 2010, prefix="a") + make_records([4], "Zeta", 2011, prefix="y")
-    )
-    both = Corpus.concat([first, second])
-    assert both.labels == ("Alpha", "Zeta")
-    assert [both.labels[f] for f in both.fields] == ["Zeta", "Zeta", "Alpha", "Zeta"]
-    assert both.reads.tolist() == [1, 2, 3, 4]
-
-
 def test_year_beyond_64_bits_is_a_value_error():
     with pytest.raises(ValueError, match="64 bits"):
         Corpus.from_records([PublicationRecord("y1", "A", 10**19, 3)])

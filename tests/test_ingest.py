@@ -26,7 +26,7 @@ from readscale.ingest import (
     write_diagnostics,
     write_records,
 )
-from conftest import make_records
+from conftest import ingest_logged, make_records
 
 CSV_OK = """id,field,year,reads,cites
 p1,Mathematics,2010,5,1
@@ -249,25 +249,6 @@ def test_write_diagnostics_line_json(tmp_path):
 # line-JSON fast path: one json.loads per file, the per-row path as reference
 
 
-class _Messages(logging.Handler):
-    def __init__(self):
-        super().__init__()
-        self.messages: list[str] = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
-def _logged(fn, *args):
-    handler = _Messages()
-    logger = logging.getLogger("readscale.ingest")
-    logger.addHandler(handler)
-    try:
-        return fn(*args), handler.messages
-    finally:
-        logger.removeHandler(handler)
-
-
 _PLAIN = {
     "id": st.text(min_size=1, max_size=6).filter(str.strip),  # blanks alone are no id
     "field": st.sampled_from(["A", "Bio Chem", " Ärzte ", "日本"]),
@@ -342,8 +323,8 @@ def _reads_line(reads) -> str:
 def test_line_json_fast_path_equals_per_row_path(chunk_lines, lines, end):
     text = _line_json(lines, end)
     with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
-        (records, report), fast_log = _logged(parse_records, io.StringIO(text), "line-json")
-    (columns, diagnostics, _), row_log = _logged(
+        (records, report), fast_log = ingest_logged(parse_records, io.StringIO(text), "line-json")
+    (columns, diagnostics, _), row_log = ingest_logged(
         ingest._parse_line_json_rows, io.StringIO(text).readlines()
     )
     # repr tells 12 from 12.0 and -0.0 from 0.0
@@ -383,11 +364,11 @@ def _corpus_or_error(fn, *args):
 def test_line_json_corpus_equals_per_row_corpus(chunk_lines, lines, newline, last):
     text = newline.join(lines) + (newline if last else "")
     with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
-        fast, fast_log = _logged(
+        fast, fast_log = ingest_logged(
             _corpus_or_error, parse_corpus, io.BytesIO(text.encode("utf-8")), "line-json"
         )
     # a file read with newline="" breaks lines at "\r\n", "\r" and "\n"
-    (columns, _, _), row_log = _logged(
+    (columns, _, _), row_log = ingest_logged(
         ingest._parse_line_json_rows, io.StringIO(text, newline="").readlines()
     )
     assert fast == _corpus_or_error(Corpus.from_columns, *columns)
@@ -577,10 +558,10 @@ def _outcome(fn, *args):
 @given(_delimited())
 def test_delimited_bulk_path_equals_per_row_path(case):
     text, delimiter = case
-    fast, fast_log = _logged(
+    fast, fast_log = ingest_logged(
         _outcome, lambda: parse_records(io.StringIO(text, newline=""), delimiter=delimiter)
     )
-    slow, slow_log = _logged(
+    slow, slow_log = ingest_logged(
         _outcome, lambda: _parse_delimited_rows(io.StringIO(text, newline=""), delimiter)
     )
     assert fast_log == slow_log

@@ -2,6 +2,7 @@
 and exit code as the four stages in sequence, and no process left behind."""
 from __future__ import annotations
 
+import errno
 import functools
 import logging
 import os
@@ -207,3 +208,22 @@ def test_failed_fork_runs_collapse_in_process(inputs, tmp_path, capsys, caplog, 
     assert failed_fork == sequential and failed_fork[0] == 0
     assert collapse_pids() == [os.getpid(), os.getpid()]
     assert _tree(tmp_path / "failed_fork") == _tree(tmp_path / "sequential")
+
+
+def test_failed_channel_runs_every_worker_in_process(inputs, tmp_path, capsys, caplog, monkeypatch, collapse_pids):
+    caplog.set_level(logging.INFO)
+    _cpus(monkeypatch, 1)
+    sequential = _report(inputs, tmp_path / "sequential", capsys, caplog)
+
+    def channel():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(worker_mod, "_channel", channel)
+    _cpus(monkeypatch, 2)
+    fds = open_fds()
+    failed_channel = _report(inputs, tmp_path / "failed_channel", capsys, caplog)
+    assert open_fds() == fds
+
+    assert failed_channel == sequential and failed_channel[0] == 0
+    assert collapse_pids() == [os.getpid(), os.getpid()]
+    assert _tree(tmp_path / "failed_channel") == _tree(tmp_path / "sequential")

@@ -1,10 +1,12 @@
-"""The value types are named tuples: fields, defaults, equality, order and checks."""
+"""The value types are named tuples: fields, defaults, equality, order and
+checks; the exceptions come back from a pickle as they went in."""
 from __future__ import annotations
 
 import pickle
 
 import pytest
 
+import readscale
 from readscale.corpus import GroupKey, GroupStats, PublicationRecord
 from readscale.css import CssResult
 from readscale.distfit import LognormalFit, ZeroPolicy
@@ -99,3 +101,39 @@ def test_provider_config_checks_every_field(change, message):
         ProviderConfig(**fields)
     with pytest.raises(ValueError, match=message):
         ProviderConfig("http://127.0.0.1:1")._replace(**change)
+
+
+# each public exception, built as readscale raises it, and the attributes it carries
+EXCEPTIONS = {
+    "AllUnreadGroupError": (("stratum Surgery/2010 has only zero counts",), ()),
+    "DegenerateSampleError": (("fewer than 2 values remain",), ()),
+    "DuplicateIdError": ((["a", "b"],), ("ids",)),
+    "EmptyCorpusError": (("no records loaded",), ()),
+    "FetchError": (("provider unreachable",), ()),
+    "IngestError": (("input is not valid UTF-8",), ()),
+    "SchemaError": (("reads",), ("column",)),
+    "UnsupportedSizeError": (("n=2 outside [3, 5000]",), ()),
+    "ZeroVarianceError": (("all values identical",), ()),
+}
+
+
+def test_every_public_exception_is_listed():
+    public = {
+        name for name in readscale.__all__
+        if isinstance(getattr(readscale, name), type) and issubclass(getattr(readscale, name), BaseException)
+    }
+    assert public == set(EXCEPTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONS))
+def test_exception_survives_pickle(name):
+    # a forked worker sends its failure to the parent as a pickle
+    args, attributes = EXCEPTIONS[name]
+    exc = getattr(readscale, name)(*args)
+    exc.where = "in a worker"  # an attribute set after the exception was made
+    again = pickle.loads(pickle.dumps(exc))
+    assert type(again) is type(exc)
+    assert str(again) == str(exc) and again.args == exc.args
+    assert again.where == "in a worker"
+    for attribute in attributes:
+        assert getattr(again, attribute) == getattr(exc, attribute)

@@ -2,6 +2,7 @@
 may not fork or the fork fails."""
 from __future__ import annotations
 
+import errno
 import os
 import time
 
@@ -18,16 +19,24 @@ def _fork_fails():
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
+def _channel_fails():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
 @pytest.fixture(params=[
     pytest.param("forked", marks=needs_fork),
     "one cpu",
     pytest.param("fork fails", marks=needs_fork),
+    pytest.param("channel fails", marks=needs_fork),
 ])
 def mode(request, monkeypatch):
-    """Whether a Worker forks: it does on two CPUs, unless the fork fails."""
+    """Whether a Worker forks: it does on two CPUs, unless the fork or the
+    file for its result fails."""
     monkeypatch.setattr(worker_mod, "_cpus", lambda: 1 if request.param == "one cpu" else 2)
     if request.param == "fork fails":
         monkeypatch.setattr(os, "fork", _fork_fails)
+    if request.param == "channel fails":
+        monkeypatch.setattr(worker_mod, "_channel", _channel_fails)
     return request.param
 
 
@@ -41,6 +50,26 @@ def test_join_returns_the_value(mode):
         worker.stop()
     assert value["sum"] == 5
     assert (value["pid"] != os.getpid()) is worker.forked
+    assert open_fds() == fds
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="waits without reaping")
+def test_result_larger_than_a_pipe_does_not_hold_the_worker(monkeypatch):
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 2)
+    fds = open_fds()
+    value = os.urandom(1 << 20)
+    worker = Worker("test worker", lambda: value)
+    try:
+        assert worker.forked
+        # the worker exits with its result written, before anyone joins it
+        deadline = time.monotonic() + 30
+        while not os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert worker.join() == value
+    finally:
+        worker.stop()
     assert open_fds() == fds
 
 
