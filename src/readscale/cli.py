@@ -29,7 +29,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 # numpy and the analysis modules load only for the commands that use them,
 # so that ingest and fetch start on the standard library alone
@@ -412,6 +412,48 @@ def cmd_fetch(args) -> int:
     return 0
 
 
+# The analysis stages. Each runs as one task per year of the corpus: a
+# function of the year's strata and of a _TaskOut for --out, which returns the
+# year's rows and writes its files there. A second function merges the rows of
+# every year into the stage's tables and writes them.
+
+
+class _TaskOut(NamedTuple):
+    """The ``--out`` directory, or one file in it, as a task writes to it: in
+    place of a :class:`Path` for ``write_table`` and ``write_ccdf_tsv``, it
+    hands each file, and each ``mkdir`` of the directory (a file without a
+    name), to ``send`` with the task's number and the count of the task's log
+    records made before it."""
+
+    path: Path
+    task: int
+    records: list
+    send: Callable[[int, int, str, bytes], None]
+    name: str = ""
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+    def __truediv__(self, name: str) -> "_TaskOut":
+        return self._replace(name=name)
+
+    def mkdir(self, parents: bool = False, exist_ok: bool = False) -> None:
+        self.send(self.task, len(self.records), "", b"")
+
+    def write(self, text: str) -> None:
+        self.send(self.task, len(self.records), self.name, text.encode())
+
+    def write_text(self, text: str, encoding: str = "utf-8") -> None:
+        self.write(text)
+
+
+def _in_stratum_order(strata: Strata, parts: dict[int, list]) -> list:
+    """Each year's rows, one per stratum in that year's order, merged into
+    the order of the strata: by field, then year."""
+    rows = {year: iter(part) for year, part in parts.items()}
+    return [next(rows[key.year]) for key in strata.keys]
+
+
 _FIT_COLUMNS = (
     "field", "year", "obs", "r0", "r_max", "sw_p", "mu", "sigma2", "loglik", "reject", "note",
 )
@@ -421,8 +463,8 @@ _FIT_RENDER = {
 }
 
 
-def cmd_fit(args, strata: Strata) -> int:
-    """Per-stratum lognormal fits with a Bonferroni-corrected normality test."""
+def _fit_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
+    """Per-stratum lognormal fits and normality tests."""
     from .corpus import group_stats
     from .distfit import DegenerateSampleError, ZeroPolicy, fit_logs, log_sample
     from .swilk import UnsupportedSizeError, ZeroVarianceError, shapiro_wilk
@@ -450,14 +492,17 @@ def cmd_fit(args, strata: Strata) -> int:
             notes.append(f"normality test failed: {exc}")
         row["note"] = "; ".join(notes)
         rows.append(row)
+    return rows
 
+
+def _fit_tables(args, strata: Strata, parts: dict[int, list]) -> None:
+    """The fit table, its normality tests Bonferroni-corrected over all strata."""
+    rows = _in_stratum_order(strata, parts)
     tested = [row for row in rows if "sw_p" in row]
     threshold = args.alpha / (args.m if args.m is not None else max(len(tested), 1))
     for row in tested:
         row["reject"] = bool(row["sw_p"] < threshold)
-
     write_table(rows, _FIT_COLUMNS, _FIT_RENDER, Path(args.out), "fit", args.format)
-    return 0
 
 
 _COLLAPSE_COLUMNS = ("year", "n_strata", "obs", "mu", "sigma2", "loglik", "note")
@@ -467,58 +512,57 @@ _COLLAPSE_RENDER = {
 }
 
 
-def cmd_collapse(args, strata: Strata) -> int:
-    """Pool mean-rescaled strata per year; emit pooled fits and CCDF files."""
+def _collapse_year(args, strata: Strata, out: _TaskOut) -> dict:
+    """Pool the year's mean-rescaled strata; the pooled fit, and CCDF files."""
     from .distfit import DegenerateSampleError, ZeroPolicy, fit_lognormal
     from .rescale import AllUnreadGroupError, ccdf, ccdf_filename, collapse, rescale_group, write_ccdf_tsv
     from .swilk import ZeroVarianceError
 
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
+    (year,) = strata.years()
+    samples = []
+    skipped = []
+    clashes = []
+    # CCDF file name -> the curve it holds; distinct labels can share a name
+    written = {ccdf_filename(year): "the pooled curve"}
+    for stratum in strata:
+        key = stratum.key
+        try:
+            sample = rescale_group(stratum)
+        except AllUnreadGroupError:
+            log.warning("stratum %s/%d has only zero counts; skipped", key.field, year)
+            skipped.append(key.field)
+            continue
+        samples.append(sample)
+        name = ccdf_filename(year, key.field)
+        if name in written:
+            clashes.append(f"ccdf of {key.field!r} not written: {name} holds {written[name]}")
+            log.warning("stratum %s/%d: %s", key.field, year, clashes[-1])
+            continue
+        written[name] = repr(key.field)
+        write_ccdf_tsv(ccdf(sample.values), out / name)
+    row: dict = {"year": year, "n_strata": len(samples)}
+    notes = [f"skipped all-zero strata: {', '.join(skipped)}"] if skipped else []
+    notes += clashes
+    if samples:
+        pooled = collapse(samples)
+        write_ccdf_tsv(ccdf(pooled), out / ccdf_filename(year))
+        row["obs"] = int(pooled.size)
+        try:
+            fit = fit_lognormal(pooled, policy)
+            row.update(mu=fit.mu, sigma2=fit.sigma2, loglik=fit.loglik)
+        except (DegenerateSampleError, ZeroVarianceError) as exc:
+            notes.append(f"pooled fit failed: {exc}")
+    else:
+        notes.append("no usable strata")
+    row["note"] = "; ".join(notes)
+    return row
 
-    rows: list[dict] = []
-    for year in strata.years():
-        samples = []
-        skipped = []
-        clashes = []
-        # CCDF file name -> the curve it holds; distinct labels can share a name
-        written = {ccdf_filename(year): "the pooled curve"}
-        for stratum in strata.of_year(year):
-            key = stratum.key
-            try:
-                sample = rescale_group(stratum)
-            except AllUnreadGroupError:
-                log.warning("stratum %s/%d has only zero counts; skipped", key.field, year)
-                skipped.append(key.field)
-                continue
-            samples.append(sample)
-            name = ccdf_filename(year, key.field)
-            if name in written:
-                clashes.append(f"ccdf of {key.field!r} not written: {name} holds {written[name]}")
-                log.warning("stratum %s/%d: %s", key.field, year, clashes[-1])
-                continue
-            written[name] = repr(key.field)
-            write_ccdf_tsv(ccdf(sample.values), out_dir / name)
-        row: dict = {"year": year, "n_strata": len(samples)}
-        notes = [f"skipped all-zero strata: {', '.join(skipped)}"] if skipped else []
-        notes += clashes
-        if samples:
-            pooled = collapse(samples)
-            write_ccdf_tsv(ccdf(pooled), out_dir / ccdf_filename(year))
-            row["obs"] = int(pooled.size)
-            try:
-                fit = fit_lognormal(pooled, policy)
-                row.update(mu=fit.mu, sigma2=fit.sigma2, loglik=fit.loglik)
-            except (DegenerateSampleError, ZeroVarianceError) as exc:
-                notes.append(f"pooled fit failed: {exc}")
-        else:
-            notes.append("no usable strata")
-        row["note"] = "; ".join(notes)
-        rows.append(row)
 
-    write_table(rows, _COLLAPSE_COLUMNS, _COLLAPSE_RENDER, out_dir, "collapse", args.format)
-    return 0
+def _collapse_tables(args, strata: Strata, parts: dict[int, dict]) -> None:
+    rows = list(parts.values())
+    write_table(rows, _COLLAPSE_COLUMNS, _COLLAPSE_RENDER, Path(args.out), "collapse", args.format)
 
 
 def _css_class_labels(k: int) -> list[str]:
@@ -552,11 +596,27 @@ def _css_row(head: dict, values: np.ndarray, k: int, rule: str, labels: Sequence
     return row
 
 
-def cmd_css(args, strata: Strata) -> int:
-    """Characteristic-score classes, pooled per year and per stratum."""
+def _css_year(args, strata: Strata, out: _TaskOut) -> tuple[dict, list[dict]]:
+    """Characteristic-score classes of the pooled year, and of each stratum."""
     import numpy as np
 
     k, rule = args.k, args.css_strict
+    labels = _css_class_labels(k)
+    (year,) = strata.years()
+    overall = _css_row({"year": year}, strata.corpus.reads, k, rule, labels)
+    rows = [
+        _css_row(
+            {"field": s.key.field, "year": s.key.year},
+            np.asarray(s.reads, dtype=float),
+            k, rule, labels,
+        )
+        for s in strata
+    ]
+    return overall, rows
+
+
+def _css_tables(args, strata: Strata, parts: dict[int, tuple]) -> None:
+    k = args.k
     labels = _css_class_labels(k)
     columns = (
         ["year", "obs"]
@@ -572,23 +632,11 @@ def cmd_css(args, strata: Strata) -> int:
         render[f"count_{name}"] = _fmt_int
         render[f"share_{name}"] = _fmt1
 
-    overall_rows = [
-        _css_row({"year": year}, strata.of_year(year).corpus.reads, k, rule, labels)
-        for year in strata.years()
-    ]
-    strata_rows = [
-        _css_row(
-            {"field": s.key.field, "year": s.key.year},
-            np.asarray(s.reads, dtype=float),
-            k, rule, labels,
-        )
-        for s in strata
-    ]
-
+    overall_rows = [overall for overall, _ in parts.values()]
+    strata_rows = _in_stratum_order(strata, {year: rows for year, (_, rows) in parts.items()})
     out_dir = Path(args.out)
     write_table(overall_rows, columns, render, out_dir, "css_overall", args.format)
     write_table(strata_rows, ["field"] + columns, render, out_dir, "css_strata", args.format)
-    return 0
 
 
 _TOPZ_COLUMNS = ("year", "z", "variant", "n_fields", "sigma_z", "within_tolerance", "note")
@@ -602,69 +650,157 @@ _SHARE_RENDER = {
 }
 
 
-def cmd_topz(args, strata: Strata) -> int:
-    """Per-field share of the global top z%, before and after rescaling."""
+def _topz_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
+    """Per-field share of the year's top z%, before and after rescaling."""
     from .topz import VARIANTS, top_share_report
 
     zs = tuple(args.z) if args.z else DEFAULT_Z
-    out_dir = Path(args.out)
+    (year,) = strata.years()
     rows: list[dict] = []
-    for year in strata.years():
-        year_strata = strata.of_year(year)
-        for z in zs:
-            for variant in VARIANTS:
-                head = {"year": year, "z": z, "variant": variant}
-                try:
-                    report = top_share_report(year_strata, z, variant, args.tie_rule)
-                except ValueError as exc:
-                    log.warning("topz %d z=%g %s: %s", year, z, variant, exc)
-                    rows.append({**head, "note": str(exc)})
-                    continue
-                rows.append({**head, "n_fields": report.n_c, "sigma_z": report.sigma_z,
-                             "within_tolerance": report.within_tolerance, "note": ""})
-                share_rows = [
-                    {
-                        "field": field,
-                        "n": report.n_i[field],
-                        "share": share,
-                        "lower": z - report.sigma_z,
-                        "upper": z + report.sigma_z,
-                        "inside": abs(share - z) <= report.sigma_z,
-                    }
-                    for field, share in sorted(report.per_field_share.items())
-                ]
-                write_table(
-                    share_rows, _SHARE_COLUMNS, _SHARE_RENDER, out_dir,
-                    f"topz_shares_{year}_z{z:g}_{variant}", None,
-                )
+    for z in zs:
+        for variant in VARIANTS:
+            head = {"year": year, "z": z, "variant": variant}
+            try:
+                report = top_share_report(strata, z, variant, args.tie_rule)
+            except ValueError as exc:
+                log.warning("topz %d z=%g %s: %s", year, z, variant, exc)
+                rows.append({**head, "note": str(exc)})
+                continue
+            rows.append({**head, "n_fields": report.n_c, "sigma_z": report.sigma_z,
+                         "within_tolerance": report.within_tolerance, "note": ""})
+            share_rows = [
+                {
+                    "field": field,
+                    "n": report.n_i[field],
+                    "share": share,
+                    "lower": z - report.sigma_z,
+                    "upper": z + report.sigma_z,
+                    "inside": abs(share - z) <= report.sigma_z,
+                }
+                for field, share in sorted(report.per_field_share.items())
+            ]
+            write_table(
+                share_rows, _SHARE_COLUMNS, _SHARE_RENDER, out,
+                f"topz_shares_{year}_z{z:g}_{variant}", None,
+            )
+    return rows
 
-    write_table(rows, _TOPZ_COLUMNS, _TOPZ_RENDER, out_dir, "topz", args.format)
+
+def _topz_tables(args, strata: Strata, parts: dict[int, list]) -> None:
+    rows = [row for part in parts.values() for row in part]
+    write_table(rows, _TOPZ_COLUMNS, _TOPZ_RENDER, Path(args.out), "topz", args.format)
+
+
+# stage -> (its task for one year, its tables from every year's rows)
+STAGES: dict[str, tuple[Callable, Callable]] = {
+    "fit": (_fit_year, _fit_tables),
+    "collapse": (_collapse_year, _collapse_tables),
+    "css": (_css_year, _css_tables),
+    "topz": (_topz_year, _topz_tables),
+}
+
+# the stages in sequence: the order of their log records, failures and tables
+SEQUENCE = ("fit", "collapse", "css", "topz")
+
+# the order in which tasks are claimed: those that make files first, so that
+# the parent, which writes every file, has files to write early on
+CLAIM_ORDER = ("collapse", "topz", "fit", "css")
+
+
+def _run_task(args, strata: Strata, stage: str, year: int, task: int, send: Callable) -> tuple:
+    """One stage's task for one year: its rows, its log records, held back,
+    and the exception it raised, if any, with its traceback; its files go to
+    ``send``."""
+    import traceback
+
+    from .worker import held_records
+
+    with held_records() as records:
+        try:
+            out = _TaskOut(Path(args.out), task, records, send)
+            return STAGES[stage][0](args, strata.of_year(year), out), records, None
+        except Exception as exc:  # raised once the tasks before it in sequence are replayed
+            return None, records, (exc, traceback.format_exc())
+
+
+def _work(send: Callable, args, strata: Strata, tasks: list, queue, before: Callable = None) -> dict:
+    """Claim tasks from ``queue`` and run them until none is left, calling
+    ``before`` ahead of each claim; each task's outcome by its number."""
+    outcomes = {}
+    while True:
+        if before is not None:
+            before()
+        task = queue.claim()
+        if task is None:
+            return outcomes
+        outcomes[task] = _run_task(args, strata, *tasks[task], task, send)
+
+
+def run_stages(args, strata: Strata) -> int:
+    """The stages ``args.stages`` over the strata, as (stage, year) tasks
+    shared with a :class:`~readscale.worker.Worker` where it forks.
+
+    This process creates every file. Between its own tasks it writes the
+    files that the worker streams to it, and it claims a task only when none
+    is waiting: where creating a file is slow it becomes a writer alone, and
+    where it is cheap it computes as much as the worker. It then merges each
+    stage's rows into its tables. Log records, failures and tables come out
+    as in sequence: fit's, collapse's, css's, then topz's, each by year; a
+    task's failed write fails the run after the records made before it."""
+    from .worker import TaskQueue, Worker, replay, reraise
+
+    out_dir = Path(args.out)
+    years = strata.years()
+    tasks = [(stage, year) for stage in CLAIM_ORDER if stage in args.stages for year in years]
+    failed: dict[int, tuple] = {}  # task -> the record count before its first failed write, and the failure
+
+    def put(task: int, mark: int, name: str, data: bytes) -> None:
+        if task in failed:  # in sequence the task would have stopped there
+            return
+        try:
+            if name:
+                with open(out_dir / name, "wb") as fh:
+                    fh.write(data)
+            else:
+                out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            failed[task] = mark, (exc, "")
+
+    queue = TaskQueue(len(tasks))
+    try:
+        worker = Worker(
+            "stage worker", _work, args, strata, tasks, queue, fork=queue.shared, sink=put,
+        )
+        try:
+            outcomes = _work(put, args, strata, tasks, queue, worker.drain)
+            outcomes.update(worker.join())
+        finally:
+            worker.stop()
+    finally:
+        queue.close()
+
+    number = {task: i for i, task in enumerate(tasks)}
+    for stage in SEQUENCE:
+        if stage not in args.stages:
+            continue
+        parts = {}
+        for year in years:
+            task = number[stage, year]
+            rows, records, failure = outcomes[task]
+            if task in failed:
+                mark, failure = failed[task]
+                records = records[:mark]
+            replay(records)
+            if failure is not None:
+                reraise(*failure)
+            parts[year] = rows
+        STAGES[stage][1](args, strata, parts)
     return 0
 
 
 def cmd_report(args, strata: Strata) -> int:
-    """fit + collapse + css + topz over the same corpus and flags. Collapse
-    runs in a :class:`~readscale.worker.Worker`, beside the other stages if
-    it forked, else after them at its join; log records and failures come out
-    as in sequence: fit's, collapse's, then css's and topz's."""
-    from .worker import Worker, held_records, replay
-
-    worker = Worker("collapse worker", cmd_collapse, args, strata)
-    try:
-        code = cmd_fit(args, strata)
-        failure = None
-        with held_records() as held:
-            try:
-                for command in (cmd_css, cmd_topz):
-                    code = max(code, command(args, strata))
-            except Exception as exc:  # raised after collapse's outcome, which comes first
-                failure = exc
-        code = max(code, worker.join())
-        replay(held)
-        if failure is not None:
-            raise failure
-    finally:
-        worker.stop()
+    """fit + collapse + css + topz over the same corpus and flags."""
+    code = run_stages(args, strata)
     print(f"report written to {args.out}")
     return code
 
@@ -753,32 +889,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_options(p)
     _add_table_options(p)
     _add_fit_options(p)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=run_stages, stages=("fit",))
 
     p = sub.add_parser("collapse", help="pool rescaled strata per year; pooled fits and CCDFs")
     _add_io_options(p)
     _add_table_options(p)
     _add_fit_options(p)
-    p.set_defaults(func=cmd_collapse)
+    p.set_defaults(func=run_stages, stages=("collapse",))
 
     p = sub.add_parser("css", help="characteristic scores and class shares")
     _add_io_options(p)
     _add_table_options(p)
     _add_css_options(p)
-    p.set_defaults(func=cmd_css)
+    p.set_defaults(func=run_stages, stages=("css",))
 
     p = sub.add_parser("topz", help="per-field share of the global top z%%")
     _add_io_options(p)
     _add_table_options(p)
     _add_topz_options(p)
-    p.set_defaults(func=cmd_topz)
+    p.set_defaults(func=run_stages, stages=("topz",))
 
     p = sub.add_parser("report", help="run fit, collapse, css and topz together")
     _add_io_options(p)
     _add_fit_options(p)
     _add_css_options(p)
     _add_topz_options(p)
-    p.set_defaults(func=cmd_report, format=None)
+    p.set_defaults(func=cmd_report, stages=SEQUENCE, format=None)
 
     return parser
 

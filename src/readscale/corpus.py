@@ -364,6 +364,14 @@ def field_slug(label: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in label.strip()).strip("_").lower()
 
 
+def mean(values: np.ndarray) -> float:
+    """The mean of a non-empty 1-D int64 or float64 array, bit for bit what
+    ``values.mean()`` gives: the same pairwise float64 sum over the size,
+    without ``ndarray.mean``'s Python wrapper, which takes longer than the
+    sum itself on a stratum of a few hundred values."""
+    return float(np.add.reduce(values, dtype=np.float64) / values.size)
+
+
 def group_stats(group: Group | Stratum) -> GroupStats:
     """Compute n, mean reads, max reads and the zero-read share of a group."""
     if len(group) == 0:
@@ -371,7 +379,7 @@ def group_stats(group: Group | Stratum) -> GroupStats:
     reads = group.reads
     return GroupStats(
         n=len(group),
-        r_mean=float(reads.mean()),
+        r_mean=mean(reads),
         r_max=reads.max().item(),
         zero_share=float(np.count_nonzero(reads == 0) / len(group)),
     )

@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .choices import TRUNCATION_RULES
+from .corpus import mean
 
 __all__ = [
     "CssResult",
@@ -70,7 +71,7 @@ def characteristic_scores(
     for _ in range(k):
         if current.size == 0:
             break
-        beta = float(current.mean())
+        beta = mean(current)
         if betas and beta <= betas[-1]:
             break
         betas.append(beta)

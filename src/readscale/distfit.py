@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus import mean
 from .swilk import SwTestResult, UnsupportedSizeError, ZeroVarianceError, shapiro_wilk
 
 __all__ = [
@@ -119,8 +120,8 @@ def fit_logs(logs: np.ndarray, n_dropped: int = 0) -> LognormalFit:
         raise DegenerateSampleError(
             f"need at least 2 positive values after zero policy, have {n}"
         )
-    mu = float(logs.mean())
-    sigma2 = float(((logs - mu) ** 2).mean())
+    mu = mean(logs)
+    sigma2 = mean((logs - mu) ** 2)
     if sigma2 == 0.0:
         raise ZeroVarianceError("all retained values are identical")
     # At the optimum the quadratic term collapses to n/2.

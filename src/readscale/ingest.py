@@ -100,7 +100,8 @@ class Columns(NamedTuple):
         """Line-JSON values as decoded, ids and fields trimmed; None when a row
         needs the per-row path: an id or field of blanks alone, or a value of
         another type than a string id and field, integer year, integer or
-        float reads and integer cites, or a negative or non-finite count."""
+        float reads and integer cites, a negative or non-finite count, or cites
+        beyond float range."""
         try:
             ids, fields = list(map(str.strip, ids)), list(map(str.strip, fields))
         except TypeError:  # a value that is not a string
@@ -113,9 +114,10 @@ class Columns(NamedTuple):
                 and _types(reads) <= {int, float} and math.isfinite(sum(reads))
                 and min(reads, default=0) >= 0
                 and (cites.count(None) == len(cites) or _types(cites) <= {int, type(None)}
-                     and min(filter(None, cites), default=0) >= 0)
+                     and min(filter(None, cites), default=0) >= 0
+                     and math.isfinite(sum(filter(None, cites))))
             )
-        except OverflowError:  # an int beyond float range, which the per-row path calls non-finite
+        except OverflowError:  # an int beyond float range, which the per-row path rejects
             return None
         return cls(ids, fields, years, reads, cites) if plain else None
 
@@ -261,6 +263,7 @@ def _row_values(row: dict) -> tuple:
     if cites_raw not in (None, ""):
         try:
             cites = int(cites_raw)
+            float(cites)  # a corpus holds cites as floats, as it holds reads
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"invalid cites {cites_raw!r}")
         if cites < 0:

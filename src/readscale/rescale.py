@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Group, GroupKey, Stratum, field_slug
+from .corpus import Group, GroupKey, Stratum, field_slug, mean
 
 __all__ = [
     "AllUnreadGroupError",
@@ -74,7 +74,7 @@ def rescale_group(group: Group | Stratum) -> RescaledSample:
     reads = np.asarray(group.reads, dtype=float)
     if reads.size == 0:
         raise ValueError("cannot rescale an empty group")
-    r0 = float(reads.mean())
+    r0 = mean(reads)
     if r0 == 0.0:
         raise AllUnreadGroupError(f"group {group.key} has only zero counts")
     return RescaledSample(key=group.key, values=reads / r0, r0=r0)

@@ -21,6 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus import mean
 from .normal import ndtr, ndtri
 
 __all__ = ["SwTestResult", "shapiro_wilk", "UnsupportedSizeError", "ZeroVarianceError"]
@@ -162,7 +163,7 @@ def shapiro_wilk(values: Sequence[float], alpha: float = 0.05) -> SwTestResult:
         raise ZeroVarianceError("all values are identical")
 
     a = _weights(n)
-    xc = x - x.mean()
+    xc = x - mean(x)
     w = float(np.dot(a, x) ** 2 / np.dot(xc, xc))
     w = min(w, 1.0)
 

@@ -407,6 +407,27 @@ def test_ingest_joins_inputs_in_order_and_reads_tsv_by_extension(tmp_path, capsy
     ]
 
 
+def test_ingest_rejects_cites_beyond_float_range(tmp_path, capsys):
+    # the analysis commands hold cites as floats: a row whose cites has no
+    # float is listed as the parse rejections are, not written out
+    huge = "9" * 401
+    (tmp_path / "a.csv").write_text(f"id,field,year,reads,cites\na1,Bio,2010,1,{huge}\na2,Bio,2010,2,3\n", encoding="utf-8")
+    (tmp_path / "b.jsonl").write_text(
+        '{"id": "b1", "field": "Bio", "year": 2010, "reads": 4}\n'
+        f'{{"id": "b2", "field": "Bio", "year": 2010, "reads": 5, "cites": {huge}}}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    io = ["--input", str(tmp_path / "a.csv"), "--input", str(tmp_path / "b.jsonl")]
+    assert main(["ingest", *io, "--out", str(out)]) == 0
+    assert "accepted 2 rejected 2" in capsys.readouterr().out
+    assert [row["id"] for row in read_jsonl(out / "corpus.jsonl")] == ["a2", "b1"]
+    assert read_jsonl(out / "ingest_diagnostics.jsonl") == [
+        {"line": 2, "reason": f"a.csv: invalid cites {huge!r}"},
+        {"line": 2, "reason": f"b.jsonl: invalid cites {huge}"},
+    ]
+
+
 def test_ingest_names_the_file_and_line_of_every_finding(tmp_path, capsys):
     # validate's findings (a duplicate id, a year out of range) read as the
     # parse rejections do: the file's name and the line in that file

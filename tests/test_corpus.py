@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from readscale.corpus import (
     Corpus,
@@ -12,6 +15,7 @@ from readscale.corpus import (
     PublicationRecord,
     group_by_field_year,
     group_stats,
+    mean,
     stratify,
 )
 from conftest import make_records
@@ -158,3 +162,33 @@ def test_of_year_is_built_once_and_shares_its_strata():
     assert [s.reads.tolist() for s in year] == [[2, 8], [5]]
     own = dict(zip(strata.keys, strata))
     assert all(s is own[s.key] for s in year)
+
+
+@st.composite
+def _mean_samples(draw):
+    """1-D int64 arrays of values up to 2**53 and float64 arrays of 1 to
+    10,000 values: drawn value by value when short, else from a drawn seed."""
+    n = draw(st.integers(1, 10_000))
+    if n <= 60:
+        if draw(st.booleans()):
+            return draw(arrays(np.int64, n, elements=st.integers(-(2**53), 2**53)))
+        return draw(arrays(np.float64, n, elements=st.floats(-1e300, 1e300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["counts", "wide ints", "logs", "rescaled", "wide floats"]))
+    if kind == "counts":
+        return rng.poisson(rng.lognormal(1.5, 1.2, n)).astype(np.int64)
+    if kind == "wide ints":
+        return rng.integers(0, 2**53, n, dtype=np.int64, endpoint=True)
+    if kind == "logs":
+        return np.log(rng.poisson(20.0, n) + 1.0)
+    if kind == "rescaled":
+        reads = rng.poisson(rng.lognormal(1.5, 1.2, n)).astype(float) + 1.0
+        return reads / reads.mean()
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mean_samples())
+def test_mean_is_ndarray_mean_bit_for_bit(values):
+    expected = values.mean()
+    assert np.float64(mean(values)).tobytes() == expected.tobytes()

@@ -182,3 +182,37 @@ def test_large_inputs_load_in_process(tmp_path, monkeypatch, loader_pids):
     monkeypatch.setattr(cli_mod, "LOADER_FORK_BYTES", path.stat().st_size - 1)
     assert cli_mod._load_corpus([str(path)]).ids.tolist() == ["r1", "r2"]
     assert loader_pids() == [os.getpid()]
+
+
+_HUGE_CITES = int("9" * 401)  # beyond float range, which a corpus holds cites in
+
+
+@pytest.mark.parametrize("name", ["c.jsonl", "c.csv"])
+def test_cites_beyond_float_range_is_skipped_alike_on_one_and_two_cpus(
+    name, tmp_path, capsys, caplog, monkeypatch
+):
+    path = tmp_path / name
+    rows = [("a", 1, 2), ("b", 2, _HUGE_CITES), ("c", 3, 4), ("d", 5, None)]
+    if name.endswith(".jsonl"):
+        path.write_text("".join(
+            json.dumps({"id": i, "field": "A", "year": 2010, "reads": r, **({"cites": c} if c else {})}) + "\n"
+            for i, r, c in rows
+        ), encoding="utf-8")
+    else:
+        path.write_text("id,field,year,reads,cites\n" + "".join(
+            f"{i},A,2010,{r},{'' if c is None else c}\n" for i, r, c in rows
+        ), encoding="utf-8")
+    runs = []
+    for mode in ("forked", "in process"):
+        _set_mode(monkeypatch, mode)
+        runs.append(_report(["--input", str(path)], tmp_path / mode, capsys, caplog))
+    code, stdout, records = runs[0]
+    assert runs[1] == (code, stdout.replace("forked", "in process"), records)
+    assert code == 0
+    assert records[0] == ("readscale.cli", "WARNING", f"{path}: skipped 1 malformed rows")
+    assert "ERROR" not in [level for _, level, _ in records]
+    if name.endswith(".jsonl"):
+        expected = (2, f"invalid cites {_HUGE_CITES}")
+    else:  # the line after the header
+        expected = (3, f"invalid cites '{_HUGE_CITES}'")
+    assert parse_columns(path, "line-json" if name.endswith(".jsonl") else "delimited")[1].diagnostics == (expected,)

@@ -10,7 +10,7 @@ import pytest
 
 import readscale.worker as worker_mod
 from conftest import open_fds
-from readscale.worker import Worker
+from readscale.worker import PIPE_BYTES, TaskQueue, Worker
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker is forked")
 
@@ -51,6 +51,65 @@ def test_join_returns_the_value(mode):
     assert value["sum"] == 5
     assert (value["pid"] != os.getpid()) is worker.forked
     assert open_fds() == fds
+
+
+def _send_files(send, names):
+    for i, name in enumerate(names):
+        # one file larger than the stream's pipe: the worker waits for the parent
+        send(i, i * 7, name, name.encode() * (PIPE_BYTES // 4 if i == 2 else 100))
+    return os.getpid()
+
+
+@pytest.mark.parametrize("pipe_fails", [False, True])
+def test_sink_takes_the_files_in_order(mode, pipe_fails, monkeypatch):
+    if pipe_fails:  # no pipe for the files: the worker runs here
+        monkeypatch.setattr(worker_mod, "_pipe", _channel_fails)
+    names = ["a.tsv", "ü/b.tsv", "", "c" * 300]
+    received = []
+    fds = open_fds()
+    worker = Worker(
+        "test worker", _send_files, names, sink=lambda *file: received.append((*file, os.getpid())),
+    )
+    try:
+        assert worker.forked is (mode == "forked" and not pipe_fails)
+        worker.drain()
+        pid = worker.join()
+    finally:
+        worker.stop()
+    assert (pid != os.getpid()) is worker.forked
+    assert received == [
+        (i, i * 7, name, name.encode() * (PIPE_BYTES // 4 if i == 2 else 100), os.getpid())
+        for i, name in enumerate(names)
+    ]
+    assert open_fds() == fds
+
+
+def test_task_queue_gives_each_task_once(mode):
+    fds = open_fds()
+    queue = TaskQueue(1000)
+    try:
+        assert queue.shared
+        worker = Worker("test worker", lambda: list(iter(queue.claim, None)), fork=queue.shared)
+        try:
+            mine = list(iter(queue.claim, None))
+            theirs = worker.join()
+        finally:
+            worker.stop()
+    finally:
+        queue.close()
+    assert sorted(mine + theirs) == list(range(1000))
+    assert mine == sorted(mine) and theirs == sorted(theirs)
+    assert open_fds() == fds
+
+
+def test_task_queue_too_large_for_its_pipe_is_claimed_here():
+    queue = TaskQueue(PIPE_BYTES)  # four times the tokens that its pipe holds
+    try:
+        assert not queue.shared
+        assert [queue.claim() for _ in range(3)] == [0, 1, 2]
+    finally:
+        queue.close()
+    assert queue.claim() is None
 
 
 @needs_fork
@@ -127,3 +186,25 @@ def test_stop_without_join(mode, tmp_path):
         assert not started.exists()  # never run
     worker.stop()  # a second stop does nothing
     assert time.monotonic() - begun < 30
+
+
+@needs_fork
+def test_task_queue_under_more_claimants_than_cpus(monkeypatch):
+    # four forked workers and this process claim at once, on fewer CPUs than
+    # claimants: every task goes to exactly one of them
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 2)
+    fds = open_fds()
+    queue = TaskQueue(10_000)
+    workers = []
+    try:
+        assert queue.shared
+        workers = [Worker("test worker", lambda: list(iter(queue.claim, None))) for _ in range(4)]
+        assert all(worker.forked for worker in workers)
+        claimed = [list(iter(queue.claim, None))] + [worker.join() for worker in workers]
+    finally:
+        for worker in workers:
+            worker.stop()
+        queue.close()
+    assert sorted(task for part in claimed for task in part) == list(range(10_000))
+    assert all(part == sorted(part) for part in claimed)
+    assert open_fds() == fds
