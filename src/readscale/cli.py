@@ -723,7 +723,7 @@ def _run_task(args, strata: Strata, stage: str, year: int, task: int, send: Call
             return None, records, (exc, traceback.format_exc())
 
 
-def _work(send: Callable, args, strata: Strata, tasks: list, queue, before: Callable = None) -> dict:
+def _work(send: Callable, args, strata: Strata, tasks: list, queue, before: Callable | None = None) -> dict:
     """Claim tasks from ``queue`` and run them until none is left, calling
     ``before`` ahead of each claim; each task's outcome by its number."""
     outcomes = {}
