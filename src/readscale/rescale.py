@@ -109,9 +109,14 @@ def ccdf(values: Sequence[float]) -> CcdfCurve:
     if np.isnan(arr[-1]):
         new[np.argmax(np.isnan(arr)) + 1:] = False
     first = np.flatnonzero(new)
+    xs = arr[first]
+    if np.isnan(arr[-1]) or np.signbit(arr).any():
+        # -0.0 and 0.0 are one value, as are NaNs of differing bits; which of
+        # them a sort puts first is not fixed, so x is the one np.unique keeps
+        xs = np.unique(arr)
     # fraction >= x: everything from the first index where arr == x onwards
     ps = (arr.size - first) / arr.size
-    return CcdfCurve(points=np.column_stack([arr[first], ps]))
+    return CcdfCurve(points=np.column_stack([xs, ps]))
 
 
 def ccdf_filename(year: int, field: str | None = None) -> str:
