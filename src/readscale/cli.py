@@ -21,7 +21,6 @@ import functools
 import gc
 import json
 import logging
-import numbers
 import os
 import sys
 from bisect import bisect_left
@@ -43,6 +42,7 @@ from .ingest import (
     parse_columns,
     parse_into,
     parse_numbered,
+    read_lines,
     validate,
     write_diagnostics,
     write_records,
@@ -80,16 +80,9 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 # rendering
 
 
-def _fmt1(v) -> str:
-    return f"{float(v):.1f}"
-
-
-def _fmt2(v) -> str:
-    return f"{float(v):.2f}"
-
-
-def _fmt3(v) -> str:
-    return f"{float(v):.3f}"
+_fmt1 = "{:.1f}".format
+_fmt2 = "{:.2f}".format
+_fmt3 = "{:.3f}".format
 
 
 def _fmt_int(v) -> str:
@@ -98,25 +91,11 @@ def _fmt_int(v) -> str:
 
 def _fmt_num(v) -> str:
     """Counts that are usually integers but may be real on synthetic data."""
-    if isinstance(v, numbers.Integral):  # numpy integers too
-        return str(int(v))
-    return f"{float(v):g}"
+    return str(v) if type(v) is int else f"{v:g}"
 
 
 def _fmt_bool(v) -> str:
     return "true" if v else "false"
-
-
-def _plain(v):
-    """The Python int, float or bool a numpy scalar holds, which json.dumps
-    writes; any other value as it is."""
-    if isinstance(v, numbers.Integral):
-        return int(v)
-    if isinstance(v, numbers.Real):
-        return float(v)
-    if type(v).__module__ == "numpy":  # numpy's bool
-        return v.item()
-    return v
 
 
 # json.dumps's text for the floats whose repr is not JSON
@@ -128,8 +107,8 @@ def _json_float(v) -> str:
     return _NONFINITE.get(text, text)
 
 
-# a cell's line-JSON text by its exact type, as json.dumps writes it; any
-# other type, numpy's scalars among them, goes through json.dumps of _plain
+# a cell's line-JSON text by its exact type, as json.dumps writes it: the
+# stages put no other type in a table
 _JSON_CELL: dict[type, Callable] = {
     str: encode_basestring_ascii,
     float: _json_float,
@@ -137,10 +116,6 @@ _JSON_CELL: dict[type, Callable] = {
     bool: _fmt_bool,
     type(None): lambda v: "null",
 }
-
-
-def _json_fallback(v) -> str:
-    return json.dumps(_plain(v))
 
 
 def write_table(
@@ -154,8 +129,9 @@ def write_table(
     """Write ``<name>.tsv`` (display-rounded) and ``<name>.jsonl`` (full
     precision), optionally echoing one of them to stdout. Missing values
     render as NA in the TSV and null in the line-JSON, whose rows are what
-    ``json.dumps`` makes of ``{column: value}``. The text is built a column
-    at a time."""
+    ``json.dumps`` makes of ``{column: value}``; a cell that is not a str,
+    int, float, bool or None raises TypeError. The text is built a column at
+    a time."""
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = {col: list(map(methodcaller("get", col), rows)) for col in dict.fromkeys(columns)}
     tsv_columns = []
@@ -167,11 +143,13 @@ def write_table(
     tsv_text = "\n".join(["\t".join(columns)] + lines) + "\n"
     (out_dir / f"{name}.tsv").write_text(tsv_text, encoding="utf-8")
 
-    encoder = _JSON_CELL.get
     json_columns = []
     for col, values in cells.items():
         key = encode_basestring_ascii(col)
-        json_columns.append([f"{key}: {encoder(type(v), _json_fallback)(v)}" for v in values])
+        try:
+            json_columns.append([f"{key}: {_JSON_CELL[type(v)](v)}" for v in values])
+        except KeyError as exc:
+            raise TypeError(f"no line-JSON encoder for a cell of {exc.args[0]}") from None
     json_rows = map("{%s}\n".__mod__, map(", ".join, zip(*json_columns)))
     jsonl_text = "".join(json_rows) or "{}\n" * len(rows)
     (out_dir / f"{name}.jsonl").write_text(jsonl_text, encoding="utf-8")
@@ -373,8 +351,7 @@ def cmd_fetch(args) -> int:
             columns = _load_columns(args.input, args.year)
             dois.extend(columns.ids)
         if args.dois:
-            # a byte-order mark would stay on the first DOI through str.strip
-            for line in Path(args.dois).read_text(encoding="utf-8-sig").splitlines():
+            for line in read_lines(args.dois):
                 line = line.strip()
                 if line and not line.startswith("#"):
                     dois.append(line)
@@ -860,6 +837,15 @@ def _add_topz_options(p: argparse.ArgumentParser) -> None:
     )
 
 
+# stage -> its subcommand's help and the options of its own
+STAGE_COMMANDS: dict[str, tuple[str, Callable]] = {
+    "fit": ("per-stratum lognormal fits and normality tests", _add_fit_options),
+    "collapse": ("pool rescaled strata per year; pooled fits and CCDFs", _add_fit_options),
+    "css": ("characteristic scores and class shares", _add_css_options),
+    "topz": ("per-field share of the global top z%%", _add_topz_options),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="readscale",
@@ -885,29 +871,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dois", metavar="PATH", help="extra DOIs to resolve, one per line")
     p.set_defaults(func=cmd_fetch)
 
-    p = sub.add_parser("fit", help="per-stratum lognormal fits and normality tests")
-    _add_io_options(p)
-    _add_table_options(p)
-    _add_fit_options(p)
-    p.set_defaults(func=run_stages, stages=("fit",))
-
-    p = sub.add_parser("collapse", help="pool rescaled strata per year; pooled fits and CCDFs")
-    _add_io_options(p)
-    _add_table_options(p)
-    _add_fit_options(p)
-    p.set_defaults(func=run_stages, stages=("collapse",))
-
-    p = sub.add_parser("css", help="characteristic scores and class shares")
-    _add_io_options(p)
-    _add_table_options(p)
-    _add_css_options(p)
-    p.set_defaults(func=run_stages, stages=("css",))
-
-    p = sub.add_parser("topz", help="per-field share of the global top z%%")
-    _add_io_options(p)
-    _add_table_options(p)
-    _add_topz_options(p)
-    p.set_defaults(func=run_stages, stages=("topz",))
+    for stage, (help, add_options) in STAGE_COMMANDS.items():
+        p = sub.add_parser(stage, help=help)
+        _add_io_options(p)
+        _add_table_options(p)
+        add_options(p)
+        p.set_defaults(func=run_stages, stages=(stage,))
 
     p = sub.add_parser("report", help="run fit, collapse, css and topz together")
     _add_io_options(p)

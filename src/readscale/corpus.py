@@ -291,16 +291,18 @@ class Strata:
 
     def of_year(self, year: int) -> "Strata":
         """The strata of one year, taken as a corpus of their own in stratum
-        order; built once per year and kept, with its strata shared with these."""
+        order, each row with its input position; built once per year and kept,
+        with its strata shared with these."""
         strata = self._years.get(year)
         if strata is None:
             keep = [i for i, key in enumerate(self.keys) if key.year == year]
             sizes = np.diff(self.bounds)[keep]
+            rows = self.corpus.years == year
             strata = self._years[year] = Strata(
-                corpus=self.corpus.take(self.corpus.years == year),
+                corpus=self.corpus.take(rows),
                 keys=tuple(self.keys[i] for i in keep),
                 bounds=np.concatenate(([0], np.cumsum(sizes))),
-                positions=np.arange(sizes.sum()),
+                positions=self.positions[rows],
             )
             # the year's rows come in the same order here, so its strata are these
             strata._strata = tuple(map(self._strata.__getitem__, keep))

@@ -38,7 +38,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .ingest import decode_line_chunks, gc_paused
+from .ingest import _types, as_int, decode_line_chunks, gc_paused, read_lines
 
 __all__ = [
     "Cache",
@@ -186,9 +186,7 @@ class Cache:
         columns: tuple[list, list, list, list] = ([], [], [], [])
         if not self.path.exists():
             return columns
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")  # as iterating over fh splits them
-        for numbers, chunk, rows in decode_line_chunks(lines, frozenset(CACHE_KEYS)):
+        for numbers, chunk, rows in decode_line_chunks(read_lines(self.path), frozenset(CACHE_KEYS)):
             entries = None if rows is None else _plain_entries(rows)
             if entries is None:
                 read = []
@@ -240,14 +238,21 @@ class Cache:
                 fh.write("".join(line + "\n" for line in lines))
 
 
+def _real(value) -> float:
+    """``float(value)`` of a probability or time; a bool raises TypeError."""
+    if type(value) is bool:
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _cache_entry(raw) -> tuple:
     """(doi, reads, match_probability, fetched_at) of one decoded cache line;
     KeyError, TypeError, ValueError or OverflowError when it is not an entry."""
     return (
         str(raw["doi"]),
-        None if raw["reads"] is None else int(raw["reads"]),
-        float(raw["match_probability"]),
-        float(raw["fetched_at"]),
+        None if raw["reads"] is None else as_int(raw["reads"]),
+        _real(raw["match_probability"]),
+        _real(raw["fetched_at"]),
     )
 
 
@@ -260,7 +265,7 @@ def _plain_entries(rows: list[dict]) -> tuple[list, ...] | None:
     except KeyError:
         return None
     wanted = ({str}, {int, type(None)}, {float}, {float})
-    plain = all(set(map(type, column)) <= types for column, types in zip(entries, wanted))
+    plain = all(_types(column) <= types for column, types in zip(entries, wanted))
     return entries if plain else None
 
 
@@ -277,10 +282,10 @@ def _provider_entry(raw: dict) -> FetchResult:
     """Turn one provider response object into a FetchResult with the
     provider's count, whatever its match probability."""
     doi = str(raw["doi"])
-    prob = float(raw["match_probability"])
+    prob = _real(raw["match_probability"])
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"match probability {prob} outside [0, 1]")
-    readers = int(raw["readers"])
+    readers = as_int(raw["readers"])
     if readers < 0:
         raise ValueError(f"negative reader count {readers}")
     return FetchResult(doi=doi, reads=readers, match_probability=prob, fetched_at=time.time())

@@ -13,6 +13,7 @@ column is fatal. Rows with an empty ``reads`` value are rejected, not imputed.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import gc
@@ -243,13 +244,22 @@ def _coerce_reads(text: str) -> int | float:
     return value
 
 
+def as_int(value) -> int:
+    """``int(value)`` of a year or count, which must be an integer: an integral
+    float or a digit string gives its int, a bool or a float with a
+    fractional part raises ValueError."""
+    if type(value) is bool or type(value) is float and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _row_values(row: dict) -> tuple:
     """(id, field, year, reads, cites) of one row, or ValueError naming the fault."""
     for col in MANDATORY_COLUMNS:
         if row.get(col) in (None, "") or col in ("id", "field") and not str(row[col]).strip():
             raise ValueError(f"empty {col}")
     try:
-        year = int(row["year"])
+        year = as_int(row["year"])
     except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON Infinity
         raise ValueError(f"invalid year {row['year']!r}")
     try:
@@ -262,7 +272,7 @@ def _row_values(row: dict) -> tuple:
     cites = None
     if cites_raw not in (None, ""):
         try:
-            cites = int(cites_raw)
+            cites = as_int(cites_raw)
             float(cites)  # a corpus holds cites as floats, as it holds reads
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"invalid cites {cites_raw!r}")
@@ -271,24 +281,42 @@ def _row_values(row: dict) -> tuple:
     return str(row["id"]).strip(), str(row["field"]).strip(), year, reads, cites
 
 
-def _open_text(source) -> IO[str]:
+@contextlib.contextmanager
+def _text(source) -> Iterator[IO[str]]:
     """A text stream over ``source``; paths and byte streams are read as UTF-8
-    without the byte-order mark that spreadsheet exports often start with."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline="")
+    without the byte-order mark that spreadsheet exports often start with,
+    and a caller's own text stream as it is. A file opened here is closed
+    after, and the wrapper put around a caller's byte stream detached, so
+    that the caller's stream stays open. Bytes that are not UTF-8 raise
+    :class:`IngestError`."""
     if isinstance(source, io.TextIOBase):
-        return source
-    return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+        stream = source
+    elif isinstance(source, (str, Path)):
+        stream = open(source, "r", encoding="utf-8-sig", newline="")
+    else:
+        stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    try:
+        yield stream
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"input is not valid UTF-8: {exc}") from exc
+    finally:
+        if isinstance(source, (str, Path)):
+            stream.close()
+        elif stream is not source:
+            stream.detach()
 
 
-def _lines(stream, source) -> list[str]:
-    """The lines of a line-JSON stream as iterating over it splits them, read in
-    one call; a caller's own text stream, whose line breaks are its own
-    choice, is iterated."""
-    if stream is source:
-        return list(stream)
-    text = stream.read()
-    if "\r" in text:  # opened with newline="", the stream breaks lines at "\r\n", "\r" and "\n"
+def read_lines(source) -> list[str]:
+    """The lines of ``source`` (see :func:`_text`), read in one call and broken
+    at "\\r\\n", "\\r" and "\\n"; a caller's own text stream, whose line
+    breaks are its own choice, is iterated. Line-JSON corpora, the fetch
+    cache and the DOI list are read here, delimited records through
+    :func:`_text`."""
+    with _text(source) as stream:
+        if stream is source:
+            return list(stream)
+        text = stream.read()
+    if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
 
@@ -299,20 +327,14 @@ def _parse(source, format: str, delimiter: str, sink) -> tuple[list, Sequence[in
     each record's line number, numbered as the skipped rows are."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    stream = _open_text(source)
-    try:
-        if format == "delimited":
-            columns, diagnostics = _parse_delimited(stream, delimiter)
-            sink.extend(columns)
-            # line 1 is the header, and blank rows are not numbered
-            numbers: Sequence[int] = range(2, len(columns.ids) + len(diagnostics) + 2)
-            return diagnostics, _unnamed(numbers, diagnostics)
-        return _parse_line_json(_lines(stream, source), sink)
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"input is not valid UTF-8: {exc}") from exc
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
+    if format == "line-json":
+        return _parse_line_json(read_lines(source), sink)
+    with _text(source) as stream:
+        columns, diagnostics = _parse_delimited(stream, delimiter)
+    sink.extend(columns)
+    # line 1 is the header, and blank rows are not numbered
+    numbers: Sequence[int] = range(2, len(columns.ids) + len(diagnostics) + 2)
+    return diagnostics, _unnamed(numbers, diagnostics)
 
 
 def _parse_line_json(lines: list[str], sink) -> tuple[list, Sequence[int]]:
@@ -564,14 +586,14 @@ def _types(values: list) -> set[type]:
     return set(map(type, values))
 
 
-def _parse_line_json_rows(lines: list[str], numbers=None, warned=False) -> tuple:
+def _parse_line_json_rows(lines: list[str], numbers: Sequence[int], warned: bool) -> tuple:
     """The :class:`Columns` of line-JSON ``lines`` judged one at a time, the
-    ``(line, reason)`` pairs of the rows rejected, numbered by ``numbers`` (1
-    up by default), and whether this call or (``warned``) an earlier one
-    logged the unknown-keys warning."""
+    ``(line, reason)`` pairs of the rows rejected, numbered by ``numbers``,
+    and whether this call or (``warned``) an earlier one logged the
+    unknown-keys warning."""
     rows: list[tuple] = []
     diagnostics: list[tuple[int, str]] = []
-    for lineno, line in zip(range(1, len(lines) + 1) if numbers is None else numbers, lines):
+    for lineno, line in zip(numbers, lines):
         if not line.strip():
             continue
         try:

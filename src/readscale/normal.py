@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ndtr", "ndtri"]
+__all__ = ["ndtr", "ndtri", "polevl"]
 
 _S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
 _SQRT1_2 = 0.70710678118654752440  # sqrt(1/2)
@@ -160,7 +160,7 @@ _CENTRAL = np.array([(0.0,) * 4 + _P0, _Q0]).T[:, :, None]
 _TAILS = np.array([_P1, _Q1, _P2, _Q2]).T[:, :, None]
 
 
-def _polevl(x, coef):
+def polevl(x, coef):
     """Cephes ``polevl``: coef[0] x^N + ... + coef[N] by Horner's rule.
 
     With x an array and the rows of ``coef`` column vectors, it evaluates
@@ -196,13 +196,13 @@ def ndtri(p):
 
     c = y[central] - 0.5
     c2 = c * c
-    p0, q0 = _polevl(c2, _CENTRAL)
+    p0, q0 = polevl(c2, _CENTRAL)
     out[central] = (c + c * (c2 * p0 / q0)) * _S2PI
 
     x = np.sqrt(-2.0 * _log(y[tail]))
     x0 = x - _log(x) / x
     z = 1.0 / x
-    p1, q1, p2, q2 = _polevl(z, _TAILS)
+    p1, q1, p2, q2 = polevl(z, _TAILS)
     x1 = np.where(x < 8.0, z * p1 / q1, z * p2 / q2)
     out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)  # x1 - x0 is exactly -(x0 - x1)
     return out.reshape(y0.shape)[()]
@@ -211,7 +211,7 @@ def ndtri(p):
 def _erf(x: float) -> float:
     """Cephes ``erf`` for |x| <= 1, the only arguments ``ndtr`` passes."""
     z = x * x
-    return x * _polevl(z, _T) / _polevl(z, _U)
+    return x * polevl(z, _T) / polevl(z, _U)
 
 
 def _erfc(x: float) -> float:
@@ -223,8 +223,8 @@ def _erfc(x: float) -> float:
         return 0.0  # exp(-x^2) underflows
     z = math.exp(z)
     if x < 8.0:
-        return z * _polevl(x, _P) / _polevl(x, _Q)
-    return z * _polevl(x, _R) / _polevl(x, _S)
+        return z * polevl(x, _P) / polevl(x, _Q)
+    return z * polevl(x, _R) / polevl(x, _S)
 
 
 def ndtr(a: float) -> float:

@@ -11,7 +11,7 @@ for larger samples. Validity range: 3 <= n <= 5000.
 the Blom scores and the normal CDF behind the p-value come from
 :mod:`readscale.normal`, ports of the Cephes routines that scipy runs, which
 give bit-identical results (``tests/test_normal.py``), so no command loads
-scipy.
+scipy; its polynomials go through the same module's Horner rule, ``polevl``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import mean
-from .normal import ndtr, ndtri
+from .normal import ndtr, ndtri, polevl
 
 __all__ = ["SwTestResult", "shapiro_wilk", "UnsupportedSizeError", "ZeroVarianceError"]
 
@@ -67,16 +67,6 @@ class SwTestResult(NamedTuple):
     reject: bool
 
 
-def _horner(coeffs: Sequence[float], x: float) -> float:
-    """The polynomial at x, as ``np.polyval`` evaluates it: the same IEEE
-    operations in the same order, on Python floats."""
-    x = float(x)
-    y = 0.0
-    for c in coeffs:
-        y = y * x + c
-    return y
-
-
 def _compute_weights(n: int) -> np.ndarray:
     """Full antisymmetric weight vector a, normalized so sum(a^2) ~= 1."""
     n2 = n // 2
@@ -87,11 +77,11 @@ def _compute_weights(n: int) -> np.ndarray:
         m = ndtri((np.arange(1, n2 + 1) - 0.375) / (n + 0.25))
         summ2 = 2.0 * np.dot(m, m)
         ssumm2 = np.sqrt(summ2)
-        rsn = 1.0 / np.sqrt(n)
-        a1 = _horner(_C1, rsn) - m[0] / ssumm2
+        rsn = float(1.0 / np.sqrt(n))
+        a1 = polevl(rsn, _C1) - m[0] / ssumm2
         half = np.empty(n2)
         if n > 5:
-            a2 = _horner(_C2, rsn) - m[1] / ssumm2
+            a2 = polevl(rsn, _C2) - m[1] / ssumm2
             fac = np.sqrt(
                 (summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
                 / (1.0 - 2.0 * a1**2 - 2.0 * a2**2)
@@ -173,15 +163,15 @@ def shapiro_wilk(values: Sequence[float], alpha: float = 0.05) -> SwTestResult:
 
     y = np.log1p(-w)  # log(1 - W)
     if n <= 11:
-        gamma = _horner(_G, n)
+        gamma = polevl(n, _G)
         if y >= gamma:
             return SwTestResult(w, 0.0, n, True)
         y = -np.log(gamma - y)
-        mu = _horner(_C3, n)
-        sigma = np.exp(_horner(_C4, n))
+        mu = polevl(n, _C3)
+        sigma = np.exp(polevl(n, _C4))
     else:
-        logn = np.log(n)
-        mu = _horner(_C5, logn)
-        sigma = np.exp(_horner(_C6, logn))
+        logn = float(np.log(n))
+        mu = polevl(logn, _C5)
+        sigma = np.exp(polevl(logn, _C6))
     p = float(1.0 - ndtr((y - mu) / sigma))
     return SwTestResult(w, p, n, bool(p < alpha))

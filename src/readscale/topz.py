@@ -60,18 +60,14 @@ def _cut_size(z: float, n: int) -> int:
 
 
 def _values(strata: Strata, variant: str) -> np.ndarray:
-    """Each row's ranking value: its reads, or its reads over its stratum's mean."""
+    """Each row's ranking value: its reads, or its reads over its stratum's
+    mean. The strata are rescaled in stratum order, so an all-zero stratum is
+    reported as the first in (field, year) order."""
     if variant == "original":
         return strata.corpus.reads
     if variant != "rescaled":
         raise ValueError(f"unknown value selector {variant!r}, expected one of {VARIANTS}")
-    values = np.empty(len(strata.corpus))
-    bounds = strata.bounds.tolist()
-    stratum = list(strata)
-    # in input order, so an all-zero stratum is reported as the first one met
-    for i in np.argsort(strata.positions[bounds[:-1]], kind="stable").tolist():
-        values[bounds[i]:bounds[i + 1]] = rescale_group(stratum[i]).values
-    return values
+    return np.concatenate([rescale_group(stratum).values for stratum in strata])
 
 
 def _ranking(strata: Strata, variant: str) -> tuple[np.ndarray, np.ndarray]:

@@ -448,6 +448,30 @@ def test_ingest_names_the_file_and_line_of_every_finding(tmp_path, capsys):
     ]
 
 
+def test_ingest_rejects_a_year_or_cites_that_is_no_integer(tmp_path, capsys):
+    # a fraction or a bool is no year or count; an integral float reads as its int
+    rows = [
+        {"id": "a", "field": "Bio", "year": 2010.7, "reads": 1},
+        {"id": "b", "field": "Bio", "year": True, "reads": 2},
+        {"id": "c", "field": "Bio", "year": 2010, "reads": 3, "cites": 2.9},
+        {"id": "d", "field": "Bio", "year": 2010.0, "reads": 4, "cites": 3.0},
+        {"id": "e", "field": "Bio", "year": 2010, "reads": 5, "cites": False},
+    ]
+    (tmp_path / "c.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(tmp_path / "c.jsonl"), "--out", str(out)]) == 0
+    assert "accepted 1 rejected 4" in capsys.readouterr().out
+    assert read_jsonl(out / "corpus.jsonl") == [
+        {"id": "d", "field": "Bio", "year": 2010, "reads": 4, "cites": 3}
+    ]
+    assert read_jsonl(out / "ingest_diagnostics.jsonl") == [
+        {"line": 1, "reason": "c.jsonl: invalid year 2010.7"},
+        {"line": 2, "reason": "c.jsonl: invalid year True"},
+        {"line": 3, "reason": "c.jsonl: invalid cites 2.9"},
+        {"line": 5, "reason": "c.jsonl: invalid cites False"},
+    ]
+
+
 # ---------------------------------------------------------------------------
 # synth
 

@@ -158,7 +158,8 @@ def test_of_year_is_built_once_and_shares_its_strata():
     assert strata.of_year(2011) is year
     assert year.keys == (GroupKey("A", 2011), GroupKey("B", 2011))
     assert year.corpus.ids.tolist() == ["a11-0000", "a11-0001", "b11-0000"]
-    assert year.bounds.tolist() == [0, 2, 3] and year.positions.tolist() == [0, 1, 2]
+    # each row keeps its position in the whole input
+    assert year.bounds.tolist() == [0, 2, 3] and year.positions.tolist() == [3, 4, 2]
     assert [s.reads.tolist() for s in year] == [[2, 8], [5]]
     own = dict(zip(strata.keys, strata))
     assert all(s is own[s.key] for s in year)

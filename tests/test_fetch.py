@@ -359,6 +359,21 @@ def test_match_probability_outside_unit_interval_is_a_bad_entry(stub_provider, t
     assert set(Cache(tmp_path / "c.jsonl").read_all()) == {"10.16/ok"}
 
 
+@pytest.mark.parametrize("readers, probability, reason", [
+    (3.7, 0.95, "not an integer: 3.7"),
+    (True, 0.95, "not an integer: True"),
+    (3, True, "not a number: True"),
+])
+def test_a_count_or_probability_of_another_type_is_a_bad_entry(
+    stub_provider, tmp_path, readers, probability, reason
+):
+    server = stub_provider({"10.16/odd": (readers, probability), "10.16/whole": (6.0, 0.95)})
+    results = fetch_counts(["10.16/odd", "10.16/whole"], _config(server.url), Cache(tmp_path / "c.jsonl"))
+    assert results[0].error == f"bad response entry: {reason}" and results[0].reads is None
+    assert results[1].reads == 6 and type(results[1].reads) is int
+    assert set(Cache(tmp_path / "c.jsonl").read_all()) == {"10.16/whole"}
+
+
 # ---------------------------------------------------------------------------
 # Retry-After on 429
 
@@ -397,6 +412,14 @@ def test_retry_after_header_values(value, seconds):
 # cache read: the bulk path against a line-by-line reference
 
 
+def _number(value, integral=False):
+    """float(value), or int(value) if ``integral``; a bool, or a fraction
+    where an integer belongs, is no number."""
+    if isinstance(value, bool) or integral and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not a number: {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _read_lines(path):
     """Cache.read_all one line at a time: the latest entry per DOI (a tie goes
     to the later line) and the warning for each unreadable line."""
@@ -410,9 +433,9 @@ def _read_lines(path):
                 raw = json.loads(line)
                 result = FetchResult(
                     doi=str(raw["doi"]),
-                    reads=None if raw["reads"] is None else int(raw["reads"]),
-                    match_probability=float(raw["match_probability"]),
-                    fetched_at=float(raw["fetched_at"]),
+                    reads=None if raw["reads"] is None else _number(raw["reads"], integral=True),
+                    match_probability=_number(raw["match_probability"]),
+                    fetched_at=_number(raw["fetched_at"]),
                 )
             except (KeyError, TypeError, ValueError, OverflowError):
                 warnings.append(f"{path}:{lineno}: unreadable cache line skipped")
@@ -444,8 +467,10 @@ _ODD_VALUES = {
     "reads": st.one_of(
         st.booleans(), st.floats(allow_nan=True), st.sampled_from(["12", "x", "1.5"]), st.just([1]),
     ),
-    "match_probability": st.one_of(st.integers(0, 1), st.sampled_from(["0.9", "p"]), st.none()),
-    "fetched_at": st.one_of(st.integers(0, 3), st.just(float("nan")), st.just("4.0")),
+    "match_probability": st.one_of(
+        st.integers(0, 1), st.booleans(), st.sampled_from(["0.9", "p"]), st.none(),
+    ),
+    "fetched_at": st.one_of(st.integers(0, 3), st.booleans(), st.just(float("nan")), st.just("4.0")),
 }
 
 
@@ -498,6 +523,7 @@ def _entry_line(doi, reads, fetched_at=2.0, probability=0.95):
 @example([_entry_line("a", 1), _entry_line("b", 7, fetched_at=3)], "\n", 4096)
 @example([_entry_line("a", 1), _entry_line("b", 7, probability=1)], "\n", 4096)
 @example([_entry_line("a", 1), _entry_line("b", 2.0)], "\n", 4096)
+@example([_entry_line("a", 1), _entry_line("b", 3.7), _entry_line("c", 2, probability=True)], "\n", 4096)
 @example([_entry_line(7, 1), _entry_line("b", 2)], "\n", 4096)
 @example([_entry_line("a", 1)] * 3 + [_entry_line("b", False)], "\n", 3)
 # fetched_at edges: infinities, NaN before and after a finite time, a signed-zero tie
@@ -543,3 +569,19 @@ def test_cache_line_with_infinite_reads_is_skipped(tmp_path, caplog):
         entries = Cache(path).read_all()
     assert list(entries) == ["b"]
     assert "cache.jsonl:1: unreadable cache line skipped" in caplog.text
+
+
+def test_cache_line_whose_count_or_probability_has_another_type_is_skipped(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    lines = [
+        _entry_line("a", 3.7), _entry_line("b", True), _entry_line("c", 2, probability=True),
+        _entry_line("d", 4.0), _entry_line("e", 5),
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        entries = Cache(path).read_all()
+    assert {doi: r.reads for doi, r in entries.items()} == {"d": 4, "e": 5}
+    assert type(entries["d"].reads) is int
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:{n}: unreadable cache line skipped" for n in (1, 2, 3)
+    ]

@@ -304,6 +304,11 @@ def _lines(draw):
     return lines
 
 
+def _numbered(lines):
+    """``_parse_line_json_rows``'s arguments for a file of ``lines``."""
+    return lines, range(1, len(lines) + 1), False
+
+
 def _line_json(lines, end):
     return "\n".join(lines) + end
 
@@ -325,7 +330,7 @@ def test_line_json_fast_path_equals_per_row_path(chunk_lines, lines, end):
     with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
         (records, report), fast_log = ingest_logged(parse_records, io.StringIO(text), "line-json")
     (columns, diagnostics, _), row_log = ingest_logged(
-        ingest._parse_line_json_rows, io.StringIO(text).readlines()
+        ingest._parse_line_json_rows, *_numbered(io.StringIO(text).readlines())
     )
     # repr tells 12 from 12.0 and -0.0 from 0.0
     assert list(map(repr, records)) == list(map(repr, map(PublicationRecord, *columns)))
@@ -354,7 +359,7 @@ def _corpus_or_error(fn, *args):
 @given(_lines(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
 # values the one-pass corpus build must leave to the per-row path or read as
 # it does: bool reads beside ints, ints beyond int64 and beyond float range,
-# a bool year and bool cites (which the per-row path reads as 1), and ints
+# a bool year and bool cites (which the per-row path rejects), and ints
 # beside reals, whose rows alone are flagged real
 @example([_reads_line(1), _reads_line(True)], "\n", True)
 @example([_reads_line(2**63), _reads_line(2**70), _reads_line(10**400)], "\n", True)
@@ -369,7 +374,7 @@ def test_line_json_corpus_equals_per_row_corpus(chunk_lines, lines, newline, las
         )
     # a file read with newline="" breaks lines at "\r\n", "\r" and "\n"
     (columns, _, _), row_log = ingest_logged(
-        ingest._parse_line_json_rows, io.StringIO(text, newline="").readlines()
+        ingest._parse_line_json_rows, *_numbered(io.StringIO(text, newline="").readlines())
     )
     assert fast == _corpus_or_error(Corpus.from_columns, *columns)
     assert fast_log == row_log

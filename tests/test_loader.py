@@ -216,3 +216,23 @@ def test_cites_beyond_float_range_is_skipped_alike_on_one_and_two_cpus(
     else:  # the line after the header
         expected = (3, f"invalid cites '{_HUGE_CITES}'")
     assert parse_columns(path, "line-json" if name.endswith(".jsonl") else "delimited")[1].diagnostics == (expected,)
+
+
+def test_a_year_or_cites_that_is_no_integer_is_skipped_alike_on_one_and_two_cpus(
+    tmp_path, capsys, caplog, monkeypatch
+):
+    path = tmp_path / "c.jsonl"
+    odd = [{"year": 2010.7}, {"year": True}, {"cites": 2.9}]
+    lines = [_plain_line(i) for i in range(1, 6)] + [_plain_line(9, **values) for values in odd]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    runs = []
+    for mode in ("forked", "in process"):
+        _set_mode(monkeypatch, mode)
+        runs.append(_report(["--input", str(path)], tmp_path / mode, capsys, caplog))
+    code, stdout, records = runs[0]
+    assert runs[1] == (code, stdout.replace("forked", "in process"), records)
+    assert code == 0
+    assert records[0] == ("readscale.cli", "WARNING", f"{path}: skipped 3 malformed rows")
+    assert parse_columns(path, "line-json")[1].diagnostics == (
+        (6, "invalid year 2010.7"), (7, "invalid year True"), (8, "invalid cites 2.9"),
+    )

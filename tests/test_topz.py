@@ -98,15 +98,19 @@ def test_tie_break_is_by_code_point_with_non_ascii_ids():
     assert top_membership(records, z=10, tie_rule="threshold") == set(ids)
 
 
-def test_share_report_all_zero_note_names_first_stratum_in_input_order():
+def test_share_report_all_zero_note_names_first_stratum_in_field_order():
+    # "Zulu" comes first in the input, "Alpha" first in (field, year) order;
+    # the records and their strata, whole or of one year, name the same one
     records = (
         make_records([0, 0, 0], "Zulu", 2010, prefix="z")
         + make_records([4, 3, 2], "Mid", 2010, prefix="m")
         + make_records([0, 0], "Alpha", 2010, prefix="a")
     )
-    with pytest.raises(ValueError) as err:
-        top_share_report(records, z=20.0, variant="rescaled")
-    assert str(err.value) == "group GroupKey(field='Zulu', year=2010) has only zero counts"
+    strata = stratify(Corpus.from_records(records))
+    for source in (records, strata, strata.of_year(2010)):
+        with pytest.raises(ValueError) as err:
+            top_share_report(source, z=20.0, variant="rescaled")
+        assert str(err.value) == "group GroupKey(field='Alpha', year=2010) has only zero counts"
     with pytest.raises(ValueError) as err:
         top_share_report(make_records([0, 0], "Alpha", 2010), z=20.0, variant="rescaled")
     assert str(err.value) == "top-share analysis needs at least 2 fields"
