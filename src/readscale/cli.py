@@ -22,6 +22,7 @@ import gc
 import json
 import logging
 import os
+import re
 import sys
 from bisect import bisect_left
 from itertools import accumulate
@@ -62,9 +63,6 @@ log = logging.getLogger("readscale.cli")
 ZERO_POLICY_FLAGS = {"exclude": "exclude", "shift1": "shift-one"}
 
 DEFAULT_Z = (5.0, 10.0, 20.0)
-
-# subcommands that take the corpus's (field, year) strata, loaded once in main
-ANALYSIS_COMMANDS = ("fit", "collapse", "css", "topz", "report")
 
 # the most input bytes the analysis commands parse in a forked loader: past
 # about this size, handing the parsed columns over to the main process costs
@@ -107,6 +105,11 @@ def _json_float(v) -> str:
     return _NONFINITE.get(text, text)
 
 
+# the characters that would break a TSV row, and the text each is written as
+_TSV_BREAKS = re.compile("[\t\n\r]")
+_TSV_ESCAPES = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 # a cell's line-JSON text by its exact type, as json.dumps writes it: the
 # stages put no other type in a table
 _JSON_CELL: dict[type, Callable] = {
@@ -130,14 +133,18 @@ def write_table(
     precision), optionally echoing one of them to stdout. Missing values
     render as NA in the TSV and null in the line-JSON, whose rows are what
     ``json.dumps`` makes of ``{column: value}``; a cell that is not a str,
-    int, float, bool or None raises TypeError. The text is built a column at
-    a time."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    int, float, bool or None raises TypeError. A tab, line feed or carriage
+    return in a TSV cell rendered by ``str`` is written as ``\\t``, ``\\n``
+    or ``\\r``. ``out_dir`` must exist. The text is built a column at a
+    time."""
     cells = {col: list(map(methodcaller("get", col), rows)) for col in dict.fromkeys(columns)}
     tsv_columns = []
     for col in columns:
         render = renderers.get(col, str)
-        tsv_columns.append(["NA" if v is None else render(v) for v in cells[col]])
+        texts = ["NA" if v is None else render(v) for v in cells[col]]
+        if render is str and _TSV_BREAKS.search("".join(texts)):
+            texts = [text.translate(_TSV_ESCAPES) for text in texts]
+        tsv_columns.append(texts)
     # without columns, every row is an empty line
     lines = list(map("\t".join, zip(*tsv_columns))) or [""] * len(rows)
     tsv_text = "\n".join(["\t".join(columns)] + lines) + "\n"
@@ -293,9 +300,9 @@ def cmd_ingest(args) -> int:
     )
 
     write_records(kept, out_dir / "corpus.jsonl", format="line-json")
-    combined = IngestReport(
-        accepted=len(kept.ids), rejected=len(diagnostics), diagnostics=tuple(diagnostics)
-    )
+    # a row counts once, however many findings it has
+    rejected = sum(report.rejected for _, _, report, _ in files) + check.rejected
+    combined = IngestReport(accepted=len(kept.ids), rejected=rejected, diagnostics=tuple(diagnostics))
     write_diagnostics(combined, out_dir / "ingest_diagnostics.jsonl")
     if combined.rejected:
         log.warning("%d rows rejected; see ingest_diagnostics.jsonl", combined.rejected)
@@ -392,15 +399,14 @@ def cmd_fetch(args) -> int:
 # The analysis stages. Each runs as one task per year of the corpus: a
 # function of the year's strata and of a _TaskOut for --out, which returns the
 # year's rows and writes its files there. A second function merges the rows of
-# every year into the stage's tables and writes them.
+# every year into the stage's tables and writes them. STAGES declares them.
 
 
 class _TaskOut(NamedTuple):
     """The ``--out`` directory, or one file in it, as a task writes to it: in
     place of a :class:`Path` for ``write_table`` and ``write_ccdf_tsv``, it
-    hands each file, and each ``mkdir`` of the directory (a file without a
-    name), to ``send`` with the task's number and the count of the task's log
-    records made before it."""
+    hands each file to ``send`` with the task's number and the count of the
+    task's log records made before it. The runner has created the directory."""
 
     path: Path
     task: int
@@ -413,9 +419,6 @@ class _TaskOut(NamedTuple):
 
     def __truediv__(self, name: str) -> "_TaskOut":
         return self._replace(name=name)
-
-    def mkdir(self, parents: bool = False, exist_ok: bool = False) -> None:
-        self.send(self.task, len(self.records), "", b"")
 
     def write(self, text: str) -> None:
         self.send(self.task, len(self.records), self.name, text.encode())
@@ -496,7 +499,6 @@ def _collapse_year(args, strata: Strata, out: _TaskOut) -> dict:
     from .swilk import ZeroVarianceError
 
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
-    out.mkdir(parents=True, exist_ok=True)
     (year,) = strata.years()
     samples = []
     skipped = []
@@ -668,17 +670,6 @@ def _topz_tables(args, strata: Strata, parts: dict[int, list]) -> None:
     write_table(rows, _TOPZ_COLUMNS, _TOPZ_RENDER, Path(args.out), "topz", args.format)
 
 
-# stage -> (its task for one year, its tables from every year's rows)
-STAGES: dict[str, tuple[Callable, Callable]] = {
-    "fit": (_fit_year, _fit_tables),
-    "collapse": (_collapse_year, _collapse_tables),
-    "css": (_css_year, _css_tables),
-    "topz": (_topz_year, _topz_tables),
-}
-
-# the stages in sequence: the order of their log records, failures and tables
-SEQUENCE = ("fit", "collapse", "css", "topz")
-
 # the order in which tasks are claimed: those that make files first, so that
 # the parent, which writes every file, has files to write early on
 CLAIM_ORDER = ("collapse", "topz", "fit", "css")
@@ -695,7 +686,7 @@ def _run_task(args, strata: Strata, stage: str, year: int, task: int, send: Call
     with held_records() as records:
         try:
             out = _TaskOut(Path(args.out), task, records, send)
-            return STAGES[stage][0](args, strata.of_year(year), out), records, None
+            return STAGES[stage].run(args, strata.of_year(year), out), records, None
         except Exception as exc:  # raised once the tasks before it in sequence are replayed
             return None, records, (exc, traceback.format_exc())
 
@@ -723,10 +714,12 @@ def run_stages(args, strata: Strata) -> int:
     where it is cheap it computes as much as the worker. It then merges each
     stage's rows into its tables. Log records, failures and tables come out
     as in sequence: fit's, collapse's, css's, then topz's, each by year; a
-    task's failed write fails the run after the records made before it."""
+    task's failed write fails the run after the records made before it.
+    ``--out`` is created first, so the worker's stream carries files only."""
     from .worker import TaskQueue, Worker, replay, reraise
 
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     years = strata.years()
     tasks = [(stage, year) for stage in CLAIM_ORDER if stage in args.stages for year in years]
     failed: dict[int, tuple] = {}  # task -> the record count before its first failed write, and the failure
@@ -735,11 +728,8 @@ def run_stages(args, strata: Strata) -> int:
         if task in failed:  # in sequence the task would have stopped there
             return
         try:
-            if name:
-                with open(out_dir / name, "wb") as fh:
-                    fh.write(data)
-            else:
-                out_dir.mkdir(parents=True, exist_ok=True)
+            with open(out_dir / name, "wb") as fh:
+                fh.write(data)
         except OSError as exc:
             failed[task] = mark, (exc, "")
 
@@ -757,9 +747,7 @@ def run_stages(args, strata: Strata) -> int:
         queue.close()
 
     number = {task: i for i, task in enumerate(tasks)}
-    for stage in SEQUENCE:
-        if stage not in args.stages:
-            continue
+    for stage in args.stages:
         parts = {}
         for year in years:
             task = number[stage, year]
@@ -771,15 +759,10 @@ def run_stages(args, strata: Strata) -> int:
             if failure is not None:
                 reraise(*failure)
             parts[year] = rows
-        STAGES[stage][1](args, strata, parts)
+        STAGES[stage].tables(args, strata, parts)
+    if args.command == "report":
+        print(f"report written to {args.out}")
     return 0
-
-
-def cmd_report(args, strata: Strata) -> int:
-    """fit + collapse + css + topz over the same corpus and flags."""
-    code = run_stages(args, strata)
-    print(f"report written to {args.out}")
-    return code
 
 
 # ---------------------------------------------------------------------------
@@ -837,12 +820,25 @@ def _add_topz_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-# stage -> its subcommand's help and the options of its own
-STAGE_COMMANDS: dict[str, tuple[str, Callable]] = {
-    "fit": ("per-stratum lognormal fits and normality tests", _add_fit_options),
-    "collapse": ("pool rescaled strata per year; pooled fits and CCDFs", _add_fit_options),
-    "css": ("characteristic scores and class shares", _add_css_options),
-    "topz": ("per-field share of the global top z%%", _add_topz_options),
+class Stage(NamedTuple):
+    """An analysis stage: its task for one year's strata, its tables from
+    every year's rows, and its subcommand's help and options of its own."""
+
+    run: Callable
+    tables: Callable
+    help: str
+    options: Callable
+
+
+# the stages in sequence: the order of their log records, failures and tables
+STAGES: dict[str, Stage] = {
+    "fit": Stage(_fit_year, _fit_tables, "per-stratum lognormal fits and normality tests", _add_fit_options),
+    "collapse": Stage(
+        _collapse_year, _collapse_tables,
+        "pool rescaled strata per year; pooled fits and CCDFs", _add_fit_options,
+    ),
+    "css": Stage(_css_year, _css_tables, "characteristic scores and class shares", _add_css_options),
+    "topz": Stage(_topz_year, _topz_tables, "per-field share of the global top z%%", _add_topz_options),
 }
 
 
@@ -871,19 +867,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dois", metavar="PATH", help="extra DOIs to resolve, one per line")
     p.set_defaults(func=cmd_fetch)
 
-    for stage, (help, add_options) in STAGE_COMMANDS.items():
-        p = sub.add_parser(stage, help=help)
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
         _add_io_options(p)
         _add_table_options(p)
-        add_options(p)
-        p.set_defaults(func=run_stages, stages=(stage,))
+        stage.options(p)
+        p.set_defaults(func=run_stages, stages=(name,))
 
     p = sub.add_parser("report", help="run fit, collapse, css and topz together")
     _add_io_options(p)
-    _add_fit_options(p)
-    _add_css_options(p)
-    _add_topz_options(p)
-    p.set_defaults(func=cmd_report, stages=SEQUENCE, format=None)
+    for add_options in dict.fromkeys(stage.options for stage in STAGES.values()):
+        add_options(p)
+    p.set_defaults(func=run_stages, stages=tuple(STAGES), format=None)
 
     return parser
 
@@ -921,9 +916,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     _validate_args(parser, args)
     try:
-        if args.command in ANALYSIS_COMMANDS:
+        if args.func is run_stages:
             _one_blas_thread()
-            return args.func(args, _load_strata(args.input, args.year))
+            return run_stages(args, _load_strata(args.input, args.year))
         return args.func(args)
     except (IngestError, OSError, ValueError) as exc:
         log.error("%s", exc)

@@ -64,8 +64,8 @@ class IngestReport(NamedTuple):
     """Outcome of a parse or validation pass.
 
     ``accepted + rejected`` equals the number of input rows, and
-    ``diagnostics`` holds one ``(line_number, reason)`` pair per rejected or
-    flagged row.
+    ``diagnostics`` holds one ``(line_number, reason)`` pair per finding: one
+    per rejected row of a parse, one or more per flagged row of a validation.
     """
 
     accepted: int
@@ -711,7 +711,7 @@ def _json_lines(columns: Columns) -> Iterator[str]:
 
 
 def write_diagnostics(report: IngestReport, target) -> None:
-    """Write a report's diagnostics as line-JSON, one object per rejected row."""
+    """Write a report's diagnostics as line-JSON, one object per finding."""
     own = isinstance(target, (str, Path))
     stream = open(target, "w", encoding="utf-8", newline="") if own else target
     try:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PublicationRecord, field_slug
-from .ingest import Columns
+from .ingest import Columns, as_int
 from .normal import ndtri
 
 __all__ = [
@@ -107,11 +107,11 @@ class SynthSpec:
         raw = json.loads(text)
         return cls(
             fields=tuple(
-                FieldSpec(f["label"], int(f["n"]), float(f["mu"]), float(f["sigma2"]))
+                FieldSpec(f["label"], as_int(f["n"]), float(f["mu"]), float(f["sigma2"]))
                 for f in raw["fields"]
             ),
-            year=int(raw["year"]),
-            seed=int(raw["seed"]),
+            year=as_int(raw["year"]),
+            seed=as_int(raw["seed"]),
             discretization=raw.get("discretization", "round"),
             zero_inflation=float(raw.get("zero_inflation", 0.0)),
         )

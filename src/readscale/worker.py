@@ -11,13 +11,14 @@ pickle to an anonymous file, which the parent reads once the worker has
 exited: a worker that finishes first never waits for the parent to take its
 result. The parent replays the records where the function's records come in
 sequence, and re-raises the failure, so a run logs and fails as the steps
-run one after another would. A worker given a sink also streams files to the
-parent while it runs, over a pipe that the parent drains between its own
-steps: so one process, the parent, creates every file of the run. A worker
-that did not fork -- the caller, the platform or the process ruled it out,
-or the file, the pipe or the fork failed -- runs its function when it is
-joined, its records going straight to the handlers and its files straight
-to the sink.
+run one after another would. A worker given a sink also streams files, each
+a name and its bytes and nothing else, to the parent while it runs, over a
+pipe that the parent drains between its own steps: so one process, the
+parent, creates every file of the run. A worker that did not fork -- the
+caller, the platform or the process ruled it out, or the file, the pipe or
+the fork failed, and what was opened for it is closed -- runs its function
+when it is joined, its records going straight to the handlers and its files
+straight to the sink.
 """
 from __future__ import annotations
 
@@ -225,28 +226,22 @@ class Worker:
         self.forked = self.pid is not None
 
     def _fork(self) -> None:
-        try:
-            channel = _channel()
-        except OSError:  # out of file descriptors or memory: run in this process
-            return
-        try:
-            stream = _pipe() if self.sink is not None else None
-        except OSError:
-            channel.close()
-            return
-        try:
-            self.pid = os.fork()
-        except OSError:  # out of process ids or memory: run in this process
-            channel.close()
-            for fd in stream or ():
-                os.close(fd)
-            return
+        with contextlib.ExitStack() as opened:
+            try:
+                channel = opened.enter_context(_channel())
+                stream = _pipe() if self.sink is not None else ()
+                for fd in stream:
+                    opened.callback(os.close, fd)
+                self.pid = os.fork()
+            except OSError:  # out of file descriptors, memory or process ids: run in this process
+                return
+            opened.pop_all()
         if self.pid == 0:
             # os._exit, whatever happens: the child runs none of the parent's
             # exit handlers and flushes none of the buffers it shares with it
             try:
                 args = self.args
-                if stream is not None:
+                if stream:
                     os.close(stream[0])
                     args = (functools.partial(_send, stream[1]), *args[1:])
                 with held_records() as records:
@@ -259,7 +254,7 @@ class Worker:
             finally:
                 os._exit(0)
         self.channel = channel
-        if stream is not None:
+        if stream:
             # the child's copy of the write end is the last: end of file is its exit
             os.close(stream[1])
             self._stream = stream[0]

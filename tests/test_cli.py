@@ -282,6 +282,20 @@ def test_css_one_row_per_stratum_plus_pooled(two_field_corpus, tmp_path):
     assert len(read_tsv(out / "css_strata.tsv")) == 2
 
 
+def test_css_with_four_scores_numbers_its_classes(tmp_path):
+    # past the four named classes I-IV, the classes are numbered from 1
+    corpus = write_corpus(tmp_path / "c.jsonl", make_records(list(range(1, 101)), "Demo", 2010))
+    out = tmp_path / "out"
+    assert main(["css", "--input", corpus, "--out", str(out), "--k", "4"]) == 0
+    row = read_tsv(out / "css_overall.tsv")[0]
+    counts = [f"count_{i}" for i in range(1, 6)]
+    assert list(row) == (
+        ["year", "obs", "beta1", "beta2", "beta3", "beta4"] + counts + [f"share_{i}" for i in range(1, 6)] + ["note"]
+    )
+    assert [row[col] for col in counts] == ["50", "25", "12", "6", "7"]  # betas 50.5, 75.5, 88, 94
+    assert list(read_tsv(out / "css_strata.tsv")[0]) == ["field", *row]
+
+
 # ---------------------------------------------------------------------------
 # topz
 
@@ -338,6 +352,17 @@ def test_alpha_out_of_range_is_a_usage_error(two_field_corpus, tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["fit", "--input", two_field_corpus, "--out", str(tmp_path), "--alpha", "1.5"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, message", [("fit", "--m", "--m must be >= 1, got 0"), ("css", "--k", "--k must be >= 1, got 0")],
+)
+def test_a_count_flag_below_one_is_a_usage_error(two_field_corpus, tmp_path, capsys, command, flag, message):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--input", two_field_corpus, "--out", str(tmp_path / "out"), flag, "0"])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +473,20 @@ def test_ingest_names_the_file_and_line_of_every_finding(tmp_path, capsys):
     ]
 
 
+def test_ingest_counts_a_row_with_two_findings_once(tmp_path, capsys, caplog):
+    # accepted + rejected is the number of rows read; the diagnostics keep every finding
+    raw = tmp_path / "raw.csv"
+    raw.write_text("id,field,year,reads\na1,Bio,2010,1\na2,Bio,2010,2\na1,Bio,1850,3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(raw), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "accepted 2 rejected 1\n"
+    assert "1 rows rejected; see ingest_diagnostics.jsonl" in caplog.text
+    assert read_jsonl(out / "ingest_diagnostics.jsonl") == [
+        {"line": 4, "reason": "raw.csv: duplicate id a1"},
+        {"line": 4, "reason": "raw.csv: year out of range: 1850"},
+    ]
+
+
 def test_ingest_rejects_a_year_or_cites_that_is_no_integer(tmp_path, capsys):
     # a fraction or a bool is no year or count; an integral float reads as its int
     rows = [
@@ -513,6 +552,16 @@ def test_synth_seed_override_changes_output(tmp_path):
     assert (out1 / "corpus.jsonl").read_bytes() != (out2 / "corpus.jsonl").read_bytes()
     meta = json.loads((out2 / "corpus.meta.json").read_text(encoding="utf-8"))
     assert meta["spec"]["seed"] == 43
+
+
+def test_synth_refuses_a_fractional_year(tmp_path, capsys, caplog):
+    path = tmp_path / "spec.json"
+    spec = json.loads(Path(_spec_file(tmp_path)).read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**spec, "year": 2015.7}), encoding="utf-8")
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out == ""
+    assert "not an integer: 2015.7" in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,8 @@ class TaskLog:
 @pytest.fixture
 def task_log(tmp_path, monkeypatch):
     log = TaskLog(tmp_path / "task_log")
-    for stage, (year_fn, tables_fn) in list(cli_mod.STAGES.items()):
-        monkeypatch.setitem(cli_mod.STAGES, stage, (log.wrap(stage, year_fn), tables_fn))
+    for name, stage in list(cli_mod.STAGES.items()):
+        monkeypatch.setitem(cli_mod.STAGES, name, stage._replace(run=log.wrap(name, stage.run)))
     return log
 
 
@@ -135,7 +135,7 @@ def test_forked_and_sequential_reports_match(inputs, tmp_path, capsys, caplog, m
     (worker,) = {pid for *_, pid in ran} - {os.getpid()}
     assert {pid for *_, pid in ran} == {worker, os.getpid()}
     assert sorted(task for *task, _ in ran) == sorted(
-        [stage, year] for stage in cli_mod.SEQUENCE for year in (2010, 2011)
+        [stage, year] for stage in cli_mod.STAGES for year in (2010, 2011)
     )
 
     _cpus(monkeypatch, 1)
@@ -242,14 +242,14 @@ def test_killed_worker_fails_the_run(inputs, tmp_path, capsys, caplog, monkeypat
     _cpus(monkeypatch, 2)
     task_log.meet = True
     parent = os.getpid()
-    for stage, (year_fn, tables_fn) in list(cli_mod.STAGES.items()):
-        def killing(args, strata, out, year_fn=year_fn):
+    for name, stage in list(cli_mod.STAGES.items()):
+        def killing(args, strata, out, year_fn=stage.run):
             rows = year_fn(args, strata, out)
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return rows
 
-        monkeypatch.setitem(cli_mod.STAGES, stage, (killing, tables_fn))
+        monkeypatch.setitem(cli_mod.STAGES, name, stage._replace(run=killing))
     fds = open_fds()
     code, stdout, records = _run(inputs, tmp_path / "out", capsys, caplog)
     assert open_fds() == fds
@@ -285,7 +285,8 @@ def _check_stage_failure(stage, year, inputs, tmp_path, capsys, caplog, monkeypa
     # the tables of the stages before the failing one were written, no other
     wrote = [message.split()[1] for _, level, message in records if message.startswith("wrote ")]
     tables = {"fit": ["fit.tsv"], "collapse": ["collapse.tsv"], "css": ["css_overall.tsv", "css_strata.tsv"]}
-    before = cli_mod.SEQUENCE[:cli_mod.SEQUENCE.index(stage)]
+    sequence = tuple(cli_mod.STAGES)
+    before = sequence[:sequence.index(stage)]
     assert [name for name in wrote if not name.startswith("topz_shares")] == [
         name for earlier in before for name in tables[earlier]
     ]
@@ -309,14 +310,14 @@ def test_a_failure_in_the_worker_keeps_its_traceback(inputs, tmp_path, monkeypat
     _cpus(monkeypatch, 2)
     task_log.meet = True
     parent = os.getpid()
-    for stage, (year_fn, tables_fn) in list(cli_mod.STAGES.items()):
-        def failing_in_the_worker(args, strata, out, year_fn=year_fn):
+    for name, stage in list(cli_mod.STAGES.items()):
+        def failing_in_the_worker(args, strata, out, year_fn=stage.run):
             rows = year_fn(args, strata, out)
             if os.getpid() != parent:
                 raise RuntimeError("a defect")
             return rows
 
-        monkeypatch.setitem(cli_mod.STAGES, stage, (failing_in_the_worker, tables_fn))
+        monkeypatch.setitem(cli_mod.STAGES, name, stage._replace(run=failing_in_the_worker))
     with pytest.raises(RuntimeError, match="a defect") as raised:
         main(["report", *inputs, "--out", str(tmp_path / "out")])
     cause = raised.value.__cause__
@@ -479,7 +480,7 @@ def test_a_failure_in_either_process_reads_as_in_sequence(corpus, data, capsys, 
         ccdfs = sorted(name for name in _tree(root / "clean") if name.startswith("ccdf_"))
         if not ccdfs or data.draw(st.booleans()):
             years = sorted({year for part in parts for year in part.years})
-            task = data.draw(st.tuples(st.sampled_from(cli_mod.SEQUENCE), st.sampled_from(years)))
+            task = data.draw(st.tuples(st.sampled_from(tuple(cli_mod.STAGES)), st.sampled_from(years)))
             task_log.fail[task] = ValueError(f"{task[0]} {task[1]} failed")
             error = f"{task[0]} {task[1]} failed"
             blocked = None

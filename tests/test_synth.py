@@ -1,6 +1,7 @@
 """Seeded synthetic corpora: determinism, calibration, serialization."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -222,6 +223,24 @@ def test_spec_defaults_in_json():
         '{"year": 2010, "seed": 1, "fields": [{"label": "F", "n": 3, "mu": 0.0, "sigma2": 1.0}]}'
     )
     assert spec.discretization == "round" and spec.zero_inflation == 0.0
+
+
+def _spec_text(year=2010, seed=1, n=3) -> str:
+    return json.dumps({"year": year, "seed": seed, "fields": [{"label": "F", "n": n, "mu": 0.0, "sigma2": 1.0}]})
+
+
+@pytest.mark.parametrize(
+    "key, value", [("year", 2015.7), ("seed", True), ("n", 30.9), ("seed", 7.5), ("n", False)],
+)
+def test_spec_refuses_an_integer_that_is_not_one(key, value):
+    with pytest.raises(ValueError, match=f"not an integer: {value!r}"):
+        SynthSpec.from_json(_spec_text(**{key: value}))
+
+
+def test_spec_reads_an_integral_float_or_digit_string_as_its_int():
+    spec = SynthSpec.from_json(_spec_text(year=2015.0, seed="7", n="30"))
+    assert (spec.year, spec.seed, spec.fields[0].n) == (2015, 7, 30)
+    assert type(spec.year) is type(spec.seed) is type(spec.fields[0].n) is int
 
 
 def test_spec_validation():

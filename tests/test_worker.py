@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import os
+import threading
 import time
 
 import pytest
@@ -163,6 +164,21 @@ def test_failure_is_raised(mode):
     else:  # raised as it is
         assert raised.value.__cause__ is None
         assert raised.traceback[-1].name == "_fail"
+
+
+@needs_fork
+def test_a_result_that_does_not_pickle_is_no_result(monkeypatch):
+    # the child cannot write a lock to the channel, and exits all the same
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 2)
+    fds = open_fds()
+    worker = Worker("test worker", threading.Lock)
+    try:
+        assert worker.forked
+        with pytest.raises(ChildProcessError, match="^the test worker ended without a result$"):
+            worker.join()
+    finally:
+        worker.stop()
+    assert open_fds() == fds
 
 
 def test_stop_without_join(mode, tmp_path):

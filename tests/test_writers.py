@@ -29,7 +29,11 @@ def _reference_table(rows, columns, renderers) -> tuple[str, str]:
         cells = []
         for col in columns:
             v = row.get(col)
-            cells.append("NA" if v is None else renderers.get(col, str)(v))
+            render = renderers.get(col)
+            text = "NA" if v is None else (render or str)(v)
+            if render is None:  # a label or note: its tab, LF and CR escaped in the TSV
+                text = text.replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+            cells.append(text)
         lines.append("\t".join(cells))
     tsv_text = "\n".join(lines) + "\n"
     jsonl_text = "".join(
@@ -112,6 +116,24 @@ def test_write_table_special_values():
         '{"field": null, "mu": NaN, "r0": Infinity, "r_max": -Infinity, "obs": null, '
         '"reject": null, "na\\u00efve\\u00e9": null}'
     )
+
+
+# labels and notes made of the characters that break a TSV row, and others
+BREAKING_TEXT = st.lists(
+    st.sampled_from(["a", "é", " ", "\\", "\\t", "\t", "\n", "\r", "\r\n"]), max_size=6,
+).map("".join)
+BREAKING_ROW = st.fixed_dictionaries({"field": BREAKING_TEXT, "obs": INT_CELL, "note": BREAKING_TEXT})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(BREAKING_ROW, max_size=6))
+def test_write_table_keeps_a_tsv_row_on_one_line(rows):
+    columns = ["field", "obs", "note"]
+    tsv_text, jsonl_text = _written_table(rows, columns)
+    lines = tsv_text.splitlines()
+    assert len(lines) == len(rows) + 1
+    assert all(len(line.split("\t")) == len(columns) for line in lines)
+    assert [json.loads(line) for line in jsonl_text.splitlines()] == rows  # the line-JSON keeps every character
 
 
 def test_write_table_refuses_a_cell_type_without_encoder(tmp_path):
