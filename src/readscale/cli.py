@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import functools
 import gc
 import json
 import logging
@@ -40,9 +39,7 @@ from .ingest import (
     IngestError,
     IngestReport,
     gc_paused,
-    parse_columns,
     parse_into,
-    parse_numbered,
     read_lines,
     validate,
     write_diagnostics,
@@ -105,9 +102,10 @@ def _json_float(v) -> str:
     return _NONFINITE.get(text, text)
 
 
-# the characters that would break a TSV row, and the text each is written as
-_TSV_BREAKS = re.compile("[\t\n\r]")
-_TSV_ESCAPES = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
+# the characters that would break a TSV row or its escapes, and the text each
+# is written as
+_TSV_BREAKS = re.compile(r"[\\\t\n\r]")
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 
 
 # a cell's line-JSON text by its exact type, as json.dumps writes it: the
@@ -133,10 +131,10 @@ def write_table(
     precision), optionally echoing one of them to stdout. Missing values
     render as NA in the TSV and null in the line-JSON, whose rows are what
     ``json.dumps`` makes of ``{column: value}``; a cell that is not a str,
-    int, float, bool or None raises TypeError. A tab, line feed or carriage
-    return in a TSV cell rendered by ``str`` is written as ``\\t``, ``\\n``
-    or ``\\r``. ``out_dir`` must exist. The text is built a column at a
-    time."""
+    int, float, bool or None raises TypeError. A backslash, tab, line feed
+    or carriage return in a TSV cell rendered by ``str`` is written as
+    ``\\\\``, ``\\t``, ``\\n`` or ``\\r``. ``out_dir`` must exist. The text
+    is built a column at a time."""
     cells = {col: list(map(methodcaller("get", col), rows)) for col in dict.fromkeys(columns)}
     tsv_columns = []
     for col in columns:
@@ -180,18 +178,18 @@ def _input_format(path: Path) -> tuple[str, str]:
     return "delimited", ","
 
 
-def _parse_inputs(paths: Sequence[str], parse: Callable) -> list[tuple]:
-    """``(path, *parse(path))`` for each input file: what ``parse``
-    (``parse_columns``, ``parse_numbered`` or ``parse_into``) makes of it,
-    its :class:`IngestReport` second."""
+def _parse_inputs(paths: Sequence[str], sink: Columns | CorpusBuffers) -> list[tuple]:
+    """``(path, report, numbers)`` for each input file, whose records
+    :func:`parse_into` appends to ``sink``: its :class:`IngestReport` and
+    its records' line numbers."""
     parsed = []
     for p in paths:
         path = Path(p)
         fmt, delimiter = _input_format(path)
-        result = parse(path, format=fmt, delimiter=delimiter)
-        if result[1].rejected:
-            log.warning("%s: skipped %d malformed rows", path, result[1].rejected)
-        parsed.append((path, *result))
+        report, numbers = parse_into(sink, path, fmt, delimiter)
+        if report.rejected:
+            log.warning("%s: skipped %d malformed rows", path, report.rejected)
+        parsed.append((path, report, numbers))
     return parsed
 
 
@@ -203,7 +201,8 @@ def _no_records(years: Sequence[int] | None) -> EmptyCorpusError:
 
 def _load_columns(paths: Sequence[str], years: Sequence[int] | None) -> Columns:
     """The records of the inputs as parsed, in input order, as :class:`Columns`."""
-    columns = Columns.concat([part for _, part, _ in _parse_inputs(paths, parse_columns)])
+    columns = Columns([], [], [], [], [])
+    _parse_inputs(paths, columns)
     if years:
         wanted = set(years)
         columns = columns.take(year in wanted for year in columns.years)
@@ -225,7 +224,7 @@ def _one_blas_thread() -> None:
 def _load_buffers(paths: Sequence[str]) -> CorpusBuffers:
     """The records of the inputs, in input order, in one :class:`CorpusBuffers`."""
     buffers = CorpusBuffers()
-    _parse_inputs(paths, functools.partial(parse_into, buffers))
+    _parse_inputs(paths, buffers)
     return buffers
 
 
@@ -274,23 +273,25 @@ def _load_strata(paths: Sequence[str], years: Sequence[int] | None) -> Strata:
 
 
 def cmd_ingest(args) -> int:
-    """Normalize raw inputs into one validated line-JSON corpus."""
+    """Normalize raw inputs into one validated line-JSON corpus. With
+    ``--year``, the rows of other years that no finding flags are left out,
+    counted as neither accepted nor rejected, and their number is logged."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = _parse_inputs(args.input, parse_numbered)
+    columns = Columns([], [], [], [], [])
+    files = _parse_inputs(args.input, columns)
     diagnostics = [
         (line, f"{path.name}: {reason}")
-        for path, _, report, _ in files for line, reason in report.diagnostics
+        for path, report, _ in files for line, reason in report.diagnostics
     ]
-    columns = Columns.concat([part for _, part, _, _ in files])
 
     # validate numbers the rows by position in all inputs; each finding takes
     # its row's file and line, as the parse rejections do
     check = validate(columns)
-    ends = list(accumulate(len(part.ids) for _, part, _, _ in files))
+    ends = list(accumulate(report.accepted for _, report, _ in files))
     for pos, reason in check.diagnostics:
         i = bisect_left(ends, pos)
-        path, _, _, lines = files[i]
+        path, _, lines = files[i]
         diagnostics.append((lines[pos - 1 - (ends[i - 1] if i else 0)], f"{path.name}: {reason}"))
     flagged = {pos for pos, _ in check.diagnostics}
     years = set(args.year or ())
@@ -298,10 +299,13 @@ def cmd_ingest(args) -> int:
         pos not in flagged and (not years or year in years)
         for pos, year in enumerate(columns.years, start=1)
     )
+    left_out = len(columns.ids) - check.rejected - len(kept.ids)
+    if left_out:
+        log.info("%d rows of other years left out", left_out)
 
     write_records(kept, out_dir / "corpus.jsonl", format="line-json")
     # a row counts once, however many findings it has
-    rejected = sum(report.rejected for _, _, report, _ in files) + check.rejected
+    rejected = sum(report.rejected for _, report, _ in files) + check.rejected
     combined = IngestReport(accepted=len(kept.ids), rejected=rejected, diagnostics=tuple(diagnostics))
     write_diagnostics(combined, out_dir / "ingest_diagnostics.jsonl")
     if combined.rejected:

@@ -66,6 +66,8 @@ class IngestReport(NamedTuple):
     ``accepted + rejected`` equals the number of input rows, and
     ``diagnostics`` holds one ``(line_number, reason)`` pair per finding: one
     per rejected row of a parse, one or more per flagged row of a validation.
+    ``ingest --year`` leaves the unflagged rows of other years out of both
+    counts, and logs how many it left out.
     """
 
     accepted: int
@@ -122,17 +124,6 @@ class Columns(NamedTuple):
             return None
         return cls(ids, fields, years, reads, cites) if plain else None
 
-    @classmethod
-    def concat(cls, parts: Sequence["Columns"]) -> "Columns":
-        """The rows of every part, in order."""
-        if len(parts) == 1:
-            return parts[0]
-        columns: tuple[list, ...] = tuple([] for _ in cls._fields)
-        for part in parts:
-            for column, values in zip(columns, part):
-                column.extend(values)
-        return cls(*columns)
-
     def take(self, keep: Iterable[bool]) -> "Columns":
         """The rows whose ``keep`` flag is true."""
         keep = list(keep)
@@ -168,9 +159,6 @@ class CorpusBuffers:
         self.real = bytearray()
         self.cites = array("d")
         self.overflow = False
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
     def __getstate__(self) -> dict:
         return {**vars(self), "ids": marshal.dumps(self.ids)}
@@ -321,24 +309,8 @@ def read_lines(source) -> list[str]:
     return text.split("\n")
 
 
-def _parse(source, format: str, delimiter: str, sink) -> tuple[list, Sequence[int]]:
-    """Feed the records of ``source`` to ``sink.extend`` as :class:`Columns`,
-    a part at a time; the ``(line, reason)`` pairs of the rows skipped and
-    each record's line number, numbered as the skipped rows are."""
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    if format == "line-json":
-        return _parse_line_json(read_lines(source), sink)
-    with _text(source) as stream:
-        columns, diagnostics = _parse_delimited(stream, delimiter)
-    sink.extend(columns)
-    # line 1 is the header, and blank rows are not numbered
-    numbers: Sequence[int] = range(2, len(columns.ids) + len(diagnostics) + 2)
-    return diagnostics, _unnamed(numbers, diagnostics)
-
-
 def _parse_line_json(lines: list[str], sink) -> tuple[list, Sequence[int]]:
-    """:func:`_parse` of line-JSON ``lines`` a chunk at a time: what
+    """:func:`parse_into` of line-JSON ``lines`` a chunk at a time: what
     :meth:`Columns.from_json_columns` makes of a chunk's decoded values, or
     else what :func:`_parse_line_json_rows` makes of its lines, goes to
     ``sink`` before the next chunk is decoded."""
@@ -370,8 +342,36 @@ def _unnamed(numbers: Sequence[int], diagnostics: list) -> Sequence[int]:
     return list(filterfalse(rejected.__contains__, numbers))
 
 
-def _report(accepted: int, diagnostics: list) -> IngestReport:
-    return IngestReport(accepted, len(diagnostics), tuple(diagnostics))
+@gc_paused
+def parse_into(
+    sink: Columns | CorpusBuffers,
+    source,
+    format: str = "delimited",
+    delimiter: str = ",",
+) -> tuple[IngestReport, Sequence[int]]:
+    """Append the records of a path or byte/text stream to ``sink``, a
+    :class:`Columns` of lists or a :class:`CorpusBuffers`, a part at a time.
+
+    Returns the :class:`IngestReport` of this source's rows alone, and each
+    record's line number as the report numbers the skipped rows: a line-JSON
+    file counts every line, a delimited file its header and each non-blank
+    record. Raises :class:`SchemaError` if a mandatory column is absent,
+    :class:`IngestError` if the stream is not UTF-8, and, after the source's
+    warnings, :class:`ValueError` if a year overflows a ``CorpusBuffers``.
+    """
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
+    if format == "line-json":
+        diagnostics, numbers = _parse_line_json(read_lines(source), sink)
+    else:
+        with _text(source) as stream:
+            columns, diagnostics = _parse_delimited(stream, delimiter)
+        sink.extend(columns)
+        # line 1 is the header, and blank rows are not numbered
+        numbers = _unnamed(range(2, len(columns.ids) + len(diagnostics) + 2), diagnostics)
+    if isinstance(sink, CorpusBuffers) and sink.overflow:
+        raise ValueError("a year does not fit in 64 bits")
+    return IngestReport(len(numbers), len(diagnostics), tuple(diagnostics)), numbers
 
 
 def parse_columns(
@@ -382,26 +382,12 @@ def parse_columns(
     """Parse records from a path or byte/text stream into :class:`Columns`.
 
     Returns the well-formed records in input order together with an
-    :class:`IngestReport` listing every skipped row. Raises
-    :class:`SchemaError` if a mandatory column is absent and
-    :class:`IngestError` if the stream cannot be decoded as UTF-8.
+    :class:`IngestReport` listing every skipped row; raises as
+    :func:`parse_into` does.
     """
-    columns, report, _ = parse_numbered(source, format, delimiter)
-    return columns, report
-
-
-@gc_paused
-def parse_numbered(
-    source,
-    format: str = "delimited",
-    delimiter: str = ",",
-) -> tuple[Columns, IngestReport, Sequence[int]]:
-    """:func:`parse_columns`, and each record's line number as the report
-    numbers the skipped rows: a line-JSON file counts every line, a delimited
-    file counts its header and each non-blank record."""
     columns = Columns([], [], [], [], [])
-    diagnostics, lines = _parse(source, format, delimiter, columns)
-    return columns, _report(len(columns.ids), diagnostics), lines
+    report, _ = parse_into(columns, source, format, delimiter)
+    return columns, report
 
 
 def parse_records(
@@ -416,33 +402,17 @@ def parse_records(
     return list(map(PublicationRecord, *columns)), report
 
 
-@gc_paused
-def parse_into(
-    buffers: CorpusBuffers,
-    source,
-    format: str = "delimited",
-    delimiter: str = ",",
-) -> tuple[CorpusBuffers, IngestReport]:
-    """:func:`parse_columns`, with the records appended to ``buffers``, and
-    the report of this source's rows alone. Raises :class:`ValueError`, after
-    the source's warnings, if a year does not fit in 64 bits."""
-    before = len(buffers)
-    diagnostics, _ = _parse(source, format, delimiter, buffers)
-    if buffers.overflow:
-        raise ValueError("a year does not fit in 64 bits")
-    return buffers, _report(len(buffers) - before, diagnostics)
-
-
 def parse_corpus(
     source,
     format: str = "delimited",
     delimiter: str = ",",
 ) -> tuple[Corpus, IngestReport]:
     """:func:`parse_columns`, with the records as a :class:`Corpus`: the
-    columns of :func:`parse_into`, adopted."""
+    buffers that :func:`parse_into` fills, adopted."""
     from .corpus import Corpus
 
-    buffers, report = parse_into(CorpusBuffers(), source, format, delimiter)
+    buffers = CorpusBuffers()
+    report, _ = parse_into(buffers, source, format, delimiter)
     return Corpus.from_buffers(buffers), report
 
 

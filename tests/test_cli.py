@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records
 from readscale.cli import main
 from readscale.corpus import Group, GroupKey
 from readscale.distfit import ZeroPolicy, fit_lognormal
-from readscale.ingest import write_records
+from readscale.ingest import CorpusBuffers, write_records
 from readscale.rescale import ccdf, collapse, rescale_group, write_ccdf_tsv
 from readscale.synth import GENERATOR_ID
 
@@ -487,6 +488,34 @@ def test_ingest_counts_a_row_with_two_findings_once(tmp_path, capsys, caplog):
     ]
 
 
+def test_ingest_year_logs_the_rows_it_leaves_out(tmp_path, capsys, caplog):
+    # accepted + rejected + left out is the number of rows read; a flagged row
+    # of another year counts as rejected
+    caplog.set_level(logging.INFO)
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "id,field,year,reads\na1,Bio,2010,1\na2,Bio,2011,2\na3,Bio,1850,3\na4,Bio,2012,4\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(raw), "--out", str(out), "--year", "2010"]) == 0
+    assert capsys.readouterr().out == "accepted 1 rejected 1\n"
+    assert [r.getMessage() for r in caplog.records if "left out" in r.getMessage()] == [
+        "2 rows of other years left out"
+    ]
+    assert read_jsonl(out / "corpus.jsonl") == [{"id": "a1", "field": "Bio", "year": 2010, "reads": 1}]
+
+
+def test_ingest_year_that_keeps_every_row_logs_nothing_left_out(tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("id,field,year,reads\na1,Bio,2010,1\na2,Bio,2011,2\n", encoding="utf-8")
+    years = ["--year", "2010", "--year", "2011"]
+    assert main(["ingest", "--input", str(raw), "--out", str(tmp_path / "out"), *years]) == 0
+    assert capsys.readouterr().out == "accepted 2 rejected 0\n"
+    assert "left out" not in caplog.text
+
+
 def test_ingest_rejects_a_year_or_cites_that_is_no_integer(tmp_path, capsys):
     # a fraction or a bool is no year or count; an integral float reads as its int
     rows = [
@@ -752,13 +781,12 @@ def test_report_parses_each_input_once_and_groups_once(tmp_path, monkeypatch):
     # on one CPU the loader parses in this process, where its calls are counted
     monkeypatch.setattr(worker_mod, "_cpus", lambda: 1)
     parses = _counting(monkeypatch, "parse_into")
-    column_parses = _counting(monkeypatch, "parse_columns")
     # the cli imports stratify where it groups, so it is counted at home
     groupings = _counting(monkeypatch, "stratify", corpus_mod)
     io = [arg for path in inputs for arg in ("--input", path)]
     assert main(["report", *io, "--out", str(tmp_path / "out")]) == 0
     assert len(parses) == len(inputs)
-    assert column_parses == []
+    assert all(isinstance(sink, CorpusBuffers) for sink, *_ in parses)
     assert len(groupings) == 1
 
 
@@ -1040,6 +1068,26 @@ def test_command_imports_leave_dataclasses_unloaded():
         "assert 'dataclasses' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("setup, expected", [
+    ("", "1"),  # numpy not yet loaded: OpenBLAS is held to one thread
+    ("os.environ['OMP_NUM_THREADS'] = '2'\n", None),  # the user's choice stands
+    ("import numpy\n", None),  # too late to tell OpenBLAS
+])
+def test_one_blas_thread_only_before_numpy_and_without_a_user_choice(setup, expected):
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in cli_mod.BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import os\n"
+        + setup
+        + "import readscale.cli\n"
+        "readscale.cli._one_blas_thread()\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert run.stdout == f"{expected}\n"
 
 
 def test_report_builds_each_stratum_once(tmp_path, monkeypatch):

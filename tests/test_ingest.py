@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from readscale import ingest
 from readscale.corpus import Corpus, PublicationRecord
 from readscale.ingest import (
+    Columns,
     IngestError,
     IngestReport,
     SchemaError,
     parse_columns,
     parse_corpus,
-    parse_numbered,
+    parse_into,
     parse_records,
     validate,
     write_diagnostics,
@@ -146,6 +147,11 @@ def test_unknown_format_rejected():
         parse_records(io.StringIO(""), format="parquet")
 
 
+def test_write_records_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'parquet'"):
+        write_records(make_records([1], "A", 2010), io.StringIO(), format="parquet")
+
+
 def test_validate_flags_duplicates_and_ranges():
     records = [
         PublicationRecord("d1", "A", 2010, 5),
@@ -231,8 +237,9 @@ def test_non_utf8_input_is_fatal(tmp_path):
          '{"id": "b", "field": "B", "year": 2010, "reads": 2}\n', [1, 4]),
     ],
 )
-def test_parse_numbered_gives_each_record_its_line(format, text, numbers):
-    columns, report, lines = parse_numbered(io.StringIO(text), format=format)
+def test_parse_into_gives_each_record_its_line(format, text, numbers):
+    columns = Columns([], [], [], [], [])
+    report, lines = parse_into(columns, io.StringIO(text), format=format)
     assert (columns, report) == parse_columns(io.StringIO(text), format=format)
     assert list(lines) == numbers and len(columns.ids) == len(numbers)
 
@@ -391,6 +398,18 @@ def test_line_json_corpus_reports_per_row_rejections_with_line_numbers(tmp_path)
     assert report == IngestReport(1, 2, ((2, "invalid reads True"), (4, "negative reads")))
 
 
+def test_line_json_corpus_flags_the_real_beside_ints_that_sum_past_float_range():
+    # twenty integers of 10**307 sum past float range, beside a real number:
+    # only the row of 1.5 is flagged real
+    lines = [_reads_line(10**307)] * 20 + [_reads_line(1.5)]
+    text = "".join(line + "\n" for line in lines)
+    corpus, report = parse_corpus(io.StringIO(text), format="line-json")
+    assert report == IngestReport(21, 0)
+    assert corpus.real.tolist() == [False] * 20 + [True]
+    columns, _ = parse_columns(io.StringIO(text), format="line-json")
+    assert _corpus_or_error(lambda: corpus) == _corpus_or_error(Corpus.from_columns, *columns)
+
+
 def _bulk_parts(lines):
     """The :class:`Columns` of each chunk's values as the line-JSON reader
     decodes them, None for a chunk left to the per-row path."""
@@ -444,7 +463,8 @@ def test_line_json_malformed_line_sends_only_its_chunk_to_the_per_row_path(parse
 def test_line_json_reader_numbers_lines_across_chunks_blank_lines_and_rejections():
     text = "\n".join([_reads_line(1), "", _reads_line(2), "  ", "", _reads_line(-1), _reads_line(3)])
     with mock.patch.object(ingest, "_CHUNK_LINES", 2):
-        columns, report, numbers = parse_numbered(io.StringIO(text), format="line-json")
+        columns = Columns([], [], [], [], [])
+        report, numbers = parse_into(columns, io.StringIO(text), format="line-json")
     assert list(numbers) == [1, 3, 7]
     assert report.diagnostics == ((6, "negative reads"),)
     assert list(columns.reads) == [1, 2, 3]

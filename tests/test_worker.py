@@ -3,7 +3,9 @@ may not fork or the fork fails."""
 from __future__ import annotations
 
 import errno
+import logging
 import os
+import tempfile
 import threading
 import time
 
@@ -223,4 +225,91 @@ def test_task_queue_under_more_claimants_than_cpus(monkeypatch):
         queue.close()
     assert sorted(task for part in claimed for task in part) == list(range(10_000))
     assert all(part == sorted(part) for part in claimed)
+    assert open_fds() == fds
+
+
+def _stream_and_exit(send, files):
+    for tag, (name, data) in enumerate(files):
+        send(tag, tag + 100, name, data)
+
+
+@needs_fork
+def test_a_file_that_spans_reads_reaches_the_sink_whole(monkeypatch):
+    # a file three times the pipe's buffer and a byte, between small files,
+    # arrives over several reads while this process drains
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 2)
+    files = [("a.tsv", b"a\n"), ("empty.tsv", b""), ("big.tsv", os.urandom(3 * PIPE_BYTES + 1)),
+             ("ünï.tsv", "é\n".encode()), ("z.tsv", b"z")]
+    received = []
+    fds = open_fds()
+    worker = Worker("test worker", _stream_and_exit, files, sink=lambda *file: received.append(file))
+    try:
+        assert worker.forked
+        deadline = time.monotonic() + 30
+        while len(received) < len(files) and time.monotonic() < deadline:
+            worker.drain()
+            time.sleep(0.001)
+        worker.join()
+    finally:
+        worker.stop()
+    assert received == [(tag, tag + 100, name, data) for tag, (name, data) in enumerate(files)]
+    assert open_fds() == fds
+
+
+def _stream_and_wait(send):
+    send(0, 0, "a.tsv", b"a\n")
+    time.sleep(60)
+
+
+def _sink_fails(*file):
+    raise Boom("sink")
+
+
+@needs_fork
+def test_stop_after_a_failing_sink_closes_the_stream(monkeypatch):
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 2)
+    fds = open_fds()
+    begun = time.monotonic()
+    worker = Worker("test worker", _stream_and_wait, sink=_sink_fails)
+    try:
+        assert worker.forked
+        with pytest.raises(Boom, match="sink"):
+            worker.drain(wait=True)
+    finally:
+        worker.stop()
+    assert worker.pid is None and worker._stream is None
+    assert open_fds() == fds
+    assert time.monotonic() - begun < 30
+
+
+def _log_and_return(value):
+    logging.getLogger("readscale.test").warning("from the worker")
+    return value
+
+
+@needs_fork
+def test_without_memfd_the_result_comes_through_a_temporary_file(monkeypatch, caplog):
+    monkeypatch.setattr(worker_mod, "_cpus", lambda: 2)
+    monkeypatch.delattr(os, "memfd_create", raising=False)
+    made = []
+    temporary_file = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: made.append(1) or temporary_file())
+    fds = open_fds()
+    worker = Worker("test worker", _log_and_return, {"pid": os.getpid()})
+    try:
+        assert worker.forked
+        value = worker.join()
+    finally:
+        worker.stop()
+    assert value == {"pid": os.getpid()}
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [("readscale.test", "from the worker")]
+    worker = Worker("test worker", _fail)
+    try:
+        assert worker.forked
+        with pytest.raises(Boom, match="no") as raised:
+            worker.join()
+    finally:
+        worker.stop()
+    assert "_fail" in str(raised.value.__cause__)
+    assert made == [1, 1]
     assert open_fds() == fds

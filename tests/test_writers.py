@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -31,7 +32,8 @@ def _reference_table(rows, columns, renderers) -> tuple[str, str]:
             v = row.get(col)
             render = renderers.get(col)
             text = "NA" if v is None else (render or str)(v)
-            if render is None:  # a label or note: its tab, LF and CR escaped in the TSV
+            if render is None:  # a label or note: its backslash, tab, LF and CR escaped in the TSV
+                text = text.replace("\\", "\\\\")
                 text = text.replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
             cells.append(text)
         lines.append("\t".join(cells))
@@ -134,6 +136,22 @@ def test_write_table_keeps_a_tsv_row_on_one_line(rows):
     assert len(lines) == len(rows) + 1
     assert all(len(line.split("\t")) == len(columns) for line in lines)
     assert [json.loads(line) for line in jsonl_text.splitlines()] == rows  # the line-JSON keeps every character
+
+
+_UNESCAPE = re.compile(r"\\(.)")
+_UNESCAPED = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(BREAKING_ROW, max_size=6))
+@example([{"field": "\\t", "obs": None, "note": "\t"}])  # a backslash and a t, then a tab
+@example([{"field": "C:\\temp", "obs": 1, "note": "C:\temp"}])
+def test_write_table_tsv_escapes_can_be_undone(rows):
+    tsv_text, _ = _written_table(rows, ["field", "obs", "note"])
+    for row, line in zip(rows, tsv_text.split("\n")[1:-1], strict=True):
+        field, _, note = line.split("\t")
+        back = [_UNESCAPE.sub(lambda m: _UNESCAPED[m.group(1)], cell) for cell in (field, note)]
+        assert back == [row["field"], row["note"]]
 
 
 def test_write_table_refuses_a_cell_type_without_encoder(tmp_path):
