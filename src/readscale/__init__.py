@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # nor the standard library's HTTP client, which readscale.fetch loads
 _HOMES = {
     "corpus": (
-        "Corpus", "DuplicateIdError", "EmptyCorpusError", "Group", "GroupKey", "GroupStats",
+        "Corpus", "DuplicateIdError", "Group", "GroupKey", "GroupStats",
         "PublicationRecord", "Strata", "Stratum", "group_by_field_year", "group_stats", "stratify",
     ),
     "css": ("CLASS_NAMES", "CssResult", "characteristic_scores", "class_labels", "classify"),
@@ -26,8 +26,8 @@ _HOMES = {
     ),
     "fetch": ("Cache", "FetchError", "FetchResult", "ProviderConfig", "RateLimiter", "fetch_counts"),
     "ingest": (
-        "Columns", "IngestError", "IngestReport", "SchemaError", "parse_columns", "parse_corpus",
-        "parse_records", "validate", "write_records",
+        "Columns", "EmptyCorpusError", "IngestError", "IngestReport", "SchemaError", "parse_columns",
+        "parse_corpus", "parse_records", "validate", "write_records",
     ),
     "rescale": (
         "AllUnreadGroupError", "CcdfCurve", "RescaledSample", "ccdf", "ccdf_filename", "collapse",

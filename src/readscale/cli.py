@@ -28,7 +28,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 # numpy and the analysis modules load only for the commands that use them,
 # so that ingest and fetch start on the standard library alone
@@ -36,8 +36,10 @@ from .choices import TIE_RULES, TRUNCATION_RULES
 from .ingest import (
     Columns,
     CorpusBuffers,
+    EmptyCorpusError,
     IngestError,
     IngestReport,
+    _json_lines,
     gc_paused,
     parse_into,
     read_lines,
@@ -49,7 +51,7 @@ from .ingest import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .corpus import Corpus, EmptyCorpusError, Strata
+    from .corpus import Corpus, Strata
 
 __all__ = ["main", "build_parser"]
 
@@ -194,8 +196,6 @@ def _parse_inputs(paths: Sequence[str], sink: Columns | CorpusBuffers) -> list[t
 
 
 def _no_records(years: Sequence[int] | None) -> EmptyCorpusError:
-    from .corpus import EmptyCorpusError
-
     return EmptyCorpusError("no records loaded" + (" for the requested years" if years else ""))
 
 
@@ -339,20 +339,25 @@ def cmd_synth(args) -> int:
 def cmd_fetch(args) -> int:
     """Resolve DOIs to reader counts; optionally merge them into a corpus.
 
-    The cache is decoded in a :class:`~readscale.worker.Worker`, beside the
-    client load and corpus parse if it forked; the output, log and exit code
-    are those of the steps in sequence."""
+    The cache's tail is decoded in a :class:`~readscale.worker.Worker`; if it
+    forked, this process meanwhile loads the client, parses the corpus and
+    the DOI list and decodes the cache's head (:meth:`~readscale.fetch.Cache.head`).
+    The merged corpus is rendered while the provider answers, and the rows
+    whose id the cache lacks again after. The output, log and exit code are
+    those of the steps in sequence."""
     # the provider client loads urllib.request and a thread pool only for a
     # DOI missing from the cache; fetch is the only command that imports it
     from .fetch import Cache, FetchError, ProviderConfig, fetch_counts, load_client
-    from .worker import Worker
+    from .worker import Worker, forks, held_records, replay
 
     if not args.input and not args.dois:
         log.error("fetch needs --input and/or --dois")
         return 2
     config = ProviderConfig(base_url=args.provider_url)
     cache = Cache(args.cache)
-    reader = Worker("cache reader", cache.read_columns)
+    ahead = sum(os.path.getsize(p) for p in [*(args.input or ()), args.dois] if p and os.path.isfile(p))
+    cut = cache.head(ahead) if forks() else 0
+    reader = Worker("cache reader", cache.read_columns, cut)
     try:
         if reader.forked:
             load_client()  # while the reader runs, rather than after it
@@ -366,13 +371,31 @@ def cmd_fetch(args) -> int:
                 line = line.strip()
                 if line and not line.startswith("#"):
                     dois.append(line)
-        # the cache's records come after the corpus's, as in sequence
-        cached = reader.join()
+        # the cache's records come after the corpus's, the head's before the
+        # tail's, as in sequence; a tail that fails drops the head's, as a
+        # whole read that fails logs none
+        with held_records() as records:
+            cached = cache.read_columns(0, cut)
+            for column, part in zip(cached, reader.join()):
+                column.extend(part)
+        replay(records)
     finally:
         reader.stop()
 
+    lines: list[str] = []  # the merged corpus, rendered while the provider answers
+    missing: list[int] = []  # the rows whose id the cache lacks
+
+    def merged_lines(rows: Columns, counts: Sequence[int | None]) -> Iterator[str]:
+        reads = [old if new is None else new for old, new in zip(rows.reads, counts)]
+        return _json_lines(rows._replace(reads=reads))
+
+    def render(known: dict) -> None:
+        found = list(map(known.get, columns.ids))
+        missing.extend(i for i, r in enumerate(found) if r is None)
+        lines.extend(merged_lines(columns, [None if r is None else r.reads for r in found]))
+
     try:
-        results = fetch_counts(dois, config, cache, cached)
+        results = fetch_counts(dois, config, cache, cached, None if columns is None else render)
     except FetchError as exc:
         log.error("%s", exc)
         return 1
@@ -385,13 +408,15 @@ def cmd_fetch(args) -> int:
     if columns is not None:
         # the corpus ids lead ``dois``, and fetch_counts answers in input order
         fetched = counts[:len(columns.ids)]
-        reads = [old if new is None else new for old, new in zip(columns.reads, fetched)]
         merged = len(fetched) - fetched.count(None)
         if merged == 0:
             log.warning("no fetched count cleared the match threshold; corpus unchanged")
+        rows = Columns(*([column[i] for i in missing] for column in columns))
+        for i, line in zip(missing, merged_lines(rows, [fetched[i] for i in missing])):
+            lines[i] = line
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_records(columns._replace(reads=reads), out_dir / "corpus.jsonl", format="line-json")
+        (out_dir / "corpus.jsonl").write_text("".join(lines), encoding="utf-8", newline="")
 
     summary = f"resolved {len(results)} dois: {matched} matched, {below} below threshold, {failed} failed"
     if columns is not None:

@@ -20,11 +20,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import YEAR_MAX, YEAR_MIN, Columns, CorpusBuffers, repeated_positions  # noqa: F401 -- exported here too
-
-
-class EmptyCorpusError(ValueError):
-    """Raised when an operation requires at least one record."""
+# exported here too; EmptyCorpusError lives in ingest, so that the commands raise it without numpy
+from .ingest import (  # noqa: F401
+    YEAR_MAX, YEAR_MIN, Columns, CorpusBuffers, EmptyCorpusError, repeated_positions,
+)
 
 
 class DuplicateIdError(ValueError):

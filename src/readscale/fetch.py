@@ -36,7 +36,7 @@ import threading
 import time
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ingest import _types, as_int, decode_line_chunks, gc_paused, read_lines
 
@@ -68,6 +68,14 @@ CACHE_KEYS = ("doi", "reads", "match_probability", "fetched_at")
 # ceil(rate) intervals span exactly one second; the guard leaves ceil(rate)
 # times its size.
 GRANT_GUARD = 0.002
+# fetch's main process decodes the head of a large cache while a forked reader
+# decodes the tail. Before the head it loads the client, which takes about as
+# long as decoding CLIENT_BYTES of cache, and parses the corpus and the DOI
+# list, at about the cost per byte of the cache (12 against 10 ns on two cores
+# of a Xeon VM). Both finish together when the head is half of the cache left
+# over after that work; a head below HEAD_MIN_BYTES saves less than it costs.
+CLIENT_BYTES = 1_400_000
+HEAD_MIN_BYTES = 2**18
 
 
 class FetchError(RuntimeError):
@@ -172,10 +180,14 @@ class Cache:
         return self.latest(self.read_columns())
 
     @gc_paused
-    def read_columns(self) -> tuple[list, list, list, list]:
+    def read_columns(self, start: int = 0, stop: int | None = None) -> tuple[list, list, list, list]:
         """The (doi, reads, match_probability, fetched_at) columns of the
         readable lines, in line order; malformed lines are skipped with a
-        warning, and a missing file has no lines.
+        warning, and a missing file has no lines. With ``start`` or ``stop``,
+        only the lines from byte ``start``, which must open a line, up to byte
+        ``stop`` are read (see :func:`readscale.ingest.read_lines`), numbered
+        as in the whole file: the columns and warnings of two adjacent parts
+        are those of the whole, the first part's first.
 
         Lines are decoded a chunk at a time (see
         :func:`readscale.ingest.decode_line_chunks`). A chunk of flat entries
@@ -184,9 +196,11 @@ class Cache:
         chunk is read line by line.
         """
         columns: tuple[list, list, list, list] = ([], [], [], [])
-        if not self.path.exists():
+        if start == stop or not self.path.exists():
             return columns
-        for numbers, chunk, rows in decode_line_chunks(read_lines(self.path), frozenset(CACHE_KEYS)):
+        first = _lines_before(self.path, start) + 1 if start else 1
+        lines = read_lines(self.path, start, stop)
+        for numbers, chunk, rows in decode_line_chunks(lines, frozenset(CACHE_KEYS), first):
             entries = None if rows is None else _plain_entries(rows)
             if entries is None:
                 read = []
@@ -199,6 +213,19 @@ class Cache:
             for column, values in zip(columns, entries):
                 column.extend(values)
         return columns
+
+    def head(self, ahead: int) -> int:
+        """Where the head of a split read ends, when ``ahead`` bytes of input
+        are parsed before it (see :data:`CLIENT_BYTES`): the start of the line
+        after the one that holds byte (size - ahead - CLIENT_BYTES) // 2 of the
+        cache; 0, no head, when that byte lies below :data:`HEAD_MIN_BYTES` or
+        the cache is no file."""
+        try:
+            size = self.path.stat().st_size if self.path.is_file() else 0
+            end = (size - ahead - CLIENT_BYTES) // 2
+            return _line_after(self.path, end) if end >= HEAD_MIN_BYTES else 0
+        except OSError:  # the read reports it in its turn
+            return 0
 
     @staticmethod
     @gc_paused
@@ -236,6 +263,28 @@ class Cache:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write("".join(line + "\n" for line in lines))
+
+
+def _line_after(path: Path, offset: int) -> int:
+    """Where the line after the first "\\r\\n", "\\r" or "\\n" at or past
+    byte ``offset`` of ``path`` opens; the file's size when no break is there."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        while block := fh.read(2**16):
+            ends = [at for at in map(block.find, (b"\n", b"\r")) if at >= 0]
+            if ends:
+                at = offset + min(ends)
+                fh.seek(at)
+                return at + (2 if fh.read(2) == b"\r\n" else 1)
+            offset += len(block)
+    return offset
+
+
+def _lines_before(path: Path, offset: int) -> int:
+    """The number of lines of ``path`` that end before byte ``offset``, which opens a line."""
+    with open(path, "rb") as fh:
+        data = fh.read(offset)
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
 def _real(value) -> float:
@@ -391,6 +440,7 @@ def fetch_counts(
     config: ProviderConfig,
     cache: Cache,
     cached: Sequence[Sequence] | None = None,
+    on_cached: Callable[[dict[str, FetchResult]], None] | None = None,
 ) -> list[FetchResult]:
     """Resolve DOIs to reader counts, one FetchResult per input DOI.
 
@@ -404,7 +454,12 @@ def fetch_counts(
     is strictly above ``config.min_match_probability``.
 
     ``cached`` is what :meth:`Cache.read_columns` returned, when the caller
-    has read the cache already; by default it is read here.
+    has read the cache already; by default it is read here. ``on_cached``,
+    if given, is called with the cache's answers by DOI, each count kept only
+    above the threshold, once the requests are out (or, when every DOI is
+    cached, just before returning), so that the caller's work on them
+    overlaps the provider's answers. The callable must not keep the dict:
+    the provider's answers are added to it once the call returns.
 
     Raises FetchError if the provider cannot be reached at all for some
     batch; results cached before that point remain on disk.
@@ -415,6 +470,8 @@ def fetch_counts(
     missing = sorted(set(dois).difference(cached[0]))
     if not missing:
         known = _cleared(cache.latest(cached).values(), threshold)
+        if on_cached is not None:
+            on_cached(known)
         return list(map(known.__getitem__, dois))
 
     from concurrent.futures import ThreadPoolExecutor
@@ -435,6 +492,8 @@ def fetch_counts(
     with ThreadPoolExecutor(max_workers=min(WORKERS, len(batches))) as pool:
         answers = pool.map(run_batch, batches)
         known = _cleared(cache.latest(cached).values(), threshold)  # while the provider answers
+        if on_cached is not None:
+            on_cached(known)
         for batch_results in answers:
             known.update(_cleared(batch_results, threshold))
     return list(map(known.__getitem__, dois))

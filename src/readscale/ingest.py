@@ -49,6 +49,10 @@ class IngestError(Exception):
     """Fatal ingestion failure: unreadable stream or broken schema."""
 
 
+class EmptyCorpusError(ValueError):
+    """Raised when an operation requires at least one record."""
+
+
 class SchemaError(IngestError):
     """A mandatory column is missing from the input."""
 
@@ -294,16 +298,30 @@ def _text(source) -> Iterator[IO[str]]:
             stream.detach()
 
 
-def read_lines(source) -> list[str]:
+def read_lines(source, start: int = 0, stop: int | None = None) -> list[str]:
     """The lines of ``source`` (see :func:`_text`), read in one call and broken
     at "\\r\\n", "\\r" and "\\n"; a caller's own text stream, whose line
-    breaks are its own choice, is iterated. Line-JSON corpora, the fetch
-    cache and the DOI list are read here, delimited records through
+    breaks are its own choice, is iterated. Of a path, the bytes from
+    ``start``, which must open a line, up to ``stop`` may be read alone: a
+    byte-order mark is dropped only at the file's start, and invalid UTF-8
+    raises what a read from the file's start raises. Line-JSON corpora, the
+    fetch cache and the DOI list are read here, delimited records through
     :func:`_text`."""
-    with _text(source) as stream:
-        if stream is source:
-            return list(stream)
-        text = stream.read()
+    if start or stop is not None:
+        with open(source, "rb") as fh:
+            fh.seek(start)
+            data = fh.read(-1 if stop is None else stop - start)
+        try:
+            text = data.decode("utf-8" if start else "utf-8-sig")
+        except UnicodeDecodeError as exc:
+            if start:  # its position counts from the file's start
+                read_lines(source, 0, stop)
+            raise IngestError(f"input is not valid UTF-8: {exc}") from exc
+    else:
+        with _text(source) as stream:
+            if stream is source:
+                return list(stream)
+            text = stream.read()
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
@@ -486,13 +504,14 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
     return columns, diagnostics
 
 
-def decode_line_chunks(lines: list[str], keys: frozenset[str]) -> Iterator[tuple]:
+def decode_line_chunks(lines: list[str], keys: frozenset[str], first: int = 1) -> Iterator[tuple]:
     """Decode line-JSON objects with one ``json.loads`` per chunk of
-    ``_CHUNK_LINES`` lines. Yields the 1-based numbers of a chunk's non-blank
-    lines, those lines, and their objects, or None when the chunk holds
-    anything but one flat object per line: invalid JSON, a non-object, a line
-    with two objects, or a nested value under a key outside ``keys`` (the
-    caller checks the values under ``keys``, and must reject nested ones).
+    ``_CHUNK_LINES`` lines. Yields the numbers of a chunk's non-blank lines,
+    counted from ``first``, those lines, and their objects, or None when the
+    chunk holds anything but one flat object per line: invalid JSON, a
+    non-object, a line with two objects, or a nested value under a key outside
+    ``keys`` (the caller checks the values under ``keys``, and must reject
+    nested ones).
 
     The lines are decoded joined by line breaks, which no JSON token can
     contain, and each opens with "{"; with only flat objects and as many as
@@ -500,7 +519,7 @@ def decode_line_chunks(lines: list[str], keys: frozenset[str]) -> Iterator[tuple
     decoded objects, several times the size of the values kept, from adding up."""
     for start in range(0, len(lines), _CHUNK_LINES):
         chunk = lines[start:start + _CHUNK_LINES]
-        numbers: Sequence[int] = range(start + 1, start + len(chunk) + 1)
+        numbers: Sequence[int] = range(first + start, first + start + len(chunk))
         # first characters alone tell, unless some line is blank or opens with blanks
         if not all(chunk) or set(map(itemgetter(0), chunk)) != {"{"}:
             filled = [bool(line.strip()) for line in chunk]

@@ -32,7 +32,7 @@ import threading
 import traceback
 from typing import IO, Any, Callable, Iterator, NoReturn, Sequence
 
-__all__ = ["TaskQueue", "Worker", "held_records", "replay", "reraise"]
+__all__ = ["TaskQueue", "Worker", "forks", "held_records", "replay", "reraise"]
 
 # the buffer asked of a pipe: room for the tokens of a task queue and for the
 # files a worker streams while the parent is busy (Linux's default cap for an
@@ -189,7 +189,7 @@ def _send(fd: int, tag: int, mark: int, name: str, data: bytes) -> None:
         message = message[os.write(fd, message):]
 
 
-def _forks() -> bool:
+def forks() -> bool:
     """Whether a :class:`Worker` forks: the platform forks, the process may
     run on two CPUs or more, and no other thread runs, which a forked child
     would lack."""
@@ -198,7 +198,7 @@ def _forks() -> bool:
 
 class Worker:
     """``fn(*args)`` run in a forked child of this process where ``fork``
-    and :func:`_forks` allow and the fork succeeds, or else here when
+    and :func:`forks` allow and the fork succeeds, or else here when
     joined; :attr:`forked` tells which. Errors name the worker ``name``.
 
     With a ``sink``, the call is ``fn(send, *args)``, and each
@@ -221,7 +221,7 @@ class Worker:
         self.sink = sink
         self.pid: int | None = None
         self._stream: int | None = None
-        if fork and _forks():
+        if fork and forks():
             self._fork()
         self.forked = self.pid is not None
 

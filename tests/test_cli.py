@@ -20,7 +20,7 @@ from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records
 from readscale.cli import main
 from readscale.corpus import Group, GroupKey
 from readscale.distfit import ZeroPolicy, fit_lognormal
-from readscale.ingest import CorpusBuffers, write_records
+from readscale.ingest import Columns, CorpusBuffers, write_records
 from readscale.rescale import ccdf, collapse, rescale_group, write_ccdf_tsv
 from readscale.synth import GENERATOR_ID
 
@@ -621,6 +621,60 @@ def test_fetch_cli_merges_matched_counts(tmp_path, stub_provider, capsys):
     assert merged["10.1/bio-0002"] == 5
 
 
+def _cache_entry(doi, reads, probability, fetched_at=1.0) -> str:
+    return json.dumps(
+        {"doi": doi, "fetched_at": fetched_at, "match_probability": probability, "reads": reads}, sort_keys=True,
+    )
+
+
+@pytest.mark.parametrize("kind", ["plain", "float reads, non-ASCII ids", "float cites"])
+def test_fetch_cli_writes_the_merged_corpus_as_write_records_does(kind, tmp_path, stub_provider, capsys, monkeypatch):
+    plain = kind == "plain"
+    ids = [f"10.5/{'a' if plain else 'é'}-{i}" for i in range(8)]
+    fields = ["Bio" if plain or i < 4 else "Géo" for i in range(8)]
+    reads = [i if plain or i % 2 else i + 0.5 for i in range(8)]
+    columns = Columns(ids, fields, [2010] * 8, reads, [None if i % 3 == 0 else i for i in range(8)])
+    corpus = tmp_path / "corpus.jsonl"
+    write_records(columns, corpus, format="line-json")
+    if kind == "float cites":  # columns of a type the fast renderer leaves to json.dumps
+        columns = columns._replace(cites=[None if c is None else float(c) for c in columns.cites])
+        monkeypatch.setattr(cli_mod, "_load_columns", lambda paths, years: columns)
+    cache = tmp_path / "cache.jsonl"
+    # cached: 0 matched, 1 below the threshold, 2 superseded by a match, 3 by a null
+    cache.write_text("\n".join([
+        _cache_entry(ids[0], 100, 0.99), _cache_entry(ids[1], 110, 0.5), _cache_entry(ids[2], 1, 0.99),
+        _cache_entry(ids[2], 120, 0.95, 2.0), _cache_entry(ids[3], 130, 0.99), _cache_entry(ids[3], None, 0.6, 2.0),
+    ]) + "\n", encoding="utf-8")
+    # the provider: 4 matched, 5 below the threshold, 6 matched, 7 left out (failed)
+    server = stub_provider({ids[4]: (40, 0.99), ids[5]: (50, 0.5), ids[6]: (60, 0.95)})
+    out = tmp_path / "out"
+    argv = ["fetch", "--input", str(corpus), "--out", str(out), "--provider-url", server.url, "--cache", str(cache)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "resolved 8 dois: 4 matched, 3 below threshold, 1 failed, 4 merged\n"
+    counts = {ids[0]: 100, ids[2]: 120, ids[4]: 40, ids[6]: 60}
+    write_records(
+        columns._replace(reads=[counts.get(i, r) for i, r in zip(ids, columns.reads)]),
+        tmp_path / "expected.jsonl", format="line-json",
+    )
+    assert (out / "corpus.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+def test_fetch_cli_failing_after_the_render_writes_nothing(tmp_path, stub_provider, capsys, caplog, monkeypatch):
+    monkeypatch.setattr(fetch_mod, "BACKOFF_BASE", 0.01)
+    rendered = []
+    monkeypatch.setattr(cli_mod, "_json_lines", lambda columns: rendered.append(columns) or iter(()))
+    corpus = write_corpus(tmp_path / "c.jsonl", make_records([3, 4], "Bio", 2010, prefix="10.1/bio"))
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(_cache_entry("10.1/bio-0000", 30, 0.99) + "\n", encoding="utf-8")
+    server = stub_provider(fail_first=100)
+    out = tmp_path / "out"
+    argv = ["fetch", "--input", corpus, "--out", str(out), "--provider-url", server.url, "--cache", str(cache)]
+    assert main(argv) == 1
+    assert len(rendered) == 1  # while the provider failed
+    assert capsys.readouterr().out == "" and not out.exists()
+    assert caplog.records[-1].getMessage().startswith("provider unreachable: HTTP 500")
+
+
 def test_fetch_cli_warns_when_nothing_merges(tmp_path, stub_provider, caplog):
     records = make_records([3, 4], "Bio", 2010, prefix="10.2/bio")
     corpus = write_corpus(tmp_path / "c.jsonl", records)
@@ -1144,6 +1198,37 @@ def test_ingest_and_fetch_run_without_numpy(tmp_path, stub_provider):
     ]
 
 
+@pytest.mark.parametrize("content, years, message", [
+    ("", [], "no records loaded"),
+    ('{"id": "10.6/a", "field": "Bio", "year": 2010, "reads": 3}\n', ["--year", "2011"],
+     "no records loaded for the requested years"),
+])
+def test_fetch_of_no_records_fails_cleanly_without_numpy(tmp_path, content, years, message):
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(content, encoding="utf-8")
+    fetch = [
+        "fetch", "--input", str(corpus), *years, "--out", str(tmp_path / "out"),
+        "--provider-url", "http://127.0.0.1:9", "--cache", str(tmp_path / "cache.jsonl"),
+    ]
+    code = (
+        "import sys; sys.modules['numpy'] = None  # import numpy now fails\n"
+        "from readscale.cli import main\n"
+        f"sys.exit(main({fetch!r}))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", f"ERROR readscale.cli: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_corpus_error_is_one_class_and_needs_no_numpy():
+    import readscale
+    from readscale import ingest
+
+    assert readscale.EmptyCorpusError is corpus_mod.EmptyCorpusError is ingest.EmptyCorpusError
+
+
 def test_fetch_run_leaves_requests_unloaded(tmp_path, stub_provider):
     # the provider client speaks HTTP through the standard library
     src = str(Path(cli_mod.__file__).resolve().parents[1])
@@ -1191,7 +1276,7 @@ def test_a_warm_cache_loads_no_http_client(tmp_path):
         "assert not client & set(sys.modules), client & set(sys.modules)\n"
         "import readscale.cli as cli\n"
         "import readscale.worker as worker\n"
-        "worker._forks = lambda: False  # in sequence: a forked reader's parent loads the client meanwhile\n"
+        "worker.forks = lambda: False  # in sequence: a forked reader's parent loads the client meanwhile\n"
         f"assert cli.main({fetch!r}) == 0\n"
         "assert not client & set(sys.modules), client & set(sys.modules)\n"
     )

@@ -25,6 +25,7 @@ from readscale.fetch import (
     RateLimiter,
     fetch_counts,
 )
+from readscale.worker import held_records, replay
 
 
 @pytest.fixture(autouse=True)
@@ -585,3 +586,156 @@ def test_cache_line_whose_count_or_probability_has_another_type_is_skipped(tmp_p
     assert [r.getMessage() for r in caplog.records] == [
         f"{path}:{n}: unreadable cache line skipped" for n in (1, 2, 3)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the cache read in two parts, as fetch splits it between two processes
+
+
+@st.composite
+def _cache_bytes(draw):
+    """A cache's bytes and an offset in them: lines as Cache.append writes
+    them with up to two odd ones, broken by "\\n", "\\r\\n" or "\\r", maybe after
+    a byte-order mark, and maybe with a U+FEFF or bytes that are not UTF-8
+    put in a line."""
+    lines = [line.encode() for line in draw(_cache_lines())]
+    if lines and draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[k])))
+        odd = draw(st.sampled_from([b"\xef\xbb\xbf", b"\xff", b"\xe2\x82"]))
+        lines[k] = lines[k][:at] + odd + lines[k][at:]
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + newline.join(lines)
+    data += draw(st.sampled_from([newline, b""]))
+    return data, draw(st.integers(0, len(data)))
+
+
+def _logged(read) -> tuple[str, list[str]]:
+    """What ``read()`` returned, or the text of its IngestError, and the
+    messages logged meanwhile."""
+    handler = _Messages()
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        try:
+            outcome = repr(read())  # repr tells nan apart from None and 1 from 1.0
+        except ingest.IngestError as exc:
+            outcome = str(exc)
+    finally:
+        root.removeHandler(handler)
+    return outcome, handler.messages
+
+
+def _read_in_parts(cache: Cache, cut: int) -> tuple[list, ...]:
+    """The head here, then the tail, as fetch reads them: the head's records
+    held until the tail is read, and dropped if it fails."""
+    with held_records() as records:
+        columns = cache.read_columns(0, cut)
+        for column, part in zip(columns, cache.read_columns(cut)):
+            column.extend(part)
+    replay(records)
+    return columns
+
+
+_A, _B = _entry_line("a", 1).encode(), _entry_line("b", 2, fetched_at=3.0).encode()
+_BAD = b"{not json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cache_bytes())
+# unreadable lines in the head, in the tail and where the cut falls
+@example((b"\n".join([_BAD, _A, _BAD, _B, _BAD]) + b"\n", 0))
+@example((b"\n".join([_BAD, _A, _BAD, _B, _BAD]) + b"\n", len(_BAD) + len(_A) + 5))
+@example((b"\n".join([_A, _B, _BAD]) + b"\n", len(_A) + len(_B) + 1))
+# the cut falls inside a "\r\n", before its "\n" or on it
+@example((b"\r\n".join([_A, _BAD, _B]) + b"\r\n", len(_A)))
+@example((b"\r\n".join([_A, _BAD, _B]) + b"\r\n", len(_A) + 1))
+@example((b"\r\n".join([_A, b"", _B]) + b"\r\n", len(_A) + 1))
+# "\r" alone breaks the lines
+@example((b"\r".join([_A, _BAD, _B, _BAD]) + b"\r", len(_A) + 2))
+# a byte-order mark at the start, and a U+FEFF that opens a tail line
+@example((b"\xef\xbb\xbf" + _A + b"\n" + _B + b"\n", 1))
+@example((_A + b"\n\xef\xbb\xbf" + _B + b"\n" + _A + b"\n", 0))
+# an empty cache and a cache of one line, with and without its break
+@example((b"", 0))
+@example((_A, 0))
+@example((_A + b"\n", len(_A)))
+# bytes that are not UTF-8 in the head or in the tail, after an unreadable line
+@example((b"\n".join([_BAD, b"\xff" + _A, _B]) + b"\n", len(_BAD) + 2))
+@example((b"\n".join([_BAD, _A, _B + b"\xe2\x82"]) + b"\n", 0))
+@example((b"\xef\xbb\xbf" + b"\n".join([_BAD, _A, b"\xff" + _B]) + b"\n", 0))
+def test_a_cache_read_in_two_parts_is_one_read(case):
+    data, offset = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        path.write_bytes(data)
+        cut = fetch_mod._line_after(path, offset)
+        assert cut == len(data) or data[cut - 1:cut] in (b"\n", b"\r") and data[cut - 1:cut + 1] != b"\r\n"
+        whole = _logged(Cache(path).read_columns)
+        parts = _logged(lambda: _read_in_parts(Cache(path), cut))
+    assert parts == whole
+
+
+def test_a_missing_cache_read_in_two_parts_has_no_lines(tmp_path):
+    cache = Cache(tmp_path / "absent.jsonl")
+    assert cache.head(0) == 0
+    assert _read_in_parts(cache, 0) == cache.read_columns(5) == ([], [], [], [])
+
+
+def test_the_head_grows_with_the_cache_beyond_the_work_before_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(fetch_mod, "CLIENT_BYTES", 1000)
+    monkeypatch.setattr(fetch_mod, "HEAD_MIN_BYTES", 500)
+    path = tmp_path / "cache.jsonl"
+    line = _entry_line("10.1/x", 1).encode() + b"\r\n"
+    path.write_bytes(line * 100)
+    size = len(line) * 100
+    cache = Cache(path)
+    for ahead in (0, 2000, size - 2000, size):
+        end = (size - ahead - 1000) // 2
+        # the head ends at the line after the one that holds its middle byte
+        expected = (end // len(line) + 1) * len(line) if end >= 500 else 0
+        assert cache.head(ahead) == expected
+    assert Cache(tmp_path).head(0) == 0  # a directory: the read reports it
+
+
+def _busy(seconds: float) -> None:
+    """Python work for ``seconds``, the GIL given up only at switch intervals."""
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+
+
+def test_request_rate_holds_with_work_on_the_cached_answers(stub_provider, tmp_path):
+    rate = 25.0
+    server = stub_provider({f"10.15/{i}": (i, 0.95) for i in range(31)})
+    fetch_counts(["10.15/30"], _config(server.url), Cache(tmp_path / "warm.jsonl"))
+    with server._lock:
+        server.arrivals.clear()
+    cache = Cache(tmp_path / "c.jsonl")
+    cache.append([FetchResult("10.15/cached", 7, 0.95, 1.0)])
+    calls = []
+
+    def render(known):
+        calls.append(dict(known))
+        _busy(0.025)
+
+    dois = [f"10.15/{i}" for i in range(30)] + ["10.15/cached"]
+    results = fetch_counts(
+        dois, _config(server.url, batch_size=1, rate_limit=rate), cache, on_cached=render,
+    )
+    assert calls == [{"10.15/cached": FetchResult("10.15/cached", 7, 0.95, 1.0)}]
+    assert [r.reads for r in results] == [*range(30), 7]
+    arrivals = sorted(server.arrivals)
+    assert len(arrivals) == 30
+    for t0 in arrivals:
+        assert sum(1 for t in arrivals if t0 <= t < t0 + 1.0) <= math.ceil(rate)
+
+
+def test_work_on_the_cached_answers_runs_once_they_are_all_cached(tmp_path):
+    cache = Cache(tmp_path / "c.jsonl")
+    cache.append([FetchResult("a", 7, 0.95, 1.0), FetchResult("b", 8, 0.5, 1.0), FetchResult("a", 9, 0.99, 0.5)])
+    calls = []
+    results = fetch_counts(["a", "b", "a"], _config("http://127.0.0.1:9"), cache, on_cached=calls.append)
+    # the latest entry per DOI, its count kept only above the threshold
+    assert calls == [{"a": FetchResult("a", 7, 0.95, 1.0), "b": FetchResult("b", None, 0.5, 1.0)}]
+    assert [r.reads for r in results] == [7, None, 7]

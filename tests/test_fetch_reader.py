@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import readscale.cli as cli_mod
+import readscale.fetch as fetch_mod
 import readscale.worker as worker_mod
 from conftest import make_records
 from readscale.cli import main
@@ -58,22 +59,24 @@ def cache_lines():
 
 @pytest.fixture
 def reader_pids(tmp_path, monkeypatch):
-    """The pid of each process that decoded the cache, read back after the run."""
+    """The pid of each process that decoded a part of the cache with bytes
+    in it, read back after the run."""
     path = tmp_path / "reader_pids"
     original = Cache.read_columns
 
     @functools.wraps(original)
-    def read_columns(self):
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return original(self)
+    def read_columns(self, start=0, stop=None):
+        if start != stop:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return original(self, start, stop)
 
     monkeypatch.setattr(Cache, "read_columns", read_columns)
     return lambda: [int(pid) for pid in path.read_text(encoding="utf-8").split()]
 
 
 def _forks(monkeypatch, forks: bool):
-    monkeypatch.setattr(worker_mod, "_forks", lambda: forks)
+    monkeypatch.setattr(worker_mod, "forks", lambda: forks)
 
 
 def _fetch(argv, out: Path, capsys, caplog):
@@ -144,9 +147,10 @@ def test_killed_reader_fails_the_run(corpus, tmp_path, capsys, caplog, monkeypat
     _forks(monkeypatch, True)
     original = Cache.read_columns
 
-    def read_columns(self):
-        original(self)  # records the pid
-        os.kill(os.getpid(), signal.SIGKILL)
+    def read_columns(self, start=0, stop=None):
+        original(self, start, stop)  # records the pid
+        if start != stop:
+            os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(Cache, "read_columns", read_columns)
     code, stdout, records = _fetch(
@@ -171,7 +175,7 @@ def test_corpus_failure_stops_the_reader(tmp_path, capsys, caplog, monkeypatch):
 
     started = tmp_path / "reader_started"
 
-    def read_columns(self):
+    def read_columns(self, start=0, stop=None):
         started.write_text(str(os.getpid()), encoding="utf-8")
         time.sleep(60)  # still decoding when the corpus fails: the reader is killed
 
@@ -233,3 +237,81 @@ def test_a_running_thread_keeps_fetch_in_one_process(corpus, cache_lines, tmp_pa
         thread.join(10)
     assert not thread.is_alive()
     assert reader_pids() == [os.getpid()]
+
+
+@pytest.fixture
+def split_caches(monkeypatch):
+    """A cache of a few kB is split: the client counts for no bytes, and a
+    head of one byte is worth it."""
+    monkeypatch.setattr(fetch_mod, "CLIENT_BYTES", 0)
+    monkeypatch.setattr(fetch_mod, "HEAD_MIN_BYTES", 1)
+
+
+def _large_cache(path: Path, odd: dict[int, bytes]) -> None:
+    """A cache of 200 entries for ids outside the corpus, then an entry for
+    each corpus id (the third below the threshold) and a torn last line, with
+    CRLF breaks; line ``k`` (from 1) is ``odd[k]`` where given."""
+    lines = [_entry(f"10.9/other-{k:04d}", k).encode() for k in range(200)]
+    lines += [_entry(f"10.1/bio-{k:04d}", 10 * k, 0.6 if k == 2 else 0.95).encode() for k in range(5)]
+    lines.append(b'{"doi": "10.1/bio-0000"')
+    for k, line in odd.items():
+        lines[k - 1] = line
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+
+
+def test_a_split_read_logs_and_merges_as_one_read(
+    corpus, tmp_path, capsys, caplog, monkeypatch, reader_pids, split_caches
+):
+    caplog.set_level(logging.INFO)
+    bad = {2: b"{not json", 50: b"[1]", 150: b'{"doi": 7}'}
+    runs = {}
+    for forks in (True, False):
+        cache = tmp_path / f"cache-{forks}.jsonl"
+        _large_cache(cache, bad)
+        _forks(monkeypatch, forks)
+        argv = ["--input", str(corpus), "--provider-url", DEAD_PROVIDER, "--cache", str(cache)]
+        code, stdout, records = _fetch(argv, tmp_path / f"out-{forks}", capsys, caplog)
+        records = [(name, level, message.replace(str(cache), "CACHE")) for name, level, message in records]
+        runs[forks] = (code, stdout, records, _tree(tmp_path / f"out-{forks}"))
+
+    # the head ends between the unreadable lines 50 and 150
+    data = (tmp_path / "cache-True.jsonl").read_bytes()
+    cut = Cache(tmp_path / "cache-True.jsonl").head(corpus.stat().st_size)
+    assert b"\r\n[1]\r\n" in data[:cut] and b'{"doi": 7}' in data[cut:]
+    # forked, the head is decoded here and the tail in the reader; in sequence, the whole cache here
+    pids = reader_pids()
+    assert len(pids) == 3 and pids.count(os.getpid()) == 2
+    assert runs[True] == runs[False]
+    code, stdout, records, tree = runs[True]
+    assert code == 0 and stdout == "resolved 5 dois: 4 matched, 1 below threshold, 0 failed, 4 merged\n"
+    warnings = [message for _, level, message in records if level == "WARNING"]
+    assert warnings == [f"{corpus}: skipped 1 malformed rows"] + [
+        f"CACHE:{k}: unreadable cache line skipped" for k in (2, 50, 150, 206)
+    ]
+    merged = [json.loads(line)["reads"] for line in tree["corpus.jsonl"].decode().splitlines()]
+    assert merged == [0, 10, 5, 30, 40]
+
+
+def test_a_tail_that_is_not_utf8_fails_without_the_heads_warnings(
+    corpus, tmp_path, capsys, caplog, monkeypatch, reader_pids, split_caches
+):
+    runs = []
+    for forks in (True, False):
+        cache = tmp_path / "cache.jsonl"
+        _large_cache(cache, {2: b"{not json", 180: b"\xff" + _entry("10.9/x", 1).encode()})
+        _forks(monkeypatch, forks)
+        argv = ["--input", str(corpus), "--provider-url", DEAD_PROVIDER, "--cache", str(cache)]
+        runs.append(_fetch(argv, tmp_path / "out", capsys, caplog))
+    data = cache.read_bytes()
+    cut = Cache(cache).head(corpus.stat().st_size)
+    assert b"{not json" in data[:cut] and b"\xff" in data[cut:]
+    assert runs[0] == runs[1]
+    code, stdout, records = runs[0]
+    assert code == 1 and stdout == ""
+    position = data.index(b"\xff")  # in the whole file
+    assert [message for _, _, message in records] == [
+        f"{corpus}: skipped 1 malformed rows",
+        f"input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte",
+    ]
+    pids = reader_pids()
+    assert len(pids) == 3 and pids.count(os.getpid()) == 2

@@ -112,7 +112,7 @@ def _dois_read(argv: list[str], monkeypatch) -> list[str]:
     """The DOIs ``fetch`` asks the provider client about."""
     asked = []
 
-    def fetch_counts(dois, config, cache, cached=None):
+    def fetch_counts(dois, config, cache, cached=None, on_cached=None):
         asked.extend(dois)
         return [FetchResult(doi, None, 0.0, 0.0) for doi in dois]
 

@@ -56,10 +56,14 @@ def test_join_returns_the_value(mode):
     assert open_fds() == fds
 
 
+def _file(i: int, name: str) -> bytes:
+    # the file at 2 is larger than the stream's pipe: the worker waits for the parent
+    return name.encode() * (PIPE_BYTES // 4 if i == 2 else 100)
+
+
 def _send_files(send, names):
     for i, name in enumerate(names):
-        # one file larger than the stream's pipe: the worker waits for the parent
-        send(i, i * 7, name, name.encode() * (PIPE_BYTES // 4 if i == 2 else 100))
+        send(i, i * 7, name, _file(i, name))
     return os.getpid()
 
 
@@ -67,7 +71,7 @@ def _send_files(send, names):
 def test_sink_takes_the_files_in_order(mode, pipe_fails, monkeypatch):
     if pipe_fails:  # no pipe for the files: the worker runs here
         monkeypatch.setattr(worker_mod, "_pipe", _channel_fails)
-    names = ["a.tsv", "ü/b.tsv", "", "c" * 300]
+    names = ["a.tsv", "ü/b.tsv", "large.bin", "c" * 300, ""]
     received = []
     fds = open_fds()
     worker = Worker(
@@ -80,10 +84,8 @@ def test_sink_takes_the_files_in_order(mode, pipe_fails, monkeypatch):
     finally:
         worker.stop()
     assert (pid != os.getpid()) is worker.forked
-    assert received == [
-        (i, i * 7, name, name.encode() * (PIPE_BYTES // 4 if i == 2 else 100), os.getpid())
-        for i, name in enumerate(names)
-    ]
+    assert len(_file(2, names[2])) > PIPE_BYTES
+    assert received == [(i, i * 7, name, _file(i, name), os.getpid()) for i, name in enumerate(names)]
     assert open_fds() == fds
 
 
