@@ -26,7 +26,7 @@ import sys
 from bisect import bisect_left
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from operator import methodcaller
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
@@ -456,11 +456,10 @@ class _TaskOut(NamedTuple):
         self.write(text)
 
 
-def _in_stratum_order(strata: Strata, parts: dict[int, list]) -> list:
-    """Each year's rows, one per stratum in that year's order, merged into
-    the order of the strata: by field, then year."""
-    rows = {year: iter(part) for year, part in parts.items()}
-    return [next(rows[key.year]) for key in strata.keys]
+def _in_stratum_order(parts: dict[int, list]) -> list:
+    """Each year's rows, one per stratum, merged into :class:`GroupKey`
+    order: by field, then year."""
+    return sorted((row for part in parts.values() for row in part), key=itemgetter("field", "year"))
 
 
 _FIT_COLUMNS = (
@@ -506,7 +505,7 @@ def _fit_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
 
 def _fit_tables(args, strata: Strata, parts: dict[int, list]) -> None:
     """The fit table, its normality tests Bonferroni-corrected over all strata."""
-    rows = _in_stratum_order(strata, parts)
+    rows = _in_stratum_order(parts)
     tested = [row for row in rows if "sw_p" in row]
     threshold = args.alpha / (args.m if args.m is not None else max(len(tested), 1))
     for row in tested:
@@ -641,7 +640,7 @@ def _css_tables(args, strata: Strata, parts: dict[int, tuple]) -> None:
         render[f"share_{name}"] = _fmt1
 
     overall_rows = [overall for overall, _ in parts.values()]
-    strata_rows = _in_stratum_order(strata, {year: rows for year, (_, rows) in parts.items()})
+    strata_rows = _in_stratum_order({year: rows for year, (_, rows) in parts.items()})
     out_dir = Path(args.out)
     write_table(overall_rows, columns, render, out_dir, "css_overall", args.format)
     write_table(strata_rows, ["field"] + columns, render, out_dir, "css_strata", args.format)

@@ -2,8 +2,9 @@
 
 Analyses operate on groups: all records sharing one subject-category label
 and one publication year. A corpus is held as a :class:`Corpus` of parallel
-columns, and :func:`stratify` groups it with one stable sort on (field label,
-year) into :class:`Strata`, where every stratum is a contiguous run of rows.
+columns, and :func:`stratify` groups it with one stable sort on (year, field
+label) into :class:`Strata`, where every year and every stratum is a
+contiguous run of rows, so that one year's strata are slices of the whole.
 :class:`PublicationRecord` and :class:`Group` are the record-level API at the
 library edge; :func:`group_by_field_year` groups records through the same
 sort. Everything here is immutable once built; every operation is a pure
@@ -14,8 +15,10 @@ trimming, case preserved, so distinct categories never merge silently.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import repeat
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -203,7 +206,8 @@ class Corpus:
         return len(self.ids)
 
     def take(self, rows) -> "Corpus":
-        """The selected rows (an index array or a boolean mask), label table kept."""
+        """The selected rows (an index array, a boolean mask, or a slice,
+        which gives views of these columns), label table kept."""
         return Corpus(
             ids=self.ids[rows], fields=self.fields[rows], labels=self.labels,
             years=self.years[rows], reads=self.reads[rows], real=self.real[rows],
@@ -243,13 +247,16 @@ class Stratum:
         return self.reads.size
 
 
+_year = attrgetter("year")
+
+
 class Strata:
     """A corpus grouped by (field, year).
 
-    ``corpus`` holds the rows in one stable sort on (field label, year):
-    stratum ``i`` is the run of rows ``bounds[i]:bounds[i + 1]``, strata come
-    in :class:`GroupKey` order and each keeps its input order. ``positions``
-    gives each row's input position.
+    ``corpus`` holds the rows in one stable sort on (year, field label):
+    stratum ``i`` is the run of rows ``bounds[i]:bounds[i + 1]``, each year's
+    strata are one run of strata, in field order, and each stratum keeps its
+    input order. ``positions`` gives each row's input position.
     """
 
     def __init__(
@@ -276,7 +283,8 @@ class Strata:
         return tuple(strata)
 
     def years(self) -> list[int]:
-        return sorted({key.year for key in self.keys})
+        """The years, ascending."""
+        return list(dict.fromkeys(key.year for key in self.keys))
 
     @cached_property
     def rankings(self) -> dict:
@@ -284,32 +292,24 @@ class Strata:
         :mod:`readscale.topz` and reused for every z."""
         return {}
 
-    @cached_property
-    def _years(self) -> dict[int, "Strata"]:
-        return {}
-
     def of_year(self, year: int) -> "Strata":
-        """The strata of one year, taken as a corpus of their own in stratum
-        order, each row with its input position; built once per year and kept,
-        with its strata shared with these."""
-        strata = self._years.get(year)
-        if strata is None:
-            keep = [i for i, key in enumerate(self.keys) if key.year == year]
-            sizes = np.diff(self.bounds)[keep]
-            rows = self.corpus.years == year
-            strata = self._years[year] = Strata(
-                corpus=self.corpus.take(rows),
-                keys=tuple(self.keys[i] for i in keep),
-                bounds=np.concatenate(([0], np.cumsum(sizes))),
-                positions=self.positions[rows],
-            )
-            # the year's rows come in the same order here, so its strata are these
-            strata._strata = tuple(map(self._strata.__getitem__, keep))
+        """The strata of one year, a view: their rows are a slice of these
+        columns, each with its input position, and their strata are these;
+        empty for a year these lack."""
+        i = bisect_left(self.keys, year, key=_year)
+        j = bisect_right(self.keys, year, key=_year)
+        a, b = self.bounds[i], self.bounds[j]
+        strata = Strata(
+            self.corpus.take(slice(a, b)), self.keys[i:j], self.bounds[i:j + 1] - a,
+            self.positions[a:b],
+        )
+        strata._strata = self._strata[i:j]
         return strata
 
 
 def stratify(corpus: Corpus) -> Strata:
-    """Group a corpus by (field, year) with one stable sort.
+    """Group a corpus by (field, year) with one stable sort on (year, field
+    label), so that each year's rows and strata are one run.
 
     Raises
     ------
@@ -324,7 +324,7 @@ def stratify(corpus: Corpus) -> Strata:
     if len(set(ids)) < len(ids):
         repeats = repeated_positions(ids)
         raise DuplicateIdError(list(dict.fromkeys(ids[pos] for pos in repeats)))
-    order = np.lexsort((corpus.years, corpus.fields))
+    order = np.lexsort((corpus.fields, corpus.years))
     rows = corpus.take(order)
     change = (rows.fields[1:] != rows.fields[:-1]) | (rows.years[1:] != rows.years[:-1])
     starts = np.concatenate(([0], np.flatnonzero(change) + 1))

@@ -173,13 +173,6 @@ class Cache:
         self._lock = threading.Lock()
 
     @gc_paused
-    def read_all(self) -> dict[str, FetchResult]:
-        """Latest entry per DOI, a tie going to the later line; malformed
-        lines are skipped with a warning. :meth:`latest` of
-        :meth:`read_columns`."""
-        return self.latest(self.read_columns())
-
-    @gc_paused
     def read_columns(self, start: int = 0, stop: int | None = None) -> tuple[list, list, list, list]:
         """The (doi, reads, match_probability, fetched_at) columns of the
         readable lines, in line order; malformed lines are skipped with a

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -61,13 +62,14 @@ def _cut_size(z: float, n: int) -> int:
 
 def _values(strata: Strata, variant: str) -> np.ndarray:
     """Each row's ranking value: its reads, or its reads over its stratum's
-    mean. The strata are rescaled in stratum order, so an all-zero stratum is
-    reported as the first in (field, year) order."""
+    mean. The strata are rescaled in (field, year) order, so an all-zero
+    stratum is reported as the first in that order."""
     if variant == "original":
         return strata.corpus.reads
     if variant != "rescaled":
         raise ValueError(f"unknown value selector {variant!r}, expected one of {VARIANTS}")
-    return np.concatenate([rescale_group(stratum).values for stratum in strata])
+    rescaled = {s.key: rescale_group(s).values for s in sorted(strata, key=attrgetter("key"))}
+    return np.concatenate([rescaled[key] for key in strata.keys])
 
 
 def _ranking(strata: Strata, variant: str) -> tuple[np.ndarray, np.ndarray]:

@@ -96,22 +96,26 @@ def test_cites_array_uses_nan_for_missing():
     assert cites[0] == 7.0 and np.isnan(cites[1])
 
 
-def test_stratify_runs_follow_key_order_and_keep_input_order():
+def test_stratify_runs_follow_year_then_field_and_keep_input_order():
     records = (
         make_records([3, 1], "B", 2011, prefix="b11")
         + make_records([9], "A", 2012, prefix="a12")
         + make_records([5, 7], "B", 2010, prefix="b10")
         + make_records([2, 8, 4], "A", 2012, prefix="a12x")
+        + make_records([6], "A", 2010, prefix="a10")
     )
     strata = stratify(Corpus.from_records(records))
-    assert strata.keys == (GroupKey("A", 2012), GroupKey("B", 2010), GroupKey("B", 2011))
-    assert strata.bounds.tolist() == [0, 4, 6, 8]
+    assert strata.keys == (
+        GroupKey("A", 2010), GroupKey("B", 2010), GroupKey("B", 2011), GroupKey("A", 2012)
+    )
+    assert strata.years() == [2010, 2011, 2012]
+    assert strata.bounds.tolist() == [0, 1, 3, 5, 9]
     assert strata.corpus.ids.tolist() == [
-        "a12-0000", "a12x-0000", "a12x-0001", "a12x-0002", "b10-0000", "b10-0001",
-        "b11-0000", "b11-0001",
+        "a10-0000", "b10-0000", "b10-0001", "b11-0000", "b11-0001", "a12-0000",
+        "a12x-0000", "a12x-0001", "a12x-0002",
     ]
-    assert [s.reads.tolist() for s in strata] == [[9, 2, 8, 4], [5, 7], [3, 1]]
-    assert strata.positions.tolist() == [2, 5, 6, 7, 3, 4, 0, 1]
+    assert [s.reads.tolist() for s in strata] == [[6], [5, 7], [3, 1], [9, 2, 8, 4]]
+    assert strata.positions.tolist() == [8, 3, 4, 0, 1, 2, 5, 6, 7]
     year = strata.of_year(2012)
     assert year.keys == (GroupKey("A", 2012),) and year.corpus.reads.tolist() == [9, 2, 8, 4]
 
@@ -147,7 +151,7 @@ def test_year_beyond_64_bits_is_a_value_error():
         Corpus.from_records([PublicationRecord("y1", "A", 10**19, 3)])
 
 
-def test_of_year_is_built_once_and_shares_its_strata():
+def test_of_year_is_a_view_that_shares_its_strata():
     records = (
         make_records([3, 1], "A", 2010, prefix="a10")
         + make_records([5], "B", 2011, prefix="b11")
@@ -155,7 +159,6 @@ def test_of_year_is_built_once_and_shares_its_strata():
     )
     strata = stratify(Corpus.from_records(records))
     year = strata.of_year(2011)
-    assert strata.of_year(2011) is year
     assert year.keys == (GroupKey("A", 2011), GroupKey("B", 2011))
     assert year.corpus.ids.tolist() == ["a11-0000", "a11-0001", "b11-0000"]
     # each row keeps its position in the whole input
@@ -163,6 +166,47 @@ def test_of_year_is_built_once_and_shares_its_strata():
     assert [s.reads.tolist() for s in year] == [[2, 8], [5]]
     own = dict(zip(strata.keys, strata))
     assert all(s is own[s.key] for s in year)
+    missing = strata.of_year(2012)
+    assert missing.keys == () and len(missing.corpus) == 0 and list(missing) == []
+    assert missing.bounds.tolist() == [0] and missing.years() == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([2011, 2009, 2010]),
+            st.sampled_from(["A", " A", "B ", "  B\t", "Ç", "b"]),
+            st.one_of(st.integers(0, 50), st.floats(0, 50)),
+        ),
+        min_size=1, max_size=40,
+    )
+)
+def test_of_year_equals_stratify_of_the_years_rows(rows):
+    ids = [f"r{i}" for i in range(len(rows))]
+    years, fields, reads = (list(column) for column in zip(*rows))
+    strata = stratify(Corpus.from_columns(ids, fields, years, reads, [None] * len(rows)))
+    assert strata.years() == sorted(set(years))
+    for year in set(years):
+        picked = [i for i, y in enumerate(years) if y == year]
+        alone = stratify(Corpus.from_columns(
+            [ids[i] for i in picked], [fields[i] for i in picked], [year] * len(picked),
+            [reads[i] for i in picked], [None] * len(picked),
+        ))
+        view = strata.of_year(year)
+        assert view.keys == alone.keys
+        assert view.bounds.tolist() == alone.bounds.tolist()
+        assert view.corpus.ids.tolist() == alone.corpus.ids.tolist()
+        assert view.corpus.reads.tolist() == alone.corpus.reads.tolist()
+        assert [s.reads.dtype for s in view] == [s.reads.dtype for s in alone]
+        assert [s.reads.tolist() for s in view] == [s.reads.tolist() for s in alone]
+        assert view.positions.tolist() == np.asarray(picked)[alone.positions].tolist()
+        assert view.years() == [year]
+        # no column is copied, and the strata are the whole's own
+        for name in ("ids", "fields", "years", "reads", "real", "cites"):
+            assert np.shares_memory(getattr(view.corpus, name), getattr(strata.corpus, name))
+        assert np.shares_memory(view.positions, strata.positions)
+        assert list(view) == [s for s in strata if s.key.year == year]  # by identity
 
 
 @st.composite

@@ -90,7 +90,7 @@ def test_below_threshold_results_are_cached_but_failures_are_not(stub_provider, 
     cache = Cache(tmp_path / "cache.jsonl")
     results = {r.doi: r for r in fetch_counts(["10.4/low", "10.4/gone"], _config(server.url), cache)}
     assert results["10.4/gone"].error == "missing from response"
-    cached = cache.read_all()
+    cached = Cache.latest(cache.read_columns())
     assert "10.4/low" in cached and "10.4/gone" not in cached
     # the failed DOI is queried again on the next run
     before = server.request_count
@@ -103,7 +103,7 @@ def test_a_below_threshold_count_serves_a_lower_threshold_from_the_cache(stub_pr
     cache = Cache(tmp_path / "cache.jsonl")
     (strict,) = fetch_counts(["10.4/low"], _config(server.url, min_match_probability=0.90), cache)
     assert strict.reads is None and strict.error is None
-    assert cache.read_all()["10.4/low"].reads == 17  # the provider's count is cached
+    assert Cache.latest(cache.read_columns())["10.4/low"].reads == 17  # the provider's count is cached
     (lenient,) = fetch_counts(["10.4/low"], _config(server.url, min_match_probability=0.50), cache)
     assert lenient.reads == 17 and lenient.match_probability == 0.80
     (edge,) = fetch_counts(["10.4/low"], _config(server.url, min_match_probability=0.80), cache)
@@ -137,7 +137,7 @@ def test_server_down_is_fatal_with_cache_intact(stub_provider, tmp_path):
     dead = _config("http://127.0.0.1:9", max_retries=1)
     with pytest.raises(FetchError):
         fetch_counts(["10.6/a", "10.6/new"], dead, cache)
-    assert cache.read_all().get("10.6/a").reads == 3  # prior cache untouched
+    assert Cache.latest(cache.read_columns()).get("10.6/a").reads == 3  # prior cache untouched
 
 
 def test_http_4xx_marks_batch_failed_without_abort(stub_provider, tmp_path):
@@ -158,7 +158,7 @@ def test_body_that_is_not_a_json_array_marks_batch_unreadable(stub_provider, tmp
     assert [r.error.split(":")[0] for r in results] == ["unreadable response"] * 2
     assert all(r.reads is None for r in results)
     assert server.request_count == 1
-    assert cache.read_all() == {}
+    assert Cache.latest(cache.read_columns()) == {}
 
 
 def test_5xx_with_a_body_is_retried(stub_provider, tmp_path):
@@ -208,7 +208,7 @@ def test_cache_latest_entry_wins(tmp_path):
         {"doi": "10.8/x", "reads": 3, "match_probability": 0.95, "fetched_at": 200.0},
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    assert Cache(path).read_all().get("10.8/x").reads == 2
+    assert Cache.latest(Cache(path).read_columns()).get("10.8/x").reads == 2
 
 
 def test_cache_tied_timestamps_prefer_later_line(tmp_path):
@@ -218,7 +218,7 @@ def test_cache_tied_timestamps_prefer_later_line(tmp_path):
         {"doi": "10.8/y", "reads": 6, "match_probability": 0.95, "fetched_at": 100.0},
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    assert Cache(path).read_all().get("10.8/y").reads == 6
+    assert Cache.latest(Cache(path).read_columns()).get("10.8/y").reads == 6
 
 
 def test_corrupt_cache_line_skipped_with_warning(tmp_path, caplog):
@@ -230,7 +230,7 @@ def test_corrupt_cache_line_skipped_with_warning(tmp_path, caplog):
     lines[4] = '{"doi": "broken"'
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with caplog.at_level("WARNING"):
-        entries = Cache(path).read_all()
+        entries = Cache.latest(Cache(path).read_columns())
     assert len(entries) == 9
     assert "unreadable cache line" in caplog.text
 
@@ -248,7 +248,7 @@ def test_cache_append_only(stub_provider, tmp_path):
 
 
 def test_empty_cache_lookup_absent(tmp_path):
-    assert Cache(tmp_path / "missing.jsonl").read_all().get("10.11/none") is None
+    assert Cache.latest(Cache(tmp_path / "missing.jsonl").read_columns()).get("10.11/none") is None
 
 
 def test_batching_splits_requests(stub_provider, tmp_path):
@@ -349,7 +349,7 @@ def test_negative_reader_count_is_a_failure(stub_provider, tmp_path):
     server = stub_provider({"10.16/bad": (-3, 0.95)})
     results = fetch_counts(["10.16/bad"], _config(server.url), Cache(tmp_path / "c.jsonl"))
     assert results[0].error is not None and results[0].reads is None
-    assert Cache(tmp_path / "c.jsonl").read_all().get("10.16/bad") is None
+    assert Cache.latest(Cache(tmp_path / "c.jsonl").read_columns()).get("10.16/bad") is None
 
 
 def test_match_probability_outside_unit_interval_is_a_bad_entry(stub_provider, tmp_path):
@@ -357,7 +357,7 @@ def test_match_probability_outside_unit_interval_is_a_bad_entry(stub_provider, t
     results = fetch_counts(["10.16/odd", "10.16/ok"], _config(server.url), Cache(tmp_path / "c.jsonl"))
     assert results[0].error == "bad response entry: match probability 1.5 outside [0, 1]"
     assert results[0].reads is None and results[1].reads == 5
-    assert set(Cache(tmp_path / "c.jsonl").read_all()) == {"10.16/ok"}
+    assert set(Cache.latest(Cache(tmp_path / "c.jsonl").read_columns())) == {"10.16/ok"}
 
 
 @pytest.mark.parametrize("readers, probability, reason", [
@@ -372,7 +372,7 @@ def test_a_count_or_probability_of_another_type_is_a_bad_entry(
     results = fetch_counts(["10.16/odd", "10.16/whole"], _config(server.url), Cache(tmp_path / "c.jsonl"))
     assert results[0].error == f"bad response entry: {reason}" and results[0].reads is None
     assert results[1].reads == 6 and type(results[1].reads) is int
-    assert set(Cache(tmp_path / "c.jsonl").read_all()) == {"10.16/whole"}
+    assert set(Cache.latest(Cache(tmp_path / "c.jsonl").read_columns())) == {"10.16/whole"}
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +422,9 @@ def _number(value, integral=False):
 
 
 def _read_lines(path):
-    """Cache.read_all one line at a time: the latest entry per DOI (a tie goes
-    to the later line) and the warning for each unreadable line."""
+    """Cache.latest of Cache.read_columns, one line at a time: the latest
+    entry per DOI (a tie goes to the later line) and the warning for each
+    unreadable line."""
     entries, warnings = {}, []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -539,7 +540,7 @@ def _entry_line(doi, reads, fetched_at=2.0, probability=0.95):
           _entry_line("c", 4, 1.0), _entry_line("c", 5, 3.0)], "\n", 3)
 @example([_entry_line("a", 1), _entry_line("b", 2), _entry_line("c", 3, 3.0),
           _entry_line("c", 4, 5.0), _entry_line("d", True)], "\n", 3)
-def test_cache_read_all_equals_line_by_line_reference(lines, newline, chunk_lines):
+def test_cache_latest_equals_line_by_line_reference(lines, newline, chunk_lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
         path.write_bytes(newline.join(lines).encode() + b"\n")
@@ -548,7 +549,7 @@ def test_cache_read_all_equals_line_by_line_reference(lines, newline, chunk_line
         logger.addHandler(handler)
         try:
             with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
-                entries = Cache(path).read_all()
+                entries = Cache.latest(Cache(path).read_columns())
         finally:
             logger.removeHandler(handler)
         expected, warnings = _read_lines(path)
@@ -567,7 +568,7 @@ def test_cache_line_with_infinite_reads_is_skipped(tmp_path, caplog):
         encoding="utf-8",
     )
     with caplog.at_level("WARNING"):
-        entries = Cache(path).read_all()
+        entries = Cache.latest(Cache(path).read_columns())
     assert list(entries) == ["b"]
     assert "cache.jsonl:1: unreadable cache line skipped" in caplog.text
 
@@ -580,7 +581,7 @@ def test_cache_line_whose_count_or_probability_has_another_type_is_skipped(tmp_p
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with caplog.at_level("WARNING"):
-        entries = Cache(path).read_all()
+        entries = Cache.latest(Cache(path).read_columns())
     assert {doi: r.reads for doi, r in entries.items()} == {"d": 4, "e": 5}
     assert type(entries["d"].reads) is int
     assert [r.getMessage() for r in caplog.records] == [

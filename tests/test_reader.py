@@ -96,7 +96,7 @@ def test_cache_keeps_a_first_entry_after_a_byte_order_mark(tmp_path, caplog):
     lines = [_cache_line("10.1/a", 3, 0.95, 1.0), _cache_line("10.1/b", 4, 0.95, 1.0)]
     path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n")
     with caplog.at_level("WARNING"):
-        entries = Cache(path).read_all()
+        entries = Cache.latest(Cache(path).read_columns())
     assert {doi: r.reads for doi, r in entries.items()} == {"10.1/a": 3, "10.1/b": 4}
     assert caplog.records == []
 

@@ -238,10 +238,10 @@ def _reference_membership(records, variant, z, tie_rule):
     """Top z% ids by a plain sort on (-value, id)."""
     values = {r.id: float(r.reads) for r in records}
     if variant == "rescaled":
-        by_field = {}
+        by_stratum = {}
         for r in records:
-            by_field.setdefault(r.field, []).append(r)
-        for members in by_field.values():
+            by_stratum.setdefault((r.field, r.year), []).append(r)
+        for members in by_stratum.values():
             mean = np.asarray([r.reads for r in members], dtype=float).mean()
             values.update({r.id: float(r.reads) / mean for r in members})
     ranked = sorted(values.items(), key=lambda item: (-item[1], item[0]))
@@ -256,7 +256,11 @@ def _reference_membership(records, variant, z, tie_rule):
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["A", "B", "Ç"]), st.one_of(st.integers(0, 6), st.floats(0, 6))),
+        st.tuples(
+            st.sampled_from(["A", "B", "Ç"]),
+            st.one_of(st.integers(0, 6), st.floats(0, 6)),
+            st.sampled_from([2010, 2011]),
+        ),
         min_size=1, max_size=40,
     ),
     st.data(),
@@ -266,15 +270,28 @@ def _reference_membership(records, variant, z, tie_rule):
 )
 def test_top_membership_equals_sort_reference(rows, data, z, tie_rule, variant):
     ids = data.draw(st.lists(st.text(max_size=4), min_size=len(rows), max_size=len(rows), unique=True))
-    records = [PublicationRecord(i, f, 2010, v) for i, (f, v) in zip(ids, rows)]
-    if variant == "rescaled":  # every field needs a nonzero mean
-        by_field = {}
-        for f, v in rows:
-            by_field.setdefault(f, []).append(v)
-        assume(all(np.asarray(v, dtype=float).mean() for v in by_field.values()))
+    records = [PublicationRecord(i, f, y, v) for i, (f, v, y) in zip(ids, rows)]
+    if variant == "rescaled":  # every (field, year) stratum needs a nonzero mean
+        by_stratum = {}
+        for f, v, y in rows:
+            by_stratum.setdefault((f, y), []).append(v)
+        assume(all(np.asarray(v, dtype=float).mean() for v in by_stratum.values()))
     assert top_membership(records, variant, z, tie_rule) == _reference_membership(
         records, variant, z, tie_rule
     )
+
+
+def test_top_membership_all_zero_error_names_first_stratum_in_field_order():
+    # in (year, field) order ("B", 2010) would come first
+    records = (
+        make_records([4, 1], "A", 2010, prefix="a10")
+        + make_records([0, 0], "B", 2010, prefix="b10")
+        + make_records([0, 0, 0], "A", 2011, prefix="a11")
+        + make_records([2, 5], "B", 2011, prefix="b11")
+    )
+    with pytest.raises(ValueError) as err:
+        top_membership(records, "rescaled")
+    assert str(err.value) == "group GroupKey(field='A', year=2011) has only zero counts"
 
 
 def _reference_shares(records, variant, z, tie_rule):
