@@ -503,7 +503,7 @@ def _fit_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
     return rows
 
 
-def _fit_tables(args, strata: Strata, parts: dict[int, list]) -> None:
+def _fit_tables(args, parts: dict[int, list]) -> None:
     """The fit table, its normality tests Bonferroni-corrected over all strata."""
     rows = _in_stratum_order(parts)
     tested = [row for row in rows if "sw_p" in row]
@@ -567,7 +567,7 @@ def _collapse_year(args, strata: Strata, out: _TaskOut) -> dict:
     return row
 
 
-def _collapse_tables(args, strata: Strata, parts: dict[int, dict]) -> None:
+def _collapse_tables(args, parts: dict[int, dict]) -> None:
     rows = list(parts.values())
     write_table(rows, _COLLAPSE_COLUMNS, _COLLAPSE_RENDER, Path(args.out), "collapse", args.format)
 
@@ -605,24 +605,15 @@ def _css_row(head: dict, values: np.ndarray, k: int, rule: str, labels: Sequence
 
 def _css_year(args, strata: Strata, out: _TaskOut) -> tuple[dict, list[dict]]:
     """Characteristic-score classes of the pooled year, and of each stratum."""
-    import numpy as np
-
     k, rule = args.k, args.css_strict
     labels = _css_class_labels(k)
     (year,) = strata.years()
     overall = _css_row({"year": year}, strata.corpus.reads, k, rule, labels)
-    rows = [
-        _css_row(
-            {"field": s.key.field, "year": s.key.year},
-            np.asarray(s.reads, dtype=float),
-            k, rule, labels,
-        )
-        for s in strata
-    ]
+    rows = [_css_row({"field": s.key.field, "year": s.key.year}, s.reads, k, rule, labels) for s in strata]
     return overall, rows
 
 
-def _css_tables(args, strata: Strata, parts: dict[int, tuple]) -> None:
+def _css_tables(args, parts: dict[int, tuple]) -> None:
     k = args.k
     labels = _css_class_labels(k)
     columns = (
@@ -693,7 +684,7 @@ def _topz_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
     return rows
 
 
-def _topz_tables(args, strata: Strata, parts: dict[int, list]) -> None:
+def _topz_tables(args, parts: dict[int, list]) -> None:
     rows = [row for part in parts.values() for row in part]
     write_table(rows, _TOPZ_COLUMNS, _TOPZ_RENDER, Path(args.out), "topz", args.format)
 
@@ -787,7 +778,7 @@ def run_stages(args, strata: Strata) -> int:
             if failure is not None:
                 reraise(*failure)
             parts[year] = rows
-        STAGES[stage].tables(args, strata, parts)
+        STAGES[stage].tables(args, parts)
     if args.command == "report":
         print(f"report written to {args.out}")
     return 0

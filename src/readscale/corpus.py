@@ -102,6 +102,11 @@ class Group:
         return np.asarray([r.reads for r in self.records])
 
     @property
+    def real(self) -> bool:
+        """Whether any count is a real number rather than an integer."""
+        return any(isinstance(r.reads, (float, np.floating)) for r in self.records)
+
+    @property
     def cites(self) -> np.ndarray:
         """Citation counts; records without one contribute NaN."""
         return np.asarray(
@@ -117,13 +122,14 @@ class GroupStats(NamedTuple):
     """Summary statistics of one stratum.
 
     ``r_mean`` is the arithmetic mean of all reads in the group, zeros
-    included; it is the divisor used for rescaling. ``zero_share`` is the
-    fraction of records with zero reads.
+    included; it is the divisor used for rescaling. ``r_max`` is the largest
+    count: an int unless the group holds a real count, then a float.
+    ``zero_share`` is the fraction of records with zero reads.
     """
 
     n: int
     r_mean: float
-    r_max: int
+    r_max: int | float
     zero_share: float
 
 
@@ -233,15 +239,16 @@ def _coded(fields: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 class Stratum:
-    """One stratum of a :class:`Strata`: its key and its reads, as
-    :attr:`Group.reads` has them (int64, or float64 once any value is real),
-    read-only."""
+    """One stratum of a :class:`Strata`: its key, its reads, a read-only
+    float64 view of the strata's ``corpus.reads``, and ``real``, whether any
+    of them was parsed as a real number rather than an integer."""
 
-    __slots__ = ("key", "reads")
+    __slots__ = ("key", "reads", "real")
 
-    def __init__(self, key: GroupKey, reads: np.ndarray):
+    def __init__(self, key: GroupKey, reads: np.ndarray, real: bool):
         self.key = key
         self.reads = reads
+        self.real = real
 
     def __len__(self) -> int:
         return self.reads.size
@@ -257,6 +264,8 @@ class Strata:
     stratum ``i`` is the run of rows ``bounds[i]:bounds[i + 1]``, each year's
     strata are one run of strata, in field order, and each stratum keeps its
     input order. ``positions`` gives each row's input position.
+    ``corpus.reads`` is read-only, and each pass over the strata yields a
+    fresh :class:`Stratum` per stratum whose reads are a view of it.
     """
 
     def __init__(
@@ -268,19 +277,11 @@ class Strata:
         self.positions = positions
 
     def __iter__(self) -> Iterator[Stratum]:
-        return iter(self._strata)
-
-    @cached_property
-    def _strata(self) -> tuple[Stratum, ...]:
-        """Each stratum, built once and shared by every pass over these strata."""
-        reads, real = self.corpus.reads, self.corpus.real
+        reads = self.corpus.reads
         bounds = self.bounds.tolist()
-        strata = []
-        for key, a, b in zip(self.keys, bounds, bounds[1:]):
-            values = reads[a:b] if real[a:b].any() else reads[a:b].astype(np.int64)
-            values.flags.writeable = False
-            strata.append(Stratum(key, values))
-        return tuple(strata)
+        real = np.logical_or.reduceat(self.corpus.real, self.bounds[:-1]).tolist()
+        for key, a, b, any_real in zip(self.keys, bounds, bounds[1:], real):
+            yield Stratum(key, reads[a:b], any_real)
 
     def years(self) -> list[int]:
         """The years, ascending."""
@@ -294,17 +295,14 @@ class Strata:
 
     def of_year(self, year: int) -> "Strata":
         """The strata of one year, a view: their rows are a slice of these
-        columns, each with its input position, and their strata are these;
-        empty for a year these lack."""
+        columns, each with its input position; empty for a year these lack."""
         i = bisect_left(self.keys, year, key=_year)
         j = bisect_right(self.keys, year, key=_year)
         a, b = self.bounds[i], self.bounds[j]
-        strata = Strata(
+        return Strata(
             self.corpus.take(slice(a, b)), self.keys[i:j], self.bounds[i:j + 1] - a,
             self.positions[a:b],
         )
-        strata._strata = self._strata[i:j]
-        return strata
 
 
 def stratify(corpus: Corpus) -> Strata:
@@ -326,6 +324,7 @@ def stratify(corpus: Corpus) -> Strata:
         raise DuplicateIdError(list(dict.fromkeys(ids[pos] for pos in repeats)))
     order = np.lexsort((corpus.fields, corpus.years))
     rows = corpus.take(order)
+    rows.reads.flags.writeable = False  # and so is every stratum's view of it
     change = (rows.fields[1:] != rows.fields[:-1]) | (rows.years[1:] != rows.years[:-1])
     starts = np.concatenate(([0], np.flatnonzero(change) + 1))
     keys = tuple(
@@ -374,13 +373,15 @@ def mean(values: np.ndarray) -> float:
 
 
 def group_stats(group: Group | Stratum) -> GroupStats:
-    """Compute n, mean reads, max reads and the zero-read share of a group."""
+    """Compute n, mean reads, max reads and the zero-read share of a group;
+    max reads is the exact int of the largest count unless ``group.real``."""
     if len(group) == 0:
         raise EmptyCorpusError("cannot summarize an empty group")
     reads = group.reads
+    top = reads.max()
     return GroupStats(
         n=len(group),
         r_mean=mean(reads),
-        r_max=reads.max().item(),
+        r_max=float(top) if group.real else int(top),
         zero_share=float(np.count_nonzero(reads == 0) / len(group)),
     )

@@ -18,7 +18,7 @@ import readscale.fetch as fetch_mod
 import readscale.worker as worker_mod
 from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records
 from readscale.cli import main
-from readscale.corpus import Group, GroupKey
+from readscale.corpus import Group, GroupKey, PublicationRecord
 from readscale.distfit import ZeroPolicy, fit_lognormal
 from readscale.ingest import Columns, CorpusBuffers, write_records
 from readscale.rescale import ccdf, collapse, rescale_group, write_ccdf_tsv
@@ -907,6 +907,33 @@ def test_integer_and_real_strata_keep_their_reads_type(tmp_path, stub_provider):
     assert '"reads": 7.0}' in fetched
 
 
+@pytest.mark.parametrize("big", [10**20, 2**63])
+def test_integer_counts_from_2_to_the_63_keep_their_value(tmp_path, big):
+    # an integer count that int64 cannot hold: r_max keeps it exactly, and
+    # the statistics read it as the float64 the corpus holds
+    counts = {"A": [big, 3, 5], "B": [4, 9]}
+    rows = [
+        {"id": f"{field}-{i}", "field": field, "year": 2010, "reads": value}
+        for field, values in counts.items() for i, value in enumerate(values)
+    ]
+    corpus = _write_lines(tmp_path / "c.jsonl", rows)
+    out = tmp_path / "out"
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "readscale.cli", "report", "--input", corpus, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "RuntimeWarning" not in run.stderr
+    mean = float(np.mean(np.array(counts["A"], dtype=float)))
+    fit = {row["field"]: row for row in read_jsonl(out / "fit.jsonl")}
+    assert fit["A"]["r_max"] == big and type(fit["A"]["r_max"]) is int
+    assert fit["A"]["r0"] == mean and fit["B"]["r_max"] == 9
+    css = {row["field"]: row for row in read_jsonl(out / "css_strata.jsonl")}
+    assert css["A"]["beta1"] == mean
+
+
 def test_within_stratum_input_order_reaches_collapse_and_ccdfs(tmp_path):
     # real values whose mean depends on summation order; each stratum is
     # split over two files and interleaved with the other stratum
@@ -1144,24 +1171,35 @@ def test_one_blas_thread_only_before_numpy_and_without_a_user_choice(setup, expe
     assert run.stdout == f"{expected}\n"
 
 
-def test_report_builds_each_stratum_once(tmp_path, monkeypatch):
-    # collapse, css and topz each take every year's strata; the years share
-    # the strata the corpus was grouped into
-    built = []
-    init = corpus_mod.Stratum.__init__
+def test_report_reads_every_stratum_as_a_view_of_the_grouped_reads(tmp_path, monkeypatch):
+    # each stage takes every year's strata; each stratum's reads are a
+    # read-only float64 view of the grouped corpus's column, never a copy
+    loaded, made = [], []
+    load, init = cli_mod._load_strata, corpus_mod.Stratum.__init__
 
-    def counting(self, key, reads):
-        built.append(key)
-        init(self, key, reads)
+    def loading(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
 
-    monkeypatch.setattr(corpus_mod.Stratum, "__init__", counting)
+    def making(self, key, reads, real):
+        made.append((key, reads, real))
+        init(self, key, reads, real)
+
+    monkeypatch.setattr(cli_mod, "_load_strata", loading)
+    monkeypatch.setattr(corpus_mod.Stratum, "__init__", making)
+    monkeypatch.setattr(worker_mod, "forks", lambda: False)  # every task runs in this process
     records = [
         r for year in (2010, 2011) for field in ("A", "B", "C")
         for r in make_records([1, 4, 2, 7], field, year, prefix=f"{field}{year}")
-    ]
+    ] + [PublicationRecord("C2011-real", "C", 2011, 2.5)]
     corpus = write_corpus(tmp_path / "c.jsonl", records)
     assert main(["report", "--input", corpus, "--out", str(tmp_path / "out")]) == 0
-    assert sorted(built) == [GroupKey(f, y) for f in ("A", "B", "C") for y in (2010, 2011)]
+    (strata,) = loaded
+    assert {key for key, _, _ in made} == {GroupKey(f, y) for f in ("A", "B", "C") for y in (2010, 2011)}
+    for key, reads, real in made:
+        assert reads.dtype == np.float64 and not reads.flags.writeable
+        assert np.shares_memory(reads, strata.corpus.reads)
+        assert real == (key == GroupKey("C", 2011))
 
 
 def test_ingest_and_fetch_run_without_numpy(tmp_path, stub_provider):

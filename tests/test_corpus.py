@@ -3,21 +3,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from readscale.choices import TRUNCATION_RULES
 from readscale.corpus import (
     Corpus,
     DuplicateIdError,
     EmptyCorpusError,
     GroupKey,
     PublicationRecord,
+    Stratum,
     group_by_field_year,
     group_stats,
     mean,
     stratify,
 )
+from readscale.css import characteristic_scores, classify
+from readscale.distfit import ZERO_POLICIES, ZeroPolicy, fit_logs, log_sample
+from readscale.rescale import rescale_group
+from readscale.swilk import shapiro_wilk
 from conftest import make_records
 
 
@@ -126,24 +132,34 @@ def test_stratum_reads_are_real_once_any_value_is():
         PublicationRecord("r1", "Reals", 2010, 12),
         PublicationRecord("r2", "Reals", 2010, 4.5),
     ]
-    reads = {s.key.field: s.reads for s in stratify(Corpus.from_records(records))}
-    assert reads["Ints"].dtype == np.int64 and reads["Reals"].dtype == np.float64
-    assert group_stats(next(iter(stratify(Corpus.from_records(records[:1]))))).r_max == 12
+    strata = {s.key.field: s for s in stratify(Corpus.from_records(records))}
+    groups = {key.field: group for key, group in group_by_field_year(records).items()}
+    assert strata["Ints"].reads.dtype == strata["Reals"].reads.dtype == np.float64
+    for both in (strata, groups):
+        assert not both["Ints"].real and both["Reals"].real
+        ints, reals = group_stats(both["Ints"]).r_max, group_stats(both["Reals"]).r_max
+        assert ints == 12 and type(ints) is int
+        assert reals == 12 and type(reals) is float
 
 
-def test_strata_are_built_once_and_read_only():
+def test_strata_are_read_only_views_of_the_corpus_reads():
     records = make_records([3, 1], "Ints", 2010, prefix="i") + [
         PublicationRecord("r1", "Reals", 2010, 4.5)
     ]
-    strata = stratify(Corpus.from_records(records))
-    first, again = list(strata), list(strata)
-    assert [s.key.field for s in first] == ["Ints", "Reals"]
-    assert all(a is b for a, b in zip(first, again))
-    for stratum in first:
+    corpus = Corpus.from_records(records)
+    strata = stratify(corpus)
+    assert corpus.reads.flags.writeable  # the caller's columns are left as they are
+    assert not strata.corpus.reads.flags.writeable
+    for stratum in strata:
+        assert stratum.reads.dtype == np.float64
+        assert np.shares_memory(stratum.reads, strata.corpus.reads)
         assert not stratum.reads.flags.writeable
         with pytest.raises(ValueError):
             stratum.reads[0] = 0
-    assert [s.reads.tolist() for s in strata] == [[3, 1], [4.5]]
+    # every pass makes the same strata afresh
+    assert [(s.key.field, s.reads.tolist(), s.real) for s in strata] == [
+        ("Ints", [3, 1], False), ("Reals", [4.5], True),
+    ]
 
 
 def test_year_beyond_64_bits_is_a_value_error():
@@ -151,7 +167,7 @@ def test_year_beyond_64_bits_is_a_value_error():
         Corpus.from_records([PublicationRecord("y1", "A", 10**19, 3)])
 
 
-def test_of_year_is_a_view_that_shares_its_strata():
+def test_of_year_is_a_view_of_the_strata_rows():
     records = (
         make_records([3, 1], "A", 2010, prefix="a10")
         + make_records([5], "B", 2011, prefix="b11")
@@ -164,8 +180,9 @@ def test_of_year_is_a_view_that_shares_its_strata():
     # each row keeps its position in the whole input
     assert year.bounds.tolist() == [0, 2, 3] and year.positions.tolist() == [3, 4, 2]
     assert [s.reads.tolist() for s in year] == [[2, 8], [5]]
-    own = dict(zip(strata.keys, strata))
-    assert all(s is own[s.key] for s in year)
+    for stratum in year:
+        assert np.shares_memory(stratum.reads, strata.corpus.reads)
+        assert not stratum.reads.flags.writeable
     missing = strata.of_year(2012)
     assert missing.keys == () and len(missing.corpus) == 0 and list(missing) == []
     assert missing.bounds.tolist() == [0] and missing.years() == []
@@ -198,15 +215,16 @@ def test_of_year_equals_stratify_of_the_years_rows(rows):
         assert view.bounds.tolist() == alone.bounds.tolist()
         assert view.corpus.ids.tolist() == alone.corpus.ids.tolist()
         assert view.corpus.reads.tolist() == alone.corpus.reads.tolist()
-        assert [s.reads.dtype for s in view] == [s.reads.dtype for s in alone]
+        assert [s.real for s in view] == [s.real for s in alone]
         assert [s.reads.tolist() for s in view] == [s.reads.tolist() for s in alone]
         assert view.positions.tolist() == np.asarray(picked)[alone.positions].tolist()
         assert view.years() == [year]
-        # no column is copied, and the strata are the whole's own
+        # no column is copied, and each stratum's reads are the whole's own
         for name in ("ids", "fields", "years", "reads", "real", "cites"):
             assert np.shares_memory(getattr(view.corpus, name), getattr(strata.corpus, name))
         assert np.shares_memory(view.positions, strata.positions)
-        assert list(view) == [s for s in strata if s.key.year == year]  # by identity
+        assert all(np.shares_memory(s.reads, strata.corpus.reads) for s in view)
+        assert [(s.key, s.real) for s in view] == [(s.key, s.real) for s in strata if s.key.year == year]
 
 
 @st.composite
@@ -237,3 +255,50 @@ def _mean_samples(draw):
 def test_mean_is_ndarray_mean_bit_for_bit(values):
     expected = values.mean()
     assert np.float64(mean(values)).tobytes() == expected.tobytes()
+
+
+def _counts(values: np.ndarray) -> np.ndarray:
+    """A sample of ``_mean_samples`` as non-negative int64 counts whose sum
+    stays below 2**53, so that every order of summing them is exact."""
+    counts = np.minimum(np.rint(np.abs(values.astype(float))), 2.0**53).astype(np.int64)
+    return counts >> max(0, (int(counts.max()) * counts.size).bit_length() - 53)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _bits(result):
+    """``result`` in a form that compares equal only bit for bit and type for
+    type: arrays as their bytes, numbers by their repr."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.tobytes()
+    if isinstance(result, (tuple, list)):
+        return type(result).__name__, [_bits(item) for item in result]
+    return repr(result)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mean_samples())
+@example(np.random.default_rng(5).integers(0, 2**39, 9000))  # past numpy's 8192-value cast buffer
+def test_statistics_read_a_float64_view_as_an_int64_copy(values):
+    counts = _counts(values)
+    column = np.concatenate(([1.0], counts, [2.0]))  # a stratum is a slice of the corpus column
+    column.flags.writeable = False
+    view = column[1:-1]
+    results = []
+    for reads in (view, counts):
+        stratum = Stratum(GroupKey("A", 2010), reads, False)
+        outcome = [group_stats(stratum), _outcome(rescale_group, stratum), _outcome(shapiro_wilk, reads)]
+        for policy in map(ZeroPolicy, ZERO_POLICIES):
+            logs, dropped = log_sample(reads, policy)
+            outcome += [logs, dropped, _outcome(fit_logs, logs, dropped), _outcome(shapiro_wilk, logs)]
+        for rule in TRUNCATION_RULES:
+            betas = characteristic_scores(reads, rule=rule)
+            outcome += [betas, classify(reads, betas)]
+        results.append(_bits(outcome))
+    assert results[0] == results[1]
