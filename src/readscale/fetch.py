@@ -16,6 +16,11 @@ whatever its match probability, and the threshold applies when
 counts already paid for. Failures are returned but never cached, so a
 transient outage does not poison later runs.
 
+Batches go out over a few worker threads behind one :class:`RateLimiter`:
+up to ceil(rate_limit) requests at once, never more than that in any one-second
+window, and rate_limit per second in the long run. A rerun whose misses fit in
+ceil(rate_limit) batches therefore sends them without waiting.
+
 Requests go out through the standard library's ``urllib.request``, which
 honours the proxy environment variables and verifies HTTPS against the
 system's trust store. It and the thread pool load only when a DOI is
@@ -31,9 +36,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
+from collections import deque
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -61,11 +68,12 @@ BACKOFF_CAP = 8.0
 # waiting longer would only stall the run without a word.
 RETRY_AFTER_CAP = 60.0
 CACHE_KEYS = ("doi", "reads", "match_probability", "fetched_at")
-# Extra spacing between rate-limiter grants, in seconds. A request reaches the
-# provider some time after its grant, and that time differs between worker
-# threads (by about 2 ms, at times 13 ms, against a local stub on a 2-core VM).
-# Spacing of 1/rate alone leaves no room for that at an integer rate, where
-# ceil(rate) intervals span exactly one second; the guard leaves ceil(rate)
+# Extra time per grant in the rate limiter's window, in seconds: grant k waits
+# until ceil(rate) * (1/rate + GRANT_GUARD) after grant k - ceil(rate). A
+# request reaches the provider some time after its grant, and that time differs
+# between worker threads (by about 2 ms, at times 13 ms, against a local stub on
+# a 2-core VM). A window of ceil(rate)/rate alone leaves no room for that at an
+# integer rate, where it spans exactly one second; the guard leaves ceil(rate)
 # times its size.
 GRANT_GUARD = 0.002
 # fetch's main process decodes the head of a large cache while a forked reader
@@ -95,8 +103,10 @@ class ProviderConfig(_ProviderConfig):
     """Where and how to talk to the provider.
 
     api_key_env names an environment variable; the key itself never
-    appears in config files or flags. rate_limit is the maximum number
-    of requests per second, enforced across all worker threads.
+    appears in config files or flags. rate_limit bounds the requests of
+    all worker threads together: at most ceil(rate_limit) in any one-second
+    window, rate_limit per second in the long run, and up to
+    ceil(rate_limit) at once (see :class:`RateLimiter`). It must be finite.
     """
 
     __slots__ = ()
@@ -109,6 +119,8 @@ class ProviderConfig(_ProviderConfig):
             raise ValueError("batch_size must be >= 1")
         if not self.rate_limit > 0:
             raise ValueError("rate_limit must be > 0")
+        if not math.isfinite(self.rate_limit):
+            raise ValueError("rate_limit must be finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if not 0.0 <= self.min_match_probability <= 1.0:
@@ -137,32 +149,40 @@ class FetchResult(NamedTuple):
 
 
 class RateLimiter:
-    """Global minimum spacing of 1/rate + GRANT_GUARD seconds between grants.
+    """At most ceil(rate) grants in any half-open one-second window.
 
-    acquire() blocks (holding the lock, so grants are serialized) until
-    at least the interval has passed since the previous grant on the
-    monotonic clock. Spacing grants by 1/rate means any half-open
-    one-second window contains at most ceil(rate) grants; the guard keeps
-    that true of the requests' arrivals while their delays after the grant
-    differ by less than ceil(rate) * GRANT_GUARD.
+    With n = ceil(rate), grant k waits until n * (1/rate + GRANT_GUARD)
+    seconds after grant k - n on the monotonic clock, and no longer: up to n
+    grants go at once, and the long-run rate is 1 / (1/rate + GRANT_GUARD).
+    Any n + 1 consecutive grants thus span more than n/rate >= 1 second; the
+    guard keeps that true of the requests' arrivals while their delays after
+    the grant differ by less than n * GRANT_GUARD. At a rate of 1 or less,
+    n = 1 and grants are spaced by 1/rate + GRANT_GUARD.
+
+    acquire() blocks, holding the lock so that grants are serialized, until
+    its grant is due. Only the times of the last min(n, grants made) grants
+    are kept, so a huge rate costs nothing.
     """
 
     def __init__(self, rate: float):
         if not rate > 0:
             raise ValueError("rate must be > 0")
-        self._interval = 1.0 / rate + GRANT_GUARD
+        if not math.isfinite(rate):
+            raise ValueError("rate must be finite")
+        self._burst = math.ceil(rate)
+        self._window = self._burst * (1.0 / rate + GRANT_GUARD)
         self._lock = threading.Lock()
-        self._last: float | None = None
+        self._grants: deque[float] = deque()  # the last grants' times, oldest first
 
     def acquire(self) -> None:
         with self._lock:
             now = time.monotonic()
-            if self._last is not None:
-                wait = self._last + self._interval - now
+            if len(self._grants) == self._burst:
+                wait = self._grants.popleft() + self._window - now
                 if wait > 0:
                     time.sleep(wait)
                     now = time.monotonic()
-            self._last = now
+            self._grants.append(now)
 
 
 class Cache:
@@ -467,6 +487,7 @@ def fetch_counts(
             on_cached(known)
         return list(map(known.__getitem__, dois))
 
+    load_client()  # before the first grant, so that no request waits for an import
     from concurrent.futures import ThreadPoolExecutor
 
     key = os.environ.get(config.api_key_env, "")

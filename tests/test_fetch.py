@@ -1,14 +1,18 @@
 """Provider client: threshold filter, cache semantics, retries, rate limit."""
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
 import socket
+import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -271,14 +275,47 @@ def test_bearer_key_read_from_environment(stub_provider, tmp_path, monkeypatch):
     assert "Authorization" not in server.headers_seen[-1]
 
 
-def test_rate_limiter_spacing():
-    limiter = RateLimiter(100.0)
-    stamps = []
-    for _ in range(8):
-        limiter.acquire()
-        stamps.append(time.monotonic())
-    diffs = [b - a for a, b in zip(stamps, stamps[1:])]
-    assert min(diffs) >= 0.01 - 1e-3
+class _FakeTime:
+    """A monotonic clock that moves only when slept on or advanced."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = 0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps += 1
+        self.now += seconds
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0.3, 0.5, 1.0, 2.5, 5.0, 7.5, 100.0]), st.floats(0.3, 110.0)),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 3.0)), max_size=250),
+)
+@example(5.0, [0.0] * 12)
+@example(0.5, [0.0, 0.0, 3.0, 0.0])
+def test_rate_limiter_window(rate, gaps):
+    clock = _FakeTime()
+    with mock.patch.object(fetch_mod, "time", clock):
+        limiter = RateLimiter(rate)
+        n = math.ceil(rate)
+        window = n * (1 / rate + fetch_mod.GRANT_GUARD)
+        grants = []
+        for k, gap in enumerate(gaps):
+            clock.now += gap  # the next ask comes this long after the last grant
+            earliest = clock.now if k < n else max(clock.now, grants[k - n] + window)
+            limiter.acquire()
+            grants.append(clock.now)
+            # each grant comes as soon as the rule allows; the first n never sleep
+            assert grants[k] == pytest.approx(earliest, rel=0, abs=1e-9)
+            assert k >= n or clock.sleeps == 0
+    for k in range(len(grants) - n):
+        assert grants[k + n] - grants[k] >= window - 1e-9
+    for i, start in enumerate(grants):
+        assert bisect.bisect_left(grants, start + 1.0) - i <= n  # grants in [start, start + 1)
 
 
 def test_rate_limiter_under_contention():
@@ -302,6 +339,43 @@ def test_rate_limiter_under_contention():
     for i, t0 in enumerate(stamps):
         in_window = sum(1 for t in stamps if t0 <= t < t0 + 1.0)
         assert in_window <= 200
+
+
+def test_rate_limiter_window_holds_under_contention():
+    rate = 20.0
+    n = math.ceil(rate)
+    read = threading.local()
+
+    def monotonic():
+        read.last = time.monotonic()
+        return read.last
+
+    limiter = RateLimiter(rate)
+    grants = []
+    lock = threading.Lock()
+
+    def worker():
+        for _ in range(5):
+            limiter.acquire()
+            with lock:
+                grants.append(read.last)  # the clock's last reading in acquire: the grant
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(fetch_mod, "time", SimpleNamespace(monotonic=monotonic, sleep=time.sleep)):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    grants.sort()
+    assert len(grants) == 40
+    window = n * (1 / rate + fetch_mod.GRANT_GUARD)
+    assert all(later - earlier >= window - 1e-6 for earlier, later in zip(grants, grants[n:]))
 
 
 def test_request_rate_within_limit_window(stub_provider, tmp_path):
@@ -336,6 +410,49 @@ def test_provider_config_validation():
         ProviderConfig(base_url="http://x", min_match_probability=1.5)
     with pytest.raises(ValueError):
         RateLimiter(0.0)
+
+
+@pytest.mark.parametrize("rate, message", [
+    (float("inf"), "must be finite"), (float("-inf"), "must be > 0"), (float("nan"), "must be > 0"),
+])
+def test_a_rate_that_is_not_finite_and_positive_is_refused(rate, message):
+    with pytest.raises(ValueError, match=message):
+        ProviderConfig(base_url="http://x", rate_limit=rate)
+    with pytest.raises(ValueError, match=message):
+        RateLimiter(rate)
+
+
+def test_a_huge_rate_keeps_only_the_grants_made():
+    clock = _FakeTime()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(fetch_mod, "time", clock):
+            limiter = RateLimiter(1e300)
+            for _ in range(100):
+                limiter.acquire()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clock.sleeps == 0
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize("batches, sleeps", [(5, 0), (6, 1)])
+def test_up_to_ceil_rate_batches_go_without_a_limiter_sleep(stub_provider, tmp_path, monkeypatch, batches, sleeps):
+    server = stub_provider({f"10.22/{i}": (i, 0.95) for i in range(2 * batches)})
+    slept = []
+    real_sleep = time.sleep
+
+    def sleep(seconds):
+        slept.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(fetch_mod.time, "sleep", sleep)
+    dois = [f"10.22/{i}" for i in range(2 * batches)]
+    results = fetch_counts(dois, _config(server.url, batch_size=2, rate_limit=5), Cache(tmp_path / "c.jsonl"))
+    assert [r.reads for r in results] == list(range(2 * batches))
+    assert server.request_count == batches
+    assert len(slept) == sleeps
 
 
 def test_result_order_matches_input(stub_provider, tmp_path):

@@ -91,6 +91,8 @@ def test_zero_policy_rejects_an_unknown_mode():
         ({"batch_size": 0}, "batch_size must be >= 1"),
         ({"rate_limit": 0.0}, "rate_limit must be > 0"),
         ({"rate_limit": float("nan")}, "rate_limit must be > 0"),
+        ({"rate_limit": float("inf")}, "rate_limit must be finite"),
+        ({"rate_limit": float("-inf")}, "rate_limit must be > 0"),
         ({"max_retries": -1}, "max_retries must be >= 0"),
         ({"min_match_probability": 1.5}, r"min_match_probability must lie in \[0, 1\]"),
     ],
@@ -101,6 +103,11 @@ def test_provider_config_checks_every_field(change, message):
         ProviderConfig(**fields)
     with pytest.raises(ValueError, match=message):
         ProviderConfig("http://127.0.0.1:1")._replace(**change)
+
+
+def test_provider_config_takes_a_huge_finite_rate():
+    assert ProviderConfig("http://127.0.0.1:1", rate_limit=1e300).rate_limit == 1e300
+    assert ProviderConfig("http://127.0.0.1:1")._replace(rate_limit=1e300).rate_limit == 1e300
 
 
 # each public exception, built as readscale raises it, and the attributes it carries
