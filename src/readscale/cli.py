@@ -20,6 +20,7 @@ import atexit
 import gc
 import json
 import logging
+import marshal
 import os
 import re
 import sys
@@ -28,7 +29,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 # numpy and the analysis modules load only for the commands that use them,
 # so that ingest and fetch start on the standard library alone
@@ -40,10 +41,10 @@ from .ingest import (
     IngestError,
     IngestReport,
     _json_lines,
+    findings,
     gc_paused,
     parse_into,
     read_lines,
-    validate,
     write_diagnostics,
     write_records,
 )
@@ -180,10 +181,10 @@ def _input_format(path: Path) -> tuple[str, str]:
     return "delimited", ","
 
 
-def _parse_inputs(paths: Sequence[str], sink: Columns | CorpusBuffers) -> list[tuple]:
+def _parse_inputs(paths: Sequence[str], sink) -> list[tuple]:
     """``(path, report, numbers)`` for each input file, whose records
-    :func:`parse_into` appends to ``sink``: its :class:`IngestReport` and
-    its records' line numbers."""
+    :func:`parse_into` appends to ``sink`` a part at a time: its
+    :class:`IngestReport` and its records' line numbers."""
     parsed = []
     for p in paths:
         path = Path(p)
@@ -272,41 +273,115 @@ def _load_strata(paths: Sequence[str], years: Sequence[int] | None) -> Strata:
 # subcommands
 
 
+class _IngestWriter:
+    """The sink of ``ingest``'s parse. Each part is checked as :func:`validate`
+    checks, with the ids of the parts before it, and its rows that no finding
+    flags (with ``--year``, of those years alone) are appended to ``stream``
+    as line-JSON. A failed write is kept rather than raised, so that the parse
+    runs on and logs as it would before a write; the caller raises it."""
+
+    def __init__(self, stream: IO[str], years: Sequence[int] | None):
+        self.stream = stream
+        self.years = set(years or ())
+        self.seen: set[str] = set()  # the ids of the rows checked
+        self.rows = 0
+        self.findings: list[tuple[int, str]] = []  # by 1-based position among every row
+        self.flagged = 0
+        self.kept = 0
+        self.failure: OSError | None = None
+
+    def extend(self, part: Columns) -> None:
+        found = findings(part, seen=self.seen)
+        self.findings += [(self.rows + pos + 1, reason) for pos, reason in found]
+        self.rows += len(part.ids)
+        flagged = {pos for pos, _ in found}
+        self.flagged += len(flagged)
+        years = self.years
+        if flagged or years:
+            part = part.take(
+                pos not in flagged and (not years or year in years) for pos, year in enumerate(part.years)
+            )
+        self.kept += len(part.ids)
+        if self.failure is None and part.ids:
+            try:
+                self.stream.write("".join(_json_lines(part)))
+            except OSError as exc:
+                self.failure = exc
+
+    def receive(self, tag: int, mark: int, name: str, data: bytes) -> None:
+        """:meth:`extend` with a part that :class:`_PartSender` sent."""
+        self.extend(Columns(*marshal.loads(data)))
+
+
+class _PartSender(NamedTuple):
+    """The sink of a forked parse: each part goes to ``send`` as the
+    :mod:`marshal` bytes of its columns, for :meth:`_IngestWriter.receive`."""
+
+    send: Callable[[int, int, str, bytes], None]
+
+    def extend(self, part: Columns) -> None:
+        self.send(0, 0, "", marshal.dumps(tuple(part)))
+
+
+def _send_inputs(send: Callable, paths: Sequence[str]) -> list[tuple]:
+    """:func:`_parse_inputs` in a forked worker, each part sent to the parent."""
+    return _parse_inputs(paths, _PartSender(send))
+
+
+@gc_paused
 def cmd_ingest(args) -> int:
     """Normalize raw inputs into one validated line-JSON corpus. With
     ``--year``, the rows of other years that no finding flags are left out,
-    counted as neither accepted nor rejected, and their number is logged."""
+    counted as neither accepted nor rejected, and their number is logged.
+
+    The inputs are parsed a part at a time into an :class:`_IngestWriter`,
+    which checks, filters and writes each part: in a forked
+    :class:`~readscale.worker.Worker` that streams the parts to this process,
+    or here, where the worker would not fork. ``corpus.jsonl`` is written
+    under a temporary name in ``--out`` and takes its name once every input
+    is read, so a failed run leaves none. The output, log and exit code are
+    those of a parse of every input before the first check."""
+    from .worker import Worker, forks
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = Columns([], [], [], [], [])
-    files = _parse_inputs(args.input, columns)
+    partial = out_dir / ".corpus.jsonl.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as stream:
+            writer = _IngestWriter(stream, args.year)
+            if forks():
+                parser = Worker("ingest parser", _send_inputs, args.input, sink=writer.receive)
+                try:
+                    files = parser.join()
+                finally:
+                    parser.stop()
+            else:
+                files = _parse_inputs(args.input, writer)
+        if writer.failure is not None:
+            raise writer.failure
+        os.replace(partial, out_dir / "corpus.jsonl")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+    # the writer numbers the rows by position in all inputs; each finding
+    # takes its row's file and line, as the parse rejections do
     diagnostics = [
         (line, f"{path.name}: {reason}")
         for path, report, _ in files for line, reason in report.diagnostics
     ]
-
-    # validate numbers the rows by position in all inputs; each finding takes
-    # its row's file and line, as the parse rejections do
-    check = validate(columns)
     ends = list(accumulate(report.accepted for _, report, _ in files))
-    for pos, reason in check.diagnostics:
+    for pos, reason in writer.findings:
         i = bisect_left(ends, pos)
         path, _, lines = files[i]
         diagnostics.append((lines[pos - 1 - (ends[i - 1] if i else 0)], f"{path.name}: {reason}"))
-    flagged = {pos for pos, _ in check.diagnostics}
-    years = set(args.year or ())
-    kept = columns.take(
-        pos not in flagged and (not years or year in years)
-        for pos, year in enumerate(columns.years, start=1)
-    )
-    left_out = len(columns.ids) - check.rejected - len(kept.ids)
+    left_out = writer.rows - writer.flagged - writer.kept
     if left_out:
         log.info("%d rows of other years left out", left_out)
 
-    write_records(kept, out_dir / "corpus.jsonl", format="line-json")
     # a row counts once, however many findings it has
-    rejected = sum(report.rejected for _, report, _ in files) + check.rejected
-    combined = IngestReport(accepted=len(kept.ids), rejected=rejected, diagnostics=tuple(diagnostics))
+    rejected = sum(report.rejected for _, report, _ in files) + writer.flagged
+    combined = IngestReport(accepted=writer.kept, rejected=rejected, diagnostics=tuple(diagnostics))
     write_diagnostics(combined, out_dir / "ingest_diagnostics.jsonl")
     if combined.rejected:
         log.warning("%d rows rejected; see ingest_diagnostics.jsonl", combined.rejected)
@@ -342,12 +417,15 @@ def cmd_fetch(args) -> int:
     The cache's tail is decoded in a :class:`~readscale.worker.Worker`; if it
     forked, this process meanwhile loads the client, parses the corpus and
     the DOI list and decodes the cache's head (:meth:`~readscale.fetch.Cache.head`).
-    The merged corpus is rendered while the provider answers, and the rows
-    whose id the cache lacks again after. The output, log and exit code are
-    those of the steps in sequence."""
+    Each DOI is answered from the cache's columns, at the line of its latest
+    entry (:func:`~readscale.fetch.latest_lines`), and the DOIs the cache
+    lacks go to :func:`~readscale.fetch.fetch_missing`. The merged corpus is
+    rendered while the provider answers, and the rows whose id the cache
+    lacks again after. The output, log and exit code are those of the steps
+    in sequence, and of :func:`~readscale.fetch.fetch_counts` over every DOI."""
     # the provider client loads urllib.request and a thread pool only for a
     # DOI missing from the cache; fetch is the only command that imports it
-    from .fetch import Cache, FetchError, ProviderConfig, fetch_counts, load_client
+    from .fetch import Cache, FetchError, ProviderConfig, fetch_missing, latest_lines, load_client
     from .worker import Worker, forks, held_records, replay
 
     if not args.input and not args.dois:
@@ -382,43 +460,53 @@ def cmd_fetch(args) -> int:
     finally:
         reader.stop()
 
+    # each DOI's count from the line of its latest cache entry, kept only
+    # above the threshold; the DOIs the cache lacks go to the provider
+    threshold = config.min_match_probability
+    _, reads, probabilities, _ = cached
+    at = list(map(latest_lines(cached[0], cached[3]).get, dois))
+    counts = [None if k is None or not probabilities[k] > threshold else reads[k] for k in at]
+    missed = [i for i, k in enumerate(at) if k is None]
     lines: list[str] = []  # the merged corpus, rendered while the provider answers
-    missing: list[int] = []  # the rows whose id the cache lacks
 
     def merged_lines(rows: Columns, counts: Sequence[int | None]) -> Iterator[str]:
         reads = [old if new is None else new for old, new in zip(rows.reads, counts)]
         return _json_lines(rows._replace(reads=reads))
 
-    def render(known: dict) -> None:
-        found = list(map(known.get, columns.ids))
-        missing.extend(i for i, r in enumerate(found) if r is None)
-        lines.extend(merged_lines(columns, [None if r is None else r.reads for r in found]))
+    def render() -> None:
+        lines.extend(merged_lines(columns, counts))  # the corpus ids lead ``dois``
 
     try:
-        results = fetch_counts(dois, config, cache, cached, None if columns is None else render)
+        answers = fetch_missing(
+            sorted(set(map(dois.__getitem__, missed))), config, cache,
+            None if columns is None else render,
+        )
     except FetchError as exc:
         log.error("%s", exc)
         return 1
-    counts = [r.reads for r in results]
+    failed = 0
+    for i in missed:
+        result = answers[dois[i]]
+        counts[i] = result.reads
+        failed += result.error is not None
     matched = len(counts) - counts.count(None)
-    failed = len(results) - [r.error for r in results].count(None)
-    below = len(results) - matched - failed
+    below = len(counts) - matched - failed
 
     merged = 0
     if columns is not None:
-        # the corpus ids lead ``dois``, and fetch_counts answers in input order
         fetched = counts[:len(columns.ids)]
         merged = len(fetched) - fetched.count(None)
         if merged == 0:
             log.warning("no fetched count cleared the match threshold; corpus unchanged")
-        rows = Columns(*([column[i] for i in missing] for column in columns))
-        for i, line in zip(missing, merged_lines(rows, [fetched[i] for i in missing])):
+        again = [i for i in missed if i < len(fetched)]  # the rows rendered before their answer
+        rows = Columns(*([column[i] for i in again] for column in columns))
+        for i, line in zip(again, merged_lines(rows, [fetched[i] for i in again])):
             lines[i] = line
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "corpus.jsonl").write_text("".join(lines), encoding="utf-8", newline="")
 
-    summary = f"resolved {len(results)} dois: {matched} matched, {below} below threshold, {failed} failed"
+    summary = f"resolved {len(dois)} dois: {matched} matched, {below} below threshold, {failed} failed"
     if columns is not None:
         summary += f", {merged} merged"
     print(summary)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import mean
-from .swilk import SwTestResult, UnsupportedSizeError, ZeroVarianceError, shapiro_wilk
+from .swilk import SwTestResult, UnsupportedSizeError, ZeroVarianceError, identical, shapiro_wilk
 
 __all__ = [
     "ZeroPolicy",
@@ -120,10 +120,10 @@ def fit_logs(logs: np.ndarray, n_dropped: int = 0) -> LognormalFit:
         raise DegenerateSampleError(
             f"need at least 2 positive values after zero policy, have {n}"
         )
+    if identical(logs):
+        raise ZeroVarianceError("all retained values are identical")
     mu = mean(logs)
     sigma2 = mean((logs - mu) ** 2)
-    if sigma2 == 0.0:
-        raise ZeroVarianceError("all retained values are identical")
     # At the optimum the quadratic term collapses to n/2.
     loglik = -0.5 * n * math.log(2.0 * math.pi * sigma2) - float(logs.sum()) - 0.5 * n
     return LognormalFit(mu=mu, sigma2=sigma2, loglik=float(loglik), n_used=n, n_dropped=n_dropped)

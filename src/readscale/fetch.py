@@ -10,11 +10,19 @@ it was looked up and rejected.
 Results land in an append-only line-JSON cache (one object per line,
 latest ``fetched_at`` wins), which makes reruns cheap and crash-safe:
 a warm cache answers without any network traffic, and a torn write
-corrupts at most its own line. The cache keeps the provider's count
-whatever its match probability, and the threshold applies when
-:func:`fetch_counts` answers, so a rerun with a lower threshold uses the
-counts already paid for. Failures are returned but never cached, so a
-transient outage does not poison later runs.
+corrupts at most its own line, because an append first ends a last line
+that lacks its line break. The cache keeps the provider's count whatever
+its match probability, and the threshold applies when a DOI is answered, so
+a rerun with a lower threshold uses the counts already paid for. Failures
+are returned but never cached, so a transient outage does not poison later
+runs.
+
+The cache is read as columns (:meth:`Cache.read_columns`), and
+:func:`latest_lines` maps each DOI to the line of its latest entry. The
+``fetch`` command answers the cached DOIs from those columns and
+:func:`fetch_missing` the rest, so that only the provider's answers become
+:class:`FetchResult` objects. :func:`fetch_counts` and :meth:`Cache.latest`
+give library callers one :class:`FetchResult` per DOI over the same index.
 
 Batches go out over a few worker threads behind one :class:`RateLimiter`:
 up to ceil(rate_limit) requests at once, never more than that in any one-second
@@ -36,12 +44,14 @@ from __future__ import annotations
 
 import json
 import logging
+import marshal
 import math
 import os
 import threading
 import time
+from array import array
 from collections import deque
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -54,6 +64,8 @@ __all__ = [
     "ProviderConfig",
     "RateLimiter",
     "fetch_counts",
+    "fetch_missing",
+    "latest_lines",
     "load_client",
 ]
 
@@ -185,6 +197,25 @@ class RateLimiter:
             self._grants.append(now)
 
 
+class CacheColumns(tuple):
+    """The (doi, reads, match_probability, fetched_at) columns of a cache, as
+    lists. Pickled, as a forked reader hands them over, the DOIs and reads go
+    as :mod:`marshal` bytes and the probabilities and times as ``array("d")``,
+    which load several times faster than pickle's lists of objects; the
+    unpickled columns are those lists and arrays."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        dois, reads, probabilities, times = self
+        packed = marshal.dumps(dois), marshal.dumps(reads), array("d", probabilities), array("d", times)
+        return _unpacked, packed
+
+
+def _unpacked(dois: bytes, reads: bytes, probabilities: array, times: array) -> CacheColumns:
+    return CacheColumns((marshal.loads(dois), marshal.loads(reads), probabilities, times))
+
+
 class Cache:
     """Append-only line-JSON store of fetch results, keyed by DOI."""
 
@@ -193,7 +224,7 @@ class Cache:
         self._lock = threading.Lock()
 
     @gc_paused
-    def read_columns(self, start: int = 0, stop: int | None = None) -> tuple[list, list, list, list]:
+    def read_columns(self, start: int = 0, stop: int | None = None) -> CacheColumns:
         """The (doi, reads, match_probability, fetched_at) columns of the
         readable lines, in line order; malformed lines are skipped with a
         warning, and a missing file has no lines. With ``start`` or ``stop``,
@@ -208,7 +239,7 @@ class Cache:
         null reads, float probability and time -- is taken in bulk; any other
         chunk is read line by line.
         """
-        columns: tuple[list, list, list, list] = ([], [], [], [])
+        columns = CacheColumns(([], [], [], []))
         if start == stop or not self.path.exists():
             return columns
         first = _lines_before(self.path, start) + 1 if start else 1
@@ -244,19 +275,15 @@ class Cache:
     @gc_paused
     def latest(columns: Sequence[Sequence]) -> dict[str, FetchResult]:
         """The latest entry per DOI of :meth:`read_columns`'s columns, a tie
-        going to the later line."""
-        dois, _, _, times = columns
-        latest: dict[str, int] = {}  # DOI -> line of its latest entry
-        for k, (doi, fetched_at) in enumerate(zip(dois, times)):
-            prior = latest.get(doi)
-            if prior is None or fetched_at >= times[prior]:
-                latest[doi] = k
-        kept = zip(*(map(column.__getitem__, latest.values()) for column in columns), repeat(None))
+        going to the later line (see :func:`latest_lines`)."""
+        index = latest_lines(columns[0], columns[3])
+        kept = zip(*(map(column.__getitem__, index.values()) for column in columns), repeat(None))
         # FetchResult._make without its per-call length check
-        return dict(zip(latest, map(tuple.__new__, repeat(FetchResult), kept)))
+        return dict(zip(index, map(tuple.__new__, repeat(FetchResult), kept)))
 
     def append(self, results: Iterable[FetchResult]) -> None:
-        """Serialize writes; one JSON object per line, flushed per call."""
+        """Serialize writes; one JSON object per line, flushed per call, after
+        a line break if the file's last line lacks one."""
         lines = [
             json.dumps(
                 {
@@ -272,10 +299,16 @@ class Cache:
         ]
         if not lines:
             return
+        text = "".join(line + "\n" for line in lines)
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("".join(line + "\n" for line in lines))
+            with open(self.path, "a+b") as fh:
+                # a torn last line is ended first, so that it costs only itself
+                if fh.tell():
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) not in (b"\n", b"\r"):
+                        text = "\n" + text
+                fh.write(text.encode())
 
 
 def _line_after(path: Path, offset: int) -> int:
@@ -351,6 +384,19 @@ def _provider_entry(raw: dict) -> FetchResult:
     if readers < 0:
         raise ValueError(f"negative reader count {readers}")
     return FetchResult(doi=doi, reads=readers, match_probability=prob, fetched_at=time.time())
+
+
+@gc_paused
+def latest_lines(dois: Sequence[str], times: Sequence[float]) -> dict[str, int]:
+    """Each DOI of cache columns (see :meth:`Cache.read_columns`) mapped to the
+    line of its latest entry, a tie in ``fetched_at`` going to the later line;
+    the DOIs in order of first sight."""
+    latest: dict[str, int] = {}
+    for k, (doi, fetched_at) in enumerate(zip(dois, times)):
+        prior = latest.get(doi)
+        if prior is None or fetched_at >= times[prior]:
+            latest[doi] = k
+    return latest
 
 
 def _cleared(results: Iterable[FetchResult], threshold: float) -> dict[str, FetchResult]:
@@ -448,45 +494,31 @@ def _post_batch(
     raise FetchError(f"provider unreachable: {last_error} (after {config.max_retries + 1} attempts)")
 
 
-def fetch_counts(
-    dois: Sequence[str],
+def fetch_missing(
+    missing: Sequence[str],
     config: ProviderConfig,
     cache: Cache,
-    cached: Sequence[Sequence] | None = None,
-    on_cached: Callable[[dict[str, FetchResult]], None] | None = None,
-) -> list[FetchResult]:
-    """Resolve DOIs to reader counts, one FetchResult per input DOI.
+    meanwhile: Callable[[], None] | None = None,
+) -> dict[str, FetchResult]:
+    """Ask the provider about ``missing``, DOIs that the cache lacks; the
+    answers by DOI, each count kept only where its match probability is
+    strictly above ``config.min_match_probability``.
 
-    Cached DOIs are answered locally; the rest are queried in batches of
-    config.batch_size over at most ``WORKERS`` worker threads sharing
-    one rate limiter. Every successful lookup (matched or below
-    threshold) is appended to the cache with the provider's count as its
-    batch completes, so an interrupted run keeps what it already paid for.
-    The latest cached entry per DOI is picked while the provider answers.
-    A count, cached or fresh, is returned only where its match probability
-    is strictly above ``config.min_match_probability``.
-
-    ``cached`` is what :meth:`Cache.read_columns` returned, when the caller
-    has read the cache already; by default it is read here. ``on_cached``,
-    if given, is called with the cache's answers by DOI, each count kept only
-    above the threshold, once the requests are out (or, when every DOI is
-    cached, just before returning), so that the caller's work on them
-    overlaps the provider's answers. The callable must not keep the dict:
-    the provider's answers are added to it once the call returns.
+    The DOIs go out in batches of config.batch_size over at most ``WORKERS``
+    worker threads sharing one rate limiter. Every successful lookup (matched
+    or below threshold) is appended to the cache with the provider's count as
+    its batch completes, so an interrupted run keeps what it already paid for.
+    ``meanwhile``, if given, is called once the requests are out (at once when
+    nothing is missing), so that the caller's work overlaps the provider's
+    answers.
 
     Raises FetchError if the provider cannot be reached at all for some
     batch; results cached before that point remain on disk.
     """
-    if cached is None:
-        cached = cache.read_columns()
-    threshold = config.min_match_probability
-    missing = sorted(set(dois).difference(cached[0]))
     if not missing:
-        known = _cleared(cache.latest(cached).values(), threshold)
-        if on_cached is not None:
-            on_cached(known)
-        return list(map(known.__getitem__, dois))
-
+        if meanwhile is not None:
+            meanwhile()
+        return {}
     load_client()  # before the first grant, so that no request waits for an import
     from concurrent.futures import ThreadPoolExecutor
 
@@ -505,9 +537,37 @@ def fetch_counts(
 
     with ThreadPoolExecutor(max_workers=min(WORKERS, len(batches))) as pool:
         answers = pool.map(run_batch, batches)
-        known = _cleared(cache.latest(cached).values(), threshold)  # while the provider answers
-        if on_cached is not None:
-            on_cached(known)
-        for batch_results in answers:
-            known.update(_cleared(batch_results, threshold))
+        if meanwhile is not None:
+            meanwhile()
+        return _cleared(chain.from_iterable(answers), config.min_match_probability)
+
+
+def fetch_counts(
+    dois: Sequence[str],
+    config: ProviderConfig,
+    cache: Cache,
+    cached: Sequence[Sequence] | None = None,
+    on_cached: Callable[[dict[str, FetchResult]], None] | None = None,
+) -> list[FetchResult]:
+    """Resolve DOIs to reader counts, one FetchResult per input DOI.
+
+    Cached DOIs are answered locally from their latest entry; the rest go to
+    the provider (see :func:`fetch_missing`). A count, cached or fresh, is
+    returned only where its match probability is strictly above
+    ``config.min_match_probability``.
+
+    ``cached`` is what :meth:`Cache.read_columns` returned, when the caller
+    has read the cache already; by default it is read here. ``on_cached``,
+    if given, is called with the cache's answers by DOI, each count kept only
+    above the threshold, once the requests are out (or, when every DOI is
+    cached, just before returning). The callable must not keep the dict:
+    the provider's answers are added to it once the call returns.
+
+    Raises FetchError as :func:`fetch_missing` does.
+    """
+    if cached is None:
+        cached = cache.read_columns()
+    known = _cleared(Cache.latest(cached).values(), config.min_match_probability)
+    missing = sorted(set(dois).difference(known))
+    known.update(fetch_missing(missing, config, cache, None if on_cached is None else lambda: on_cached(known)))
     return list(map(known.__getitem__, dois))

@@ -23,7 +23,7 @@ import logging
 import marshal
 import math
 from array import array
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from operator import itemgetter, not_
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -41,7 +41,8 @@ YEAR_MAX = 2100
 MANDATORY_COLUMNS = ("id", "field", "year", "reads")
 KNOWN_COLUMNS = frozenset(MANDATORY_COLUMNS + ("cites",))
 FORMATS = ("delimited", "line-json")
-# lines decoded per json.loads call on the line-JSON fast path
+# the rows or lines of one part of a parse: a delimited part, or the lines
+# decoded per json.loads call on the line-JSON fast path
 _CHUNK_LINES = 4096
 
 
@@ -362,13 +363,15 @@ def _unnamed(numbers: Sequence[int], diagnostics: list) -> Sequence[int]:
 
 @gc_paused
 def parse_into(
-    sink: Columns | CorpusBuffers,
+    sink,
     source,
     format: str = "delimited",
     delimiter: str = ",",
 ) -> tuple[IngestReport, Sequence[int]]:
     """Append the records of a path or byte/text stream to ``sink``, a
-    :class:`Columns` of lists or a :class:`CorpusBuffers`, a part at a time.
+    :class:`Columns` of lists, a :class:`CorpusBuffers` or any object whose
+    ``extend`` takes :class:`Columns`, a part of at most ``_CHUNK_LINES``
+    rows or lines at a time.
 
     Returns the :class:`IngestReport` of this source's rows alone, and each
     record's line number as the report numbers the skipped rows: a line-JSON
@@ -383,10 +386,9 @@ def parse_into(
         diagnostics, numbers = _parse_line_json(read_lines(source), sink)
     else:
         with _text(source) as stream:
-            columns, diagnostics = _parse_delimited(stream, delimiter)
-        sink.extend(columns)
+            diagnostics, count = _parse_delimited(stream, delimiter, sink)
         # line 1 is the header, and blank rows are not numbered
-        numbers = _unnamed(range(2, len(columns.ids) + len(diagnostics) + 2), diagnostics)
+        numbers = _unnamed(range(2, count + 2), diagnostics)
     if isinstance(sink, CorpusBuffers) and sink.overflow:
         raise ValueError("a year does not fit in 64 bits")
     return IngestReport(len(numbers), len(diagnostics), tuple(diagnostics)), numbers
@@ -438,11 +440,13 @@ def _columns(rows: list[tuple]) -> Columns:
     return Columns(*(zip(*rows) if rows else ((),) * len(Columns._fields)))
 
 
-def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
+def _parse_delimited(stream, delimiter: str, sink) -> tuple[list, int]:
     """Rows as ``csv.DictReader`` reads them, with its keys trimmed: blank rows
     are skipped and not numbered, of header names equal once trimmed the last
     column wins, a short row lacks its last values and a long row's surplus is
-    dropped.
+    dropped. Each part of ``_CHUNK_LINES`` rows goes to ``sink`` before the
+    next is read. Returns the ``(line, reason)`` pairs of the rows rejected
+    and the number of rows read.
 
     Rows of the header's width whose values are plain -- an id and field of
     more than blanks, a year and reads of at most 18 decimal digits, cites
@@ -463,8 +467,20 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
 
     # trimmed name -> the column a DictReader row takes its value from
     source = {name.strip(): i for name, i in {name: i for i, name in enumerate(names)}.items()}
-    rows = list(filter(None, reader))
-    width = len(names)
+    filled = filter(None, reader)
+    diagnostics: list[tuple[int, str]] = []
+    count = 0
+    while rows := list(islice(filled, _CHUNK_LINES)):
+        sink.extend(_delimited_part(rows, source, len(names), count + 2, diagnostics))
+        count += len(rows)
+    return diagnostics, count
+
+
+def _delimited_part(rows: list[list[str]], source: dict[str, int], width: int, first: int,
+                    diagnostics: list) -> Columns:
+    """The :class:`Columns` of the accepted ``rows`` of a delimited file, the
+    first of them numbered ``first``; the rejected rows' ``(line, reason)``
+    pairs go to ``diagnostics``."""
     misfit = [""] * width  # stands in for a row of another width; its empty id is not plain
     table = list(zip(*(row if len(row) == width else misfit for row in rows))) or [()] * width
     ids, fields, years, reads = (table[source[col]] for col in MANDATORY_COLUMNS)
@@ -486,14 +502,13 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
     )
 
     taken: dict[int, tuple] = {}
-    diagnostics: list[tuple[int, str]] = []
     for pos in compress(range(len(rows)), map(not_, plain)):
         row = rows[pos]
         values = {name: row[i] if i < len(row) else None for name, i in source.items()}
         try:
             taken[pos] = _row_values(values)
         except ValueError as exc:
-            diagnostics.append((pos + 2, str(exc)))  # line 1 is the header
+            diagnostics.append((first + pos, str(exc)))
     if taken:
         at = [*compress(range(len(rows)), plain), *taken]
         order = sorted(range(len(at)), key=at.__getitem__)
@@ -501,7 +516,7 @@ def _parse_delimited(stream, delimiter: str) -> tuple[Columns, list]:
         columns = Columns(*(
             list(map([*column, *more].__getitem__, order)) for column, more in zip(columns, extra)
         ))
-    return columns, diagnostics
+    return columns
 
 
 def decode_line_chunks(lines: list[str], keys: frozenset[str], first: int = 1) -> Iterator[tuple]:
@@ -604,11 +619,33 @@ def _parse_line_json_rows(lines: list[str], numbers: Sequence[int], warned: bool
     return _columns(rows), diagnostics, warned
 
 
-def repeated_positions(ids: Sequence[str]) -> list[int]:
-    """The 0-based positions of the ids that repeat an earlier one, ascending."""
-    seen: set[str] = set()
+def repeated_positions(ids: Sequence[str], seen: set[str] | None = None) -> list[int]:
+    """The 0-based positions of the ids that repeat an earlier one, ascending;
+    ``seen``, if given, holds the ids of earlier rows and gains these."""
+    seen = set() if seen is None else seen
     # set.add returns None: a first occurrence is recorded and passed over
     return [pos for pos, i in enumerate(ids) if i in seen or seen.add(i)]
+
+
+def findings(
+    columns: Columns,
+    year_range: tuple[int, int] = (YEAR_MIN, YEAR_MAX),
+    seen: set[str] | None = None,
+) -> list[tuple[int, str]]:
+    """The ``(position, reason)`` pairs of :func:`validate`, positions 0-based
+    in ``columns``, ascending, a row's reasons in check order. ``seen``, if
+    given, holds the ids of the rows before ``columns``, and gains theirs, so
+    that a check a part at a time finds what one check of the whole finds."""
+    ids, _, years, reads, cites = columns
+    lo, hi = year_range
+    # a stable sort on position keeps each row's diagnostics in check order
+    return sorted(
+        [(pos, f"duplicate id {ids[pos]}") for pos in repeated_positions(ids, seen)]
+        + [(pos, f"year out of range: {y}") for pos, y in enumerate(years) if not lo <= y <= hi]
+        + [(pos, f"negative reads: {r}") for pos, r in enumerate(reads) if r < 0]
+        + [(pos, f"negative cites: {c}") for pos, c in enumerate(cites) if c is not None and c < 0],
+        key=itemgetter(0),
+    )
 
 
 def validate(
@@ -623,19 +660,10 @@ def validate(
     diagnostics come in the order duplicate id, year, reads, cites.
     """
     columns = records if isinstance(records, Columns) else Columns.from_records(records)
-    ids, _, years, reads, cites = columns
-    lo, hi = year_range
-    # a stable sort on position keeps each row's diagnostics in check order
-    found = sorted(
-        [(pos, f"duplicate id {ids[pos]}") for pos in repeated_positions(ids)]
-        + [(pos, f"year out of range: {y}") for pos, y in enumerate(years) if not lo <= y <= hi]
-        + [(pos, f"negative reads: {r}") for pos, r in enumerate(reads) if r < 0]
-        + [(pos, f"negative cites: {c}") for pos, c in enumerate(cites) if c is not None and c < 0],
-        key=itemgetter(0),
-    )
+    found = findings(columns, year_range)
     flagged = len({pos for pos, _ in found})
     return IngestReport(
-        accepted=len(ids) - flagged,
+        accepted=len(columns.ids) - flagged,
         rejected=flagged,
         diagnostics=tuple((pos + 1, reason) for pos, reason in found),
     )

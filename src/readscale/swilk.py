@@ -54,6 +54,13 @@ class ZeroVarianceError(ValueError):
     """All sample values identical; W is undefined."""
 
 
+def identical(values: np.ndarray) -> bool:
+    """Whether every value of a non-empty sample is the same, decided
+    exactly: its largest equals its smallest. A sample's mean can miss the
+    value by an ulp, so its variance is no test of this."""
+    return bool(values.max() == values.min())
+
+
 class SwTestResult(NamedTuple):
     """W statistic, p-value, sample size and the rejection decision.
 
@@ -149,7 +156,7 @@ def shapiro_wilk(values: Sequence[float], alpha: float = 0.05) -> SwTestResult:
     n = x.size
     if n < N_MIN or n > N_MAX:
         raise UnsupportedSizeError(f"sample size {n} outside [{N_MIN}, {N_MAX}]")
-    if x[-1] - x[0] <= 0.0:
+    if identical(x):
         raise ZeroVarianceError("all values are identical")
 
     a = _weights(n)

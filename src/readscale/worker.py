@@ -1,9 +1,11 @@
 """A function run beside the parent's own work, forked where it can be.
 
-The analysis commands parse their inputs in a :class:`Worker` while the
-parent imports numpy and the analysis modules, then share their stages'
-(stage, year) tasks with one through a :class:`TaskQueue`, and ``fetch``
-decodes its cache in one while the parent parses the corpus. A forked worker
+It serves three callers. The analysis commands parse their inputs in a
+:class:`Worker` while the parent imports numpy and the analysis modules, then
+share their stages' (stage, year) tasks with one through a
+:class:`TaskQueue`; ``fetch`` decodes its cache in one while the parent
+parses the corpus; and ``ingest`` parses its inputs in one, which streams
+each part to the parent, where it is checked and written. A forked worker
 shares what the parent has loaded copy-on-write and nothing is sent to it. It
 holds its log records back from the handlers and, when its function returns
 or raises, writes the return value, its records and any failure as one
@@ -11,10 +13,11 @@ pickle to an anonymous file, which the parent reads once the worker has
 exited: a worker that finishes first never waits for the parent to take its
 result. The parent replays the records where the function's records come in
 sequence, and re-raises the failure, so a run logs and fails as the steps
-run one after another would. A worker given a sink also streams files, each
-a name and its bytes and nothing else, to the parent while it runs, over a
-pipe that the parent drains between its own steps: so one process, the
-parent, creates every file of the run. A worker that did not fork -- the
+run one after another would. A worker given a sink also streams messages to
+the parent while it runs, each two tag numbers, a name and bytes, over a pipe
+that the parent drains between its own steps: the files of the stage tasks,
+or the parts of ingest's parse. So one process, the parent, creates every
+file of the run. A worker that did not fork -- the
 caller, the platform or the process ruled it out, or the file, the pipe or
 the fork failed, and what was opened for it is closed -- runs its function
 when it is joined, its records going straight to the handlers and its files
@@ -39,7 +42,7 @@ __all__ = ["TaskQueue", "Worker", "forks", "held_records", "replay", "reraise"]
 # unprivileged process, /proc/sys/fs/pipe-max-size)
 PIPE_BYTES = 2**20
 
-# a streamed file's head: the two numbers the sender tags it with, and the
+# a streamed message's head: the two numbers the sender tags it with, and the
 # sizes of its name and of its bytes
 _FILE_HEAD = struct.Struct("=IIIQ")
 
@@ -182,7 +185,7 @@ class TaskQueue:
 
 
 def _send(fd: int, tag: int, mark: int, name: str, data: bytes) -> None:
-    """Write one file to a stream: its head, its name and its bytes."""
+    """Write one message to a stream: its head, its name and its bytes."""
     encoded = name.encode()
     message = memoryview(_FILE_HEAD.pack(tag, mark, len(encoded), len(data)) + encoded + data)
     while message:
@@ -202,8 +205,8 @@ class Worker:
     joined; :attr:`forked` tells which. Errors name the worker ``name``.
 
     With a ``sink``, the call is ``fn(send, *args)``, and each
-    ``send(tag, mark, name, data)`` -- a file's two tag numbers, its name and
-    its bytes -- reaches ``sink`` with the same arguments in this process: at
+    ``send(tag, mark, name, data)`` -- two tag numbers, a name and bytes,
+    such as a file's -- reaches ``sink`` with the same arguments in this process: at
     once in a worker that did not fork, else when :meth:`drain` or
     :meth:`join` takes it from the stream, in the order sent.
 
@@ -262,8 +265,8 @@ class Worker:
             self._buffer = bytearray()
 
     def drain(self, wait: bool = False) -> None:
-        """Hand the files waiting in a forked worker's stream to the sink;
-        with ``wait``, every file until the worker exits."""
+        """Hand the messages waiting in a forked worker's stream to the sink;
+        with ``wait``, every message until the worker exits."""
         if self._stream is not None and wait:
             os.set_blocking(self._stream, True)
         while self._stream is not None:
@@ -278,7 +281,7 @@ class Worker:
             self._deliver()
 
     def _deliver(self) -> None:
-        """Hand every whole file at the head of the buffer to the sink."""
+        """Hand every whole message at the head of the buffer to the sink."""
         buffer, at, head = self._buffer, 0, _FILE_HEAD.size
         while len(buffer) - at >= head:
             tag, mark, name_size, size = _FILE_HEAD.unpack_from(buffer, at)
@@ -292,7 +295,7 @@ class Worker:
 
     def join(self) -> Any:
         """What the function returned, once a forked worker's log records
-        are replayed here and its files handed to the sink; raises the
+        are replayed here and its messages handed to the sink; raises the
         function's failure, or :class:`ChildProcessError` if a forked worker
         died first."""
         if not self.forked:

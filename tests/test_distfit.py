@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readscale.distfit import test_lognormality as lognormality_test
 from readscale.distfit import (
+    ZERO_POLICIES,
     DegenerateSampleError,
     ZeroPolicy,
     ZeroVarianceError,
@@ -162,3 +165,24 @@ def test_lognormal_draws_usually_pass():
         lognormality_test(rng.lognormal(1.0, 1.0, 120)).reject for _ in range(100)
     )
     assert rejections <= 15
+
+
+def test_ten_reads_of_three_get_no_fit():
+    # their logs' pairwise mean misses ln 3 by an ulp, which left a variance of 4.9e-32
+    with pytest.raises(ZeroVarianceError, match="all retained values are identical"):
+        fit_lognormal([3] * 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 6000),
+    st.one_of(st.integers(1, 10**9), st.floats(min_value=1e-300, max_value=1e300)),
+    st.sampled_from(ZERO_POLICIES),
+)
+def test_a_constant_sample_is_refused_by_the_fit_and_the_test_alike(n, count, policy):
+    reads = [count] * n
+    with pytest.raises(ZeroVarianceError, match="^all retained values are identical$"):
+        fit_lognormal(reads, ZeroPolicy(policy))
+    if 3 <= n <= 5000:
+        with pytest.raises(ZeroVarianceError, match="^all values are identical$"):
+            lognormality_test(reads, ZeroPolicy(policy))

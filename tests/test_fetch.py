@@ -239,6 +239,31 @@ def test_corrupt_cache_line_skipped_with_warning(tmp_path, caplog):
     assert "unreadable cache line" in caplog.text
 
 
+def test_a_torn_last_line_costs_only_itself(stub_provider, tmp_path, caplog):
+    server = stub_provider({"10.9/fresh": (5, 0.95)})
+    path = tmp_path / "cache.jsonl"
+    cache = Cache(path)
+    cache.append([FetchResult("10.9/old", 3, 0.95, 1.0)])
+    with open(path, "ab") as fh:  # a write cut off mid-line
+        fh.write(b'{"doi": "10.9/torn", "fetched_at": 2.0, "match_pro')
+    assert [r.reads for r in fetch_counts(["10.9/old", "10.9/fresh"], _config(server.url), cache)] == [3, 5]
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        entries = Cache.latest(Cache(path).read_columns())
+    assert {doi: r.reads for doi, r in entries.items()} == {"10.9/old": 3, "10.9/fresh": 5}
+    assert [r.getMessage() for r in caplog.records] == [f"{path}:2: unreadable cache line skipped"]
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+def test_an_append_adds_no_line_break_after_a_whole_line(tmp_path, ending):
+    path = tmp_path / "cache.jsonl"
+    line = json.dumps({"doi": "a", "fetched_at": 1.0, "match_probability": 0.95, "reads": 3}, sort_keys=True)
+    path.write_bytes(line.encode() + ending)
+    Cache(path).append([FetchResult("b", 4, 0.95, 2.0)])
+    assert path.read_bytes() == (line + ending.decode() + line.replace('"a"', '"b"').replace("1.0", "2.0")
+                                 .replace(": 3", ": 4") + "\n").encode()
+
+
 def test_cache_append_only(stub_provider, tmp_path):
     server = stub_provider({"10.10/a": (1, 0.95), "10.10/b": (2, 0.95)})
     path = tmp_path / "cache.jsonl"

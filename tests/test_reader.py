@@ -3,6 +3,7 @@ break lines alike, whatever the byte-order mark and line breaks of the file,
 and a caller's byte stream stays open."""
 from __future__ import annotations
 
+import contextlib
 import gc
 import io
 import json
@@ -108,18 +109,25 @@ def test_undecodable_cache_fails_as_a_corpus_does(tmp_path):
         Cache(path).read_columns()
 
 
-def _dois_read(argv: list[str], monkeypatch) -> list[str]:
-    """The DOIs ``fetch`` asks the provider client about."""
+def _dois_read(argv: list[str], monkeypatch) -> tuple[list[str], int]:
+    """The DOIs ``fetch`` asks the provider client about, none of them cached,
+    and the number of DOIs its summary says it resolved, repeats included."""
     asked = []
 
-    def fetch_counts(dois, config, cache, cached=None, on_cached=None):
-        asked.extend(dois)
-        return [FetchResult(doi, None, 0.0, 0.0) for doi in dois]
+    def fetch_missing(missing, config, cache, meanwhile=None):
+        asked.extend(missing)
+        return {doi: FetchResult(doi, None, 0.0, 0.0) for doi in missing}
 
-    monkeypatch.setattr(fetch_mod, "fetch_counts", fetch_counts)
+    monkeypatch.setattr(fetch_mod, "fetch_missing", fetch_missing)
     monkeypatch.setattr(worker_mod, "_cpus", lambda: 1)
-    assert main(["fetch", "--provider-url", "http://127.0.0.1:9", *argv]) == 0
-    return asked
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["fetch", "--provider-url", "http://127.0.0.1:9", *argv]) == 0
+    return asked, int(stdout.getvalue().split()[1])
+
+
+def _asked(dois: list[str]) -> tuple[list[str], int]:
+    """What :func:`_dois_read` gives for a list of ``dois`` read in order."""
+    return sorted(set(dois)), len(dois)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -135,14 +143,14 @@ def test_fetch_reads_the_dois_of_its_plain_lf_twin(tmp_path, monkeypatch, lines,
     cache = ["--cache", str(tmp_path / "none.jsonl")]
     read = _dois_read(["--dois", str(odd), *cache], monkeypatch)
     assert read == _dois_read(["--dois", str(plain), *cache], monkeypatch)
-    assert read == [d for d in map(str.strip, lines) if d and not d.startswith("#")]
+    assert read == _asked([d for d in map(str.strip, lines) if d and not d.startswith("#")])
 
 
 def test_fetch_breaks_a_doi_list_at_line_breaks_alone(tmp_path, monkeypatch):
     dois = tmp_path / "dois.txt"
     dois.write_bytes("\ufeff10.1/a\r\n10.1/b\u2028c\r\n# note\r\n10.1/d\x85e\r\n".encode("utf-8"))
     read = _dois_read(["--dois", str(dois), "--cache", str(tmp_path / "none.jsonl")], monkeypatch)
-    assert read == ["10.1/a", "10.1/b\u2028c", "10.1/d\x85e"]
+    assert read == _asked(["10.1/a", "10.1/b\u2028c", "10.1/d\x85e"])
 
 
 CSV = b"id,field,year,reads\na,A,2010,3\n"
