@@ -276,12 +276,14 @@ def _load_strata(paths: Sequence[str], years: Sequence[int] | None) -> Strata:
 class _IngestWriter:
     """The sink of ``ingest``'s parse. Each part is checked as :func:`validate`
     checks, with the ids of the parts before it, and its rows that no finding
-    flags (with ``--year``, of those years alone) are appended to ``stream``
-    as line-JSON. A failed write is kept rather than raised, so that the parse
-    runs on and logs as it would before a write; the caller raises it."""
+    flags (with ``--year``, of those years alone) are appended to ``path`` as
+    line-JSON, the file opened at the first such row. A failed open or write
+    is kept rather than raised, so that the parse runs on and logs as it
+    would before a write; :meth:`close` raises it."""
 
-    def __init__(self, stream: IO[str], years: Sequence[int] | None):
-        self.stream = stream
+    def __init__(self, path: Path, years: Sequence[int] | None):
+        self.path = path
+        self.stream: IO[str] | None = None
         self.years = set(years or ())
         self.seen: set[str] = set()  # the ids of the rows checked
         self.rows = 0
@@ -302,11 +304,28 @@ class _IngestWriter:
                 pos not in flagged and (not years or year in years) for pos, year in enumerate(part.years)
             )
         self.kept += len(part.ids)
-        if self.failure is None and part.ids:
+        if part.ids:
+            self._write(part)
+
+    def _write(self, part: Columns | None) -> None:
+        """Open the file if it is not, and append the rows of ``part``, if any."""
+        if self.failure is None:
             try:
-                self.stream.write("".join(_json_lines(part)))
+                if self.stream is None:
+                    self.stream = open(self.path, "w", encoding="utf-8", newline="")
+                if part is not None:
+                    self.stream.write("".join(_json_lines(part)))
             except OSError as exc:
                 self.failure = exc
+
+    def close(self) -> None:
+        """Close the file, made empty if no row was kept, and raise a failed
+        open or write."""
+        self._write(None)
+        if self.stream is not None:
+            self.stream.close()
+        if self.failure is not None:
+            raise self.failure
 
     def receive(self, tag: int, mark: int, name: str, data: bytes) -> None:
         """:meth:`extend` with a part that :class:`_PartSender` sent."""
@@ -345,39 +364,38 @@ def cmd_ingest(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    partial = out_dir / ".corpus.jsonl.partial"
+    writer = _IngestWriter(out_dir / ".corpus.jsonl.partial", args.year)
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as stream:
-            writer = _IngestWriter(stream, args.year)
-            if forks():
-                parser = Worker("ingest parser", _send_inputs, args.input, sink=writer.receive)
-                try:
-                    files = parser.join()
-                finally:
-                    parser.stop()
-            else:
-                files = _parse_inputs(args.input, writer)
-        if writer.failure is not None:
-            raise writer.failure
-        os.replace(partial, out_dir / "corpus.jsonl")
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+        if forks():
+            parser = Worker("ingest parser", _send_inputs, args.input, sink=writer.receive)
+            try:
+                files = parser.join()
+            finally:
+                parser.stop()
+        else:
+            files = _parse_inputs(args.input, writer)
 
-    # the writer numbers the rows by position in all inputs; each finding
-    # takes its row's file and line, as the parse rejections do
-    diagnostics = [
-        (line, f"{path.name}: {reason}")
-        for path, report, _ in files for line, reason in report.diagnostics
-    ]
-    ends = list(accumulate(report.accepted for _, report, _ in files))
-    for pos, reason in writer.findings:
-        i = bisect_left(ends, pos)
-        path, _, lines = files[i]
-        diagnostics.append((lines[pos - 1 - (ends[i - 1] if i else 0)], f"{path.name}: {reason}"))
-    left_out = writer.rows - writer.flagged - writer.kept
-    if left_out:
-        log.info("%d rows of other years left out", left_out)
+        # the writer numbers the rows by position in all inputs; each finding
+        # takes its row's file and line, as the parse rejections do
+        diagnostics = [
+            (line, f"{path.name}: {reason}")
+            for path, report, _ in files for line, reason in report.diagnostics
+        ]
+        ends = list(accumulate(report.accepted for _, report, _ in files))
+        for pos, reason in writer.findings:
+            i = bisect_left(ends, pos)
+            path, _, lines = files[i]
+            diagnostics.append((lines[pos - 1 - (ends[i - 1] if i else 0)], f"{path.name}: {reason}"))
+        left_out = writer.rows - writer.flagged - writer.kept
+        if left_out:
+            log.info("%d rows of other years left out", left_out)
+        writer.close()
+        os.replace(writer.path, out_dir / "corpus.jsonl")
+    except BaseException:
+        if writer.stream is not None:
+            writer.stream.close()
+            writer.path.unlink(missing_ok=True)
+        raise
 
     # a row counts once, however many findings it has
     rejected = sum(report.rejected for _, report, _ in files) + writer.flagged
@@ -418,14 +436,14 @@ def cmd_fetch(args) -> int:
     forked, this process meanwhile loads the client, parses the corpus and
     the DOI list and decodes the cache's head (:meth:`~readscale.fetch.Cache.head`).
     Each DOI is answered from the cache's columns, at the line of its latest
-    entry (:func:`~readscale.fetch.latest_lines`), and the DOIs the cache
+    entry (:func:`~readscale.fetch.answer_from_cache`), and the DOIs the cache
     lacks go to :func:`~readscale.fetch.fetch_missing`. The merged corpus is
     rendered while the provider answers, and the rows whose id the cache
     lacks again after. The output, log and exit code are those of the steps
     in sequence, and of :func:`~readscale.fetch.fetch_counts` over every DOI."""
     # the provider client loads urllib.request and a thread pool only for a
     # DOI missing from the cache; fetch is the only command that imports it
-    from .fetch import Cache, FetchError, ProviderConfig, fetch_missing, latest_lines, load_client
+    from .fetch import Cache, FetchError, ProviderConfig, answer_from_cache, fetch_missing, load_client
     from .worker import Worker, forks, held_records, replay
 
     if not args.input and not args.dois:
@@ -460,12 +478,8 @@ def cmd_fetch(args) -> int:
     finally:
         reader.stop()
 
-    # each DOI's count from the line of its latest cache entry, kept only
-    # above the threshold; the DOIs the cache lacks go to the provider
-    threshold = config.min_match_probability
-    _, reads, probabilities, _ = cached
-    at = list(map(latest_lines(cached[0], cached[3]).get, dois))
-    counts = [None if k is None or not probabilities[k] > threshold else reads[k] for k in at]
+    # the DOIs the cache lacks go to the provider
+    at, counts = answer_from_cache(dois, cached, config.min_match_probability)
     missed = [i for i, k in enumerate(at) if k is None]
     lines: list[str] = []  # the merged corpus, rendered while the provider answers
 

@@ -18,11 +18,12 @@ are returned but never cached, so a transient outage does not poison later
 runs.
 
 The cache is read as columns (:meth:`Cache.read_columns`), and
-:func:`latest_lines` maps each DOI to the line of its latest entry. The
-``fetch`` command answers the cached DOIs from those columns and
+:func:`latest_lines` maps each DOI to the line of its latest entry.
+:func:`answer_from_cache` answers the cached DOIs from those columns and
 :func:`fetch_missing` the rest, so that only the provider's answers become
-:class:`FetchResult` objects. :func:`fetch_counts` and :meth:`Cache.latest`
-give library callers one :class:`FetchResult` per DOI over the same index.
+:class:`FetchResult` objects; the ``fetch`` command calls the two in turn.
+:func:`fetch_counts` and :meth:`Cache.latest` give library callers one
+:class:`FetchResult` per DOI over the same index.
 
 Batches go out over a few worker threads behind one :class:`RateLimiter`:
 up to ceil(rate_limit) requests at once, never more than that in any one-second
@@ -63,6 +64,7 @@ __all__ = [
     "FetchResult",
     "ProviderConfig",
     "RateLimiter",
+    "answer_from_cache",
     "fetch_counts",
     "fetch_missing",
     "latest_lines",
@@ -399,9 +401,22 @@ def latest_lines(dois: Sequence[str], times: Sequence[float]) -> dict[str, int]:
     return latest
 
 
+def answer_from_cache(
+    dois: Sequence[str], columns: Sequence[Sequence], threshold: float
+) -> tuple[list[int | None], list[int | None]]:
+    """For each DOI, the line of its latest entry in cache columns (see
+    :func:`latest_lines`), None where the cache lacks it, and the count
+    there, kept only where its match probability is strictly above
+    ``threshold``, None otherwise."""
+    _, reads, probabilities, _ = columns
+    lines = list(map(latest_lines(columns[0], columns[3]).get, dois))
+    counts = [None if k is None or not probabilities[k] > threshold else reads[k] for k in lines]
+    return lines, counts
+
+
 def _cleared(results: Iterable[FetchResult], threshold: float) -> dict[str, FetchResult]:
-    """The results by DOI, each keeping its count only where its match
-    probability is strictly above ``threshold``."""
+    """The provider's answers by DOI, each keeping its count only where its
+    match probability is strictly above ``threshold``."""
     return {
         r.doi: r if r.reads is None or r.match_probability > threshold else r._replace(reads=None)
         for r in results
@@ -542,32 +557,21 @@ def fetch_missing(
         return _cleared(chain.from_iterable(answers), config.min_match_probability)
 
 
-def fetch_counts(
-    dois: Sequence[str],
-    config: ProviderConfig,
-    cache: Cache,
-    cached: Sequence[Sequence] | None = None,
-    on_cached: Callable[[dict[str, FetchResult]], None] | None = None,
-) -> list[FetchResult]:
+def fetch_counts(dois: Sequence[str], config: ProviderConfig, cache: Cache) -> list[FetchResult]:
     """Resolve DOIs to reader counts, one FetchResult per input DOI.
 
-    Cached DOIs are answered locally from their latest entry; the rest go to
-    the provider (see :func:`fetch_missing`). A count, cached or fresh, is
-    returned only where its match probability is strictly above
-    ``config.min_match_probability``.
-
-    ``cached`` is what :meth:`Cache.read_columns` returned, when the caller
-    has read the cache already; by default it is read here. ``on_cached``,
-    if given, is called with the cache's answers by DOI, each count kept only
-    above the threshold, once the requests are out (or, when every DOI is
-    cached, just before returning). The callable must not keep the dict:
-    the provider's answers are added to it once the call returns.
+    Cached DOIs are answered from their latest entry (see
+    :func:`answer_from_cache`); the rest go to the provider (see
+    :func:`fetch_missing`). A count, cached or fresh, is returned only where
+    its match probability is strictly above ``config.min_match_probability``.
 
     Raises FetchError as :func:`fetch_missing` does.
     """
-    if cached is None:
-        cached = cache.read_columns()
-    known = _cleared(Cache.latest(cached).values(), config.min_match_probability)
-    missing = sorted(set(dois).difference(known))
-    known.update(fetch_missing(missing, config, cache, None if on_cached is None else lambda: on_cached(known)))
-    return list(map(known.__getitem__, dois))
+    cached = cache.read_columns()
+    lines, counts = answer_from_cache(dois, cached, config.min_match_probability)
+    answers = fetch_missing(sorted({doi for doi, k in zip(dois, lines) if k is None}), config, cache)
+    _, _, probabilities, times = cached
+    return [
+        answers[doi] if k is None else FetchResult(doi, count, probabilities[k], times[k])
+        for doi, k, count in zip(dois, lines, counts)
+    ]

@@ -27,7 +27,9 @@ from readscale.fetch import (
     FetchResult,
     ProviderConfig,
     RateLimiter,
+    answer_from_cache,
     fetch_counts,
+    fetch_missing,
 )
 from readscale.worker import held_records, replay
 
@@ -854,20 +856,16 @@ def test_request_rate_holds_with_work_on_the_cached_answers(stub_provider, tmp_p
     fetch_counts(["10.15/30"], _config(server.url), Cache(tmp_path / "warm.jsonl"))
     with server._lock:
         server.arrivals.clear()
-    cache = Cache(tmp_path / "c.jsonl")
-    cache.append([FetchResult("10.15/cached", 7, 0.95, 1.0)])
     calls = []
 
-    def render(known):
-        calls.append(dict(known))
+    def render():
+        calls.append(None)
         _busy(0.025)
 
-    dois = [f"10.15/{i}" for i in range(30)] + ["10.15/cached"]
-    results = fetch_counts(
-        dois, _config(server.url, batch_size=1, rate_limit=rate), cache, on_cached=render,
-    )
-    assert calls == [{"10.15/cached": FetchResult("10.15/cached", 7, 0.95, 1.0)}]
-    assert [r.reads for r in results] == [*range(30), 7]
+    dois = [f"10.15/{i}" for i in range(30)]
+    answers = fetch_missing(dois, _config(server.url, batch_size=1, rate_limit=rate), Cache(tmp_path / "c.jsonl"), render)
+    assert calls == [None]
+    assert [answers[doi].reads for doi in dois] == [*range(30)]
     arrivals = sorted(server.arrivals)
     assert len(arrivals) == 30
     for t0 in arrivals:
@@ -878,7 +876,8 @@ def test_work_on_the_cached_answers_runs_once_they_are_all_cached(tmp_path):
     cache = Cache(tmp_path / "c.jsonl")
     cache.append([FetchResult("a", 7, 0.95, 1.0), FetchResult("b", 8, 0.5, 1.0), FetchResult("a", 9, 0.99, 0.5)])
     calls = []
-    results = fetch_counts(["a", "b", "a"], _config("http://127.0.0.1:9"), cache, on_cached=calls.append)
+    assert fetch_missing([], _config("http://127.0.0.1:9"), cache, lambda: calls.append(None)) == {}
+    assert calls == [None]
     # the latest entry per DOI, its count kept only above the threshold
-    assert calls == [{"a": FetchResult("a", 7, 0.95, 1.0), "b": FetchResult("b", None, 0.5, 1.0)}]
-    assert [r.reads for r in results] == [7, None, 7]
+    threshold = _config("http://unused").min_match_probability
+    assert answer_from_cache(["a", "b", "a"], cache.read_columns(), threshold) == ([0, 1, 0], [7, None, 7])

@@ -1,6 +1,7 @@
 """``fetch`` answering from the cache's columns: the merged corpus, summary and
-cache lines of :func:`~readscale.fetch.fetch_counts` on the same cache, on
-one CPU and on two, where the cache is read in a forked reader."""
+cache lines that a line-by-line reading of the cache gives, and the counts of
+:func:`~readscale.fetch.fetch_counts` on the same cache, on one CPU and on
+two, where the cache is read in a forked reader."""
 from __future__ import annotations
 
 import json
@@ -76,6 +77,29 @@ _ANSWERS = st.dictionaries(
 )
 
 
+def _expected(entries: list[tuple], dois: list[str], answers: dict) -> tuple[list, int, list[dict]]:
+    """A line-by-line reading of what fetch gives: each DOI's count, None where
+    none clears the threshold, the number of failed lookups, and the cache
+    lines appended, without their times. A DOI takes its latest cache entry,
+    a tie going to the later line; the provider is asked about the others in
+    sorted order, and a DOI it leaves out fails."""
+    latest = {}
+    for doi, reads, probability, fetched_at in entries:
+        if doi not in latest or fetched_at >= latest[doi][2]:
+            latest[doi] = (reads, probability, fetched_at)
+    counts, failed = [], 0
+    for doi in dois:
+        reads, probability, _ = latest.get(doi) or (*answers.get(doi, (None, 0.0)), None)
+        counts.append(reads if probability > THRESHOLD else None)
+        failed += doi not in latest and doi not in answers
+    asked = sorted(set(dois).difference(latest))
+    appended = [
+        {"doi": doi, "match_probability": answers[doi][1], "reads": answers[doi][0]}
+        for doi in asked if doi in answers
+    ]
+    return counts, failed, appended
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     _ENTRIES,
@@ -96,13 +120,16 @@ def test_fetch_answers_from_columns_as_fetch_counts_does(
     write_records(corpus, work / "corpus.jsonl", format="line-json")
     (work / "dois.txt").write_text("".join(doi + "\n" for doi in extra_dois))
 
-    # the expected outcome: fetch_counts on a copy of the cache
-    shutil.copyfile(work / "cache.jsonl", work / "expected-cache.jsonl")
     dois = [*corpus_ids, *extra_dois]
-    results = fetch_counts(dois, ProviderConfig(base_url=server.url), Cache(work / "expected-cache.jsonl"))
-    counts = [r.reads for r in results]
+    counts, failed, appended = _expected(entries, dois, answers)
+    # fetch_counts on a copy of the cache gives the same counts and cache lines
+    shutil.copyfile(work / "cache.jsonl", work / "library-cache.jsonl")
+    results = fetch_counts(dois, ProviderConfig(base_url=server.url), Cache(work / "library-cache.jsonl"))
+    assert [r.reads for r in results] == counts
+    assert len(results) - [r.error for r in results].count(None) == failed
+    assert _without_times((work / "library-cache.jsonl").read_text().splitlines()[len(entries):]) == appended
+
     matched = len(counts) - counts.count(None)
-    failed = len(results) - [r.error for r in results].count(None)
     fetched = counts[:len(corpus_ids)]
     summary = (
         f"resolved {len(dois)} dois: {matched} matched, {len(dois) - matched - failed} below threshold, "
@@ -110,7 +137,6 @@ def test_fetch_answers_from_columns_as_fetch_counts_does(
     )
     merged = [old if new is None else new for old, new in zip(old_reads, fetched)]
     write_records(corpus._replace(reads=merged), work / "expected.jsonl", format="line-json")
-    appended = _without_times((work / "expected-cache.jsonl").read_text().splitlines()[len(entries):])
 
     runs = {}
     for label, cpus in (("one", {0}), ("two", {0, 1})):

@@ -1,10 +1,12 @@
 """``ingest`` with its parse streamed into the writer a part at a time: from a
 forked parser on two CPUs, in this process on one. Both give the --out tree,
-stdout, stderr and exit code of one part per file, and a failed run leaves no
+stdout, stderr and exit code of a reference that parses every input whole and
+then checks, filters and writes them at once, and a failed run leaves no
 corpus.jsonl."""
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import logging
@@ -35,16 +37,65 @@ pytestmark = pytest.mark.skipif(
 ONE, TWO = {0}, {0, 1}
 
 
+def _reference_ingest(args) -> int:
+    """``ingest`` with every input parsed whole before one check of them all:
+    the files joined, validated, their rows filtered and written at once."""
+    import logging
+    from bisect import bisect_left
+    from itertools import accumulate
+    from pathlib import Path
+
+    from readscale.ingest import Columns, IngestReport, parse_into, validate, write_diagnostics, write_records
+
+    log = logging.getLogger("readscale.cli")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    columns = Columns([], [], [], [], [])
+    files = []
+    for name in args.input:
+        path = Path(name)
+        fmt = "line-json" if path.suffix == ".jsonl" else "delimited"
+        report, lines = parse_into(columns, path, fmt, "\t" if path.suffix == ".tsv" else ",")
+        if report.rejected:
+            log.warning("%s: skipped %d malformed rows", path, report.rejected)
+        files.append((path, report, lines))
+    diagnostics = [(line, f"{path.name}: {reason}") for path, report, _ in files for line, reason in report.diagnostics]
+    check = validate(columns)
+    ends = list(accumulate(report.accepted for _, report, _ in files))
+    for pos, reason in check.diagnostics:
+        i = bisect_left(ends, pos)
+        path, _, lines = files[i]
+        diagnostics.append((lines[pos - 1 - (ends[i - 1] if i else 0)], f"{path.name}: {reason}"))
+    flagged = {pos for pos, _ in check.diagnostics}
+    years = set(args.year or ())
+    kept = columns.take(
+        pos not in flagged and (not years or year in years) for pos, year in enumerate(columns.years, start=1)
+    )
+    left_out = len(columns.ids) - check.rejected - len(kept.ids)
+    if left_out:
+        log.info("%d rows of other years left out", left_out)
+    write_records(kept, out_dir / "corpus.jsonl", format="line-json")
+    rejected = sum(report.rejected for _, report, _ in files) + check.rejected
+    combined = IngestReport(accepted=len(kept.ids), rejected=rejected, diagnostics=tuple(diagnostics))
+    write_diagnostics(combined, out_dir / "ingest_diagnostics.jsonl")
+    if combined.rejected:
+        log.warning("%d rows rejected; see ingest_diagnostics.jsonl", combined.rejected)
+    print(f"accepted {combined.accepted} rejected {combined.rejected}")
+    return 0
+
+
 def _pinned(cpus: set[int], argv: list[str], cwd: Path, chunk_lines: int | None = None) -> tuple:
     """(exit code, stdout, stderr, parts streamed) of ``readscale`` run in a
-    child process pinned to ``cpus``, its parts of ``chunk_lines`` rows;
-    "parts streamed" counts the parts that crossed a forked parser's stream."""
+    child process pinned to ``cpus``, its parts of ``chunk_lines`` rows, or,
+    with none given, with :func:`_reference_ingest` for ``ingest``; "parts
+    streamed" counts the parts that crossed a forked parser's stream."""
     streamed = cwd / f"streamed-{os.getpid()}-{len(os.listdir(cwd))}"
     code = (
         "import os, sys\n"
         f"os.sched_setaffinity(0, {cpus!r})\n"
         "from readscale import cli, ingest\n"
         + (f"ingest._CHUNK_LINES = {chunk_lines}\n" if chunk_lines else "")
+        + ("" if chunk_lines else inspect.getsource(_reference_ingest) + "cli.cmd_ingest = _reference_ingest\n")
         + "receive = cli._IngestWriter.receive\n"
         "def counted(self, *args):\n"
         f"    with open({str(streamed)!r}, 'a') as fh:\n"
@@ -135,7 +186,7 @@ _FILES = st.lists(
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_FILES, st.one_of(st.none(), st.sampled_from([[2010], [2011, 2012], [1850]])))
-def test_ingest_on_one_cpu_equals_two_and_one_part_per_file(tmp_path, files, years):
+def test_ingest_on_one_cpu_equals_two_and_the_reference(tmp_path, files, years):
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     inputs = []
     for i, (suffix, data) in enumerate(files):
@@ -143,11 +194,11 @@ def test_ingest_on_one_cpu_equals_two_and_one_part_per_file(tmp_path, files, yea
         inputs += ["--input", f"in{i}{suffix}"]
     flags = [arg for year in years or () for arg in ("--year", str(year))]
     runs = {}
-    for label, cpus, chunk_lines in (("one", ONE, 2), ("two", TWO, 2), ("whole", ONE, None)):
+    for label, cpus, chunk_lines in (("one", ONE, 2), ("two", TWO, 2), ("reference", ONE, None)):
         *runs[label], parts = _pinned(cpus, ["ingest", *inputs, *flags, "--out", f"out-{label}"], work, chunk_lines)
         runs[label].append(_tree(work / f"out-{label}"))
         assert parts == 0 or label == "two"
-    assert runs["one"] == runs["two"] == runs["whole"]
+    assert runs["one"] == runs["two"] == runs["reference"]
     code, _, stderr, tree = runs["one"]
     assert code == 0, stderr
     assert set(tree) == {"corpus.jsonl", "ingest_diagnostics.jsonl"}
@@ -179,16 +230,16 @@ def _failure_case(tmp_path: Path, kind: str) -> list[str]:
      r"WARNING readscale\.cli: first\.csv: skipped 1 malformed rows\n"
      r"ERROR readscale\.cli: missing mandatory column: 'reads'\n"),
 ])
-def test_a_failed_parse_leaves_no_corpus_and_logs_as_one_part(tmp_path, kind, stderr):
+def test_a_failed_parse_leaves_no_corpus_and_logs_as_the_reference(tmp_path, kind, stderr):
     inputs = [arg for name in _failure_case(tmp_path, kind) for arg in ("--input", name)]
     runs = {}
-    for label, cpus, chunk_lines in (("one", ONE, 3), ("two", TWO, 3), ("whole", ONE, None)):
+    for label, cpus, chunk_lines in (("one", ONE, 3), ("two", TWO, 3), ("reference", ONE, None)):
         out = tmp_path / f"out-{label}"
         *runs[label], parts = _pinned(cpus, ["ingest", *inputs, "--out", out.name], tmp_path, chunk_lines)
         assert os.listdir(out) == []
         if label == "two" and kind.startswith("invalid"):
             assert parts > 100  # written, and then dropped
-    assert runs["one"] == runs["two"] == runs["whole"]
+    assert runs["one"] == runs["two"] == runs["reference"]
     code, stdout, logged = runs["one"]
     assert (code, stdout) == (1, "")
     assert re.fullmatch(stderr, logged)
@@ -221,29 +272,32 @@ def test_every_part_is_checked_and_written_in_order(tmp_path, monkeypatch, forks
     assert sorted(os.listdir(out)) == ["corpus.jsonl", "ingest_diagnostics.jsonl"]
 
 
-def test_a_failed_write_fails_the_run_once_the_parse_has_logged(tmp_path, monkeypatch, caplog, forks):
+def _failing(*args, **kwargs):
+    raise OSError("no space left on the test's device")
+
+
+@pytest.mark.parametrize("failing", ["_json_lines", "open"])
+def test_a_failed_write_fails_the_run_once_the_parse_has_logged(tmp_path, monkeypatch, caplog, forks, failing):
     monkeypatch.setattr(ingest, "_CHUNK_LINES", 2)
     (tmp_path / "first.csv").write_text("id,field,year,reads\na,Bio,2010,1\nb,Bio,2010,2\nc,Bio,2010,x\n")
-    (tmp_path / "second.csv").write_text("id,field,year,reads\nd,Bio,2010,4\ne,Bio,2010,y\n")
-    lines = cli_mod._json_lines
-
-    def failing(columns):
-        raise OSError("no space left on the test's device")
-
-    monkeypatch.setattr(cli_mod, "_json_lines", failing)
+    (tmp_path / "second.csv").write_text("id,field,year,reads\nd,Bio,2011,4\ne,Bio,2010,y\n")
+    # a failed open or write of the corpus, held until every input is read
+    working = getattr(cli_mod, failing, open)
+    monkeypatch.setattr(cli_mod, failing, _failing, raising=False)
     out = tmp_path / "out"
     old = out / "corpus.jsonl"
     out.mkdir()
     old.write_text("an earlier run's corpus\n")
     caplog.set_level(logging.INFO)
     argv = ["ingest", "--input", str(tmp_path / "first.csv"), "--input", str(tmp_path / "second.csv")]
-    assert main([*argv, "--out", str(out)]) == 1
+    assert main([*argv, "--year", "2010", "--out", str(out)]) == 1
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
         ("WARNING", f"{tmp_path / 'first.csv'}: skipped 1 malformed rows"),
         ("WARNING", f"{tmp_path / 'second.csv'}: skipped 1 malformed rows"),
+        ("INFO", "1 rows of other years left out"),
         ("ERROR", "no space left on the test's device"),
     ]
     assert os.listdir(out) == ["corpus.jsonl"] and old.read_text() == "an earlier run's corpus\n"
-    monkeypatch.setattr(cli_mod, "_json_lines", lines)
+    monkeypatch.setattr(cli_mod, failing, working)
     assert main([*argv, "--out", str(out)]) == 0
     assert old.read_text().startswith('{"id": "a"')

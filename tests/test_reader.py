@@ -3,7 +3,6 @@ break lines alike, whatever the byte-order mark and line breaks of the file,
 and a caller's byte stream stays open."""
 from __future__ import annotations
 
-import contextlib
 import gc
 import io
 import json
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 import readscale.fetch as fetch_mod
 import readscale.worker as worker_mod
 from readscale.cli import main
-from readscale.fetch import Cache, FetchResult
+from readscale.fetch import Cache, FetchResult, answer_from_cache
 from readscale.ingest import IngestError, parse_columns, parse_corpus, parse_records, read_lines
 
 BREAKS = ("\n", "\r\n", "\r")
@@ -109,25 +108,23 @@ def test_undecodable_cache_fails_as_a_corpus_does(tmp_path):
         Cache(path).read_columns()
 
 
-def _dois_read(argv: list[str], monkeypatch) -> tuple[list[str], int]:
-    """The DOIs ``fetch`` asks the provider client about, none of them cached,
-    and the number of DOIs its summary says it resolved, repeats included."""
-    asked = []
+def _dois_read(argv: list[str], monkeypatch) -> list[str]:
+    """The DOIs ``fetch`` answers, in order: those it looks up in the cache,
+    none of which the provider client is asked about."""
+    read = []
+
+    def answered(dois, columns, threshold):
+        read.extend(dois)
+        return answer_from_cache(dois, columns, threshold)
 
     def fetch_missing(missing, config, cache, meanwhile=None):
-        asked.extend(missing)
         return {doi: FetchResult(doi, None, 0.0, 0.0) for doi in missing}
 
+    monkeypatch.setattr(fetch_mod, "answer_from_cache", answered)
     monkeypatch.setattr(fetch_mod, "fetch_missing", fetch_missing)
     monkeypatch.setattr(worker_mod, "_cpus", lambda: 1)
-    with contextlib.redirect_stdout(io.StringIO()) as stdout:
-        assert main(["fetch", "--provider-url", "http://127.0.0.1:9", *argv]) == 0
-    return asked, int(stdout.getvalue().split()[1])
-
-
-def _asked(dois: list[str]) -> tuple[list[str], int]:
-    """What :func:`_dois_read` gives for a list of ``dois`` read in order."""
-    return sorted(set(dois)), len(dois)
+    assert main(["fetch", "--provider-url", "http://127.0.0.1:9", *argv]) == 0
+    return read
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -143,14 +140,14 @@ def test_fetch_reads_the_dois_of_its_plain_lf_twin(tmp_path, monkeypatch, lines,
     cache = ["--cache", str(tmp_path / "none.jsonl")]
     read = _dois_read(["--dois", str(odd), *cache], monkeypatch)
     assert read == _dois_read(["--dois", str(plain), *cache], monkeypatch)
-    assert read == _asked([d for d in map(str.strip, lines) if d and not d.startswith("#")])
+    assert read == [d for d in map(str.strip, lines) if d and not d.startswith("#")]
 
 
 def test_fetch_breaks_a_doi_list_at_line_breaks_alone(tmp_path, monkeypatch):
     dois = tmp_path / "dois.txt"
     dois.write_bytes("\ufeff10.1/a\r\n10.1/b\u2028c\r\n# note\r\n10.1/d\x85e\r\n".encode("utf-8"))
     read = _dois_read(["--dois", str(dois), "--cache", str(tmp_path / "none.jsonl")], monkeypatch)
-    assert read == _asked(["10.1/a", "10.1/b\u2028c", "10.1/d\x85e"])
+    assert read == ["10.1/a", "10.1/b\u2028c", "10.1/d\x85e"]
 
 
 CSV = b"id,field,year,reads\na,A,2010,3\n"
