@@ -30,8 +30,8 @@ _HOMES = {
         "parse_corpus", "parse_records", "validate", "write_records",
     ),
     "rescale": (
-        "AllUnreadGroupError", "CcdfCurve", "RescaledSample", "ccdf", "ccdf_filename", "collapse",
-        "rescale_group", "write_ccdf_tsv",
+        "AllUnreadGroupError", "CcdfCurve", "RescaledSample", "UnscalableGroupError", "ccdf",
+        "ccdf_filename", "collapse", "rescale_group", "write_ccdf_tsv",
     ),
     "swilk": ("SwTestResult", "UnsupportedSizeError", "ZeroVarianceError", "shapiro_wilk"),
     "synth": ("FieldSpec", "SynthSpec", "generate_corpus", "generator_metadata", "lognormal_mean"),

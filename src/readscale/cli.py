@@ -29,7 +29,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 # numpy and the analysis modules load only for the commands that use them,
 # so that ingest and fetch start on the standard library alone
@@ -438,9 +438,9 @@ def cmd_fetch(args) -> int:
     Each DOI is answered from the cache's columns, at the line of its latest
     entry (:func:`~readscale.fetch.answer_from_cache`), and the DOIs the cache
     lacks go to :func:`~readscale.fetch.fetch_missing`. The merged corpus is
-    rendered while the provider answers, and the rows whose id the cache
-    lacks again after. The output, log and exit code are those of the steps
-    in sequence, and of :func:`~readscale.fetch.fetch_counts` over every DOI."""
+    rendered once the provider has answered. The output, log and exit code
+    are those of the steps in sequence, and of
+    :func:`~readscale.fetch.fetch_counts` over every DOI."""
     # the provider client loads urllib.request and a thread pool only for a
     # DOI missing from the cache; fetch is the only command that imports it
     from .fetch import Cache, FetchError, ProviderConfig, answer_from_cache, fetch_missing, load_client
@@ -481,20 +481,8 @@ def cmd_fetch(args) -> int:
     # the DOIs the cache lacks go to the provider
     at, counts = answer_from_cache(dois, cached, config.min_match_probability)
     missed = [i for i, k in enumerate(at) if k is None]
-    lines: list[str] = []  # the merged corpus, rendered while the provider answers
-
-    def merged_lines(rows: Columns, counts: Sequence[int | None]) -> Iterator[str]:
-        reads = [old if new is None else new for old, new in zip(rows.reads, counts)]
-        return _json_lines(rows._replace(reads=reads))
-
-    def render() -> None:
-        lines.extend(merged_lines(columns, counts))  # the corpus ids lead ``dois``
-
     try:
-        answers = fetch_missing(
-            sorted(set(map(dois.__getitem__, missed))), config, cache,
-            None if columns is None else render,
-        )
+        answers = fetch_missing(sorted(set(map(dois.__getitem__, missed))), config, cache)
     except FetchError as exc:
         log.error("%s", exc)
         return 1
@@ -508,17 +496,15 @@ def cmd_fetch(args) -> int:
 
     merged = 0
     if columns is not None:
-        fetched = counts[:len(columns.ids)]
+        fetched = counts[:len(columns.ids)]  # the corpus ids lead ``dois``
         merged = len(fetched) - fetched.count(None)
         if merged == 0:
             log.warning("no fetched count cleared the match threshold; corpus unchanged")
-        again = [i for i in missed if i < len(fetched)]  # the rows rendered before their answer
-        rows = Columns(*([column[i] for i in again] for column in columns))
-        for i, line in zip(again, merged_lines(rows, [fetched[i] for i in again])):
-            lines[i] = line
+        reads = [old if new is None else new for old, new in zip(columns.reads, fetched)]
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "corpus.jsonl").write_text("".join(lines), encoding="utf-8", newline="")
+        text = "".join(_json_lines(columns._replace(reads=reads)))
+        (out_dir / "corpus.jsonl").write_text(text, encoding="utf-8", newline="")
 
     summary = f"resolved {len(dois)} dois: {matched} matched, {below} below threshold, {failed} failed"
     if columns is not None:
@@ -588,7 +574,7 @@ def _fit_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
             "field": key.field, "year": key.year, "obs": stats.n,
             "r0": stats.r_mean, "r_max": stats.r_max,
         }
-        notes = []
+        notes = [] if stats.r_mean is not None else ["r0 failed: sum beyond float range"]
         # the fit and the normality test take the same logs
         logs, n_dropped = log_sample(stratum.reads, policy)
         try:
@@ -625,13 +611,13 @@ _COLLAPSE_RENDER = {
 def _collapse_year(args, strata: Strata, out: _TaskOut) -> dict:
     """Pool the year's mean-rescaled strata; the pooled fit, and CCDF files."""
     from .distfit import DegenerateSampleError, ZeroPolicy, fit_lognormal
-    from .rescale import AllUnreadGroupError, ccdf, ccdf_filename, collapse, rescale_group, write_ccdf_tsv
+    from .rescale import UnscalableGroupError, ccdf, ccdf_filename, collapse, rescale_group, skip_notes, write_ccdf_tsv
     from .swilk import ZeroVarianceError
 
     policy = ZeroPolicy(ZERO_POLICY_FLAGS[args.zero_policy])
     (year,) = strata.years()
     samples = []
-    skipped = []
+    skipped = {}
     clashes = []
     # CCDF file name -> the curve it holds; distinct labels can share a name
     written = {ccdf_filename(year): "the pooled curve"}
@@ -639,9 +625,9 @@ def _collapse_year(args, strata: Strata, out: _TaskOut) -> dict:
         key = stratum.key
         try:
             sample = rescale_group(stratum)
-        except AllUnreadGroupError:
-            log.warning("stratum %s/%d has only zero counts; skipped", key.field, year)
-            skipped.append(key.field)
+        except UnscalableGroupError as exc:
+            log.warning("stratum %s/%d %s; skipped", key.field, year, exc.reason)
+            skipped[key.field] = exc
             continue
         samples.append(sample)
         name = ccdf_filename(year, key.field)
@@ -652,8 +638,7 @@ def _collapse_year(args, strata: Strata, out: _TaskOut) -> dict:
         written[name] = repr(key.field)
         write_ccdf_tsv(ccdf(sample.values), out / name)
     row: dict = {"year": year, "n_strata": len(samples)}
-    notes = [f"skipped all-zero strata: {', '.join(skipped)}"] if skipped else []
-    notes += clashes
+    notes = skip_notes(skipped) + clashes
     if samples:
         pooled = collapse(samples)
         write_ccdf_tsv(ccdf(pooled), out / ccdf_filename(year))
@@ -691,7 +676,7 @@ def _css_row(head: dict, values: np.ndarray, k: int, rule: str, labels: Sequence
     try:
         betas = characteristic_scores(values, k=k, rule=rule)
         result = classify(values, betas)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         row["note"] = f"scores failed: {exc}"
         return row
     for j, beta in enumerate(betas):
@@ -752,6 +737,7 @@ _SHARE_RENDER = {
 
 def _topz_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
     """Per-field share of the year's top z%, before and after rescaling."""
+    from .rescale import skip_notes
     from .topz import VARIANTS, top_share_report
 
     zs = tuple(args.z) if args.z else DEFAULT_Z
@@ -766,8 +752,11 @@ def _topz_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
                 log.warning("topz %d z=%g %s: %s", year, z, variant, exc)
                 rows.append({**head, "note": str(exc)})
                 continue
+            note = "; ".join(skip_notes(report.skipped))
+            if note:
+                log.warning("topz %d z=%g %s: %s", year, z, variant, note)
             rows.append({**head, "n_fields": report.n_c, "sigma_z": report.sigma_z,
-                         "within_tolerance": report.within_tolerance, "note": ""})
+                         "within_tolerance": report.within_tolerance, "note": note})
             share_rows = [
                 {
                     "field": field,

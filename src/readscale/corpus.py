@@ -122,13 +122,14 @@ class GroupStats(NamedTuple):
     """Summary statistics of one stratum.
 
     ``r_mean`` is the arithmetic mean of all reads in the group, zeros
-    included; it is the divisor used for rescaling. ``r_max`` is the largest
-    count: an int unless the group holds a real count, then a float.
+    included, None where they sum beyond float range; it is the divisor used
+    for rescaling. ``r_max`` is the largest count: an int unless the group
+    holds a real count, then a float.
     ``zero_share`` is the fraction of records with zero reads.
     """
 
     n: int
-    r_mean: float
+    r_mean: float | None
     r_max: int | float
     zero_share: float
 
@@ -368,8 +369,13 @@ def mean(values: np.ndarray) -> float:
     """The mean of a non-empty 1-D int64 or float64 array, bit for bit what
     ``values.mean()`` gives: the same pairwise float64 sum over the size,
     without ``ndarray.mean``'s Python wrapper, which takes longer than the
-    sum itself on a stratum of a few hundred values."""
-    return float(np.add.reduce(values, dtype=np.float64) / values.size)
+    sum itself on a stratum of a few hundred values. A sum beyond float range
+    raises OverflowError, without numpy's warning: such a mean is no number."""
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(values, dtype=np.float64)
+    if np.isinf(total):
+        raise OverflowError("sum beyond float range")
+    return float(total / values.size)
 
 
 def group_stats(group: Group | Stratum) -> GroupStats:
@@ -379,9 +385,13 @@ def group_stats(group: Group | Stratum) -> GroupStats:
         raise EmptyCorpusError("cannot summarize an empty group")
     reads = group.reads
     top = reads.max()
+    try:
+        r_mean = mean(reads)
+    except OverflowError:
+        r_mean = None
     return GroupStats(
         n=len(group),
-        r_mean=mean(reads),
+        r_mean=r_mean,
         r_max=float(top) if group.real else int(top),
         zero_share=float(np.count_nonzero(reads == 0) / len(group)),
     )

@@ -17,6 +17,7 @@ import numpy as np
 
 from .choices import TRUNCATION_RULES
 from .corpus import mean
+from .swilk import identical
 
 __all__ = [
     "CssResult",
@@ -56,7 +57,10 @@ def characteristic_scores(
     list, when the truncated subsample is empty or the next score fails to
     strictly increase.
 
-    Raises on an empty sample or k < 1.
+    A (sub)sample whose values are all the same, as :func:`~readscale.swilk.identical`
+    decides, scores exactly its value, which a float mean can miss either way:
+    its values then open their class. Raises on an empty sample or k < 1, and
+    OverflowError where the values to average sum beyond float range.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -71,7 +75,7 @@ def characteristic_scores(
     for _ in range(k):
         if current.size == 0:
             break
-        beta = mean(current)
+        beta = float(current[0]) if identical(current) else mean(current)
         if betas and beta <= betas[-1]:
             break
         betas.append(beta)

@@ -26,8 +26,8 @@ The cache is read as columns (:meth:`Cache.read_columns`), and
 :class:`FetchResult` per DOI over the same index.
 
 Batches go out over a few worker threads behind one :class:`RateLimiter`:
-up to ceil(rate_limit) requests at once, never more than that in any one-second
-window, and rate_limit per second in the long run. A rerun whose misses fit in
+up to ceil(rate_limit) requests at once, and never more than that in any
+one-second window at the provider. A rerun whose misses fit in
 ceil(rate_limit) batches therefore sends them without waiting.
 
 Requests go out through the standard library's ``urllib.request``, which
@@ -43,6 +43,7 @@ batch failed without a retry.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import marshal
@@ -51,10 +52,9 @@ import os
 import threading
 import time
 from array import array
-from collections import deque
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ingest import _types, as_int, decode_line_chunks, gc_paused, read_lines
 
@@ -82,14 +82,6 @@ BACKOFF_CAP = 8.0
 # waiting longer would only stall the run without a word.
 RETRY_AFTER_CAP = 60.0
 CACHE_KEYS = ("doi", "reads", "match_probability", "fetched_at")
-# Extra time per grant in the rate limiter's window, in seconds: grant k waits
-# until ceil(rate) * (1/rate + GRANT_GUARD) after grant k - ceil(rate). A
-# request reaches the provider some time after its grant, and that time differs
-# between worker threads (by about 2 ms, at times 13 ms, against a local stub on
-# a 2-core VM). A window of ceil(rate)/rate alone leaves no room for that at an
-# integer rate, where it spans exactly one second; the guard leaves ceil(rate)
-# times its size.
-GRANT_GUARD = 0.002
 # fetch's main process decodes the head of a large cache while a forked reader
 # decodes the tail. Before the head it loads the client, which takes about as
 # long as decoding CLIENT_BYTES of cache, and parses the corpus and the DOI
@@ -119,8 +111,8 @@ class ProviderConfig(_ProviderConfig):
     api_key_env names an environment variable; the key itself never
     appears in config files or flags. rate_limit bounds the requests of
     all worker threads together: at most ceil(rate_limit) in any one-second
-    window, rate_limit per second in the long run, and up to
-    ceil(rate_limit) at once (see :class:`RateLimiter`). It must be finite.
+    window at the provider, and up to ceil(rate_limit) at once (see
+    :class:`RateLimiter`). It must be finite.
     """
 
     __slots__ = ()
@@ -163,19 +155,19 @@ class FetchResult(NamedTuple):
 
 
 class RateLimiter:
-    """At most ceil(rate) grants in any half-open one-second window.
+    """At most n = ceil(rate) requests in any half-open one-second window at
+    the provider, however long each takes to get there.
 
-    With n = ceil(rate), grant k waits until n * (1/rate + GRANT_GUARD)
-    seconds after grant k - n on the monotonic clock, and no longer: up to n
-    grants go at once, and the long-run rate is 1 / (1/rate + GRANT_GUARD).
-    Any n + 1 consecutive grants thus span more than n/rate >= 1 second; the
-    guard keeps that true of the requests' arrivals while their delays after
-    the grant differ by less than n * GRANT_GUARD. At a rate of 1 or less,
-    n = 1 and grants are spaced by 1/rate + GRANT_GUARD.
+    A request holds one of n slots from its grant (:meth:`acquire`) until
+    n/rate >= 1 second after it ends (:meth:`release`, its answer or failure
+    in hand). It reaches the provider between the two, so of any n + 1
+    requests two took one slot in turn, and the later reached the provider at
+    least a second after the earlier. Up to n requests go at once, and a slot
+    serves one request per n/rate seconds plus the request's own time.
 
-    acquire() blocks, holding the lock so that grants are serialized, until
-    its grant is due. Only the times of the last min(n, grants made) grants
-    are kept, so a huge rate costs nothing.
+    Grants are serialized, each taking a slot that is free by then or else
+    waiting, on the monotonic clock, for the first to free up. Only the slots
+    used are kept, so a huge rate costs nothing.
     """
 
     def __init__(self, rate: float):
@@ -183,20 +175,31 @@ class RateLimiter:
             raise ValueError("rate must be > 0")
         if not math.isfinite(rate):
             raise ValueError("rate must be finite")
-        self._burst = math.ceil(rate)
-        self._window = self._burst * (1.0 / rate + GRANT_GUARD)
+        self._window = math.ceil(rate) / rate
+        self._unused = math.ceil(rate)  # slots no request has taken yet
+        self._idle = threading.Semaphore(math.ceil(rate))  # slots no request holds
+        self._grant = threading.Lock()
         self._lock = threading.Lock()
-        self._grants: deque[float] = deque()  # the last grants' times, oldest first
+        self._free_at: list[float] = []  # a heap: when each slot given back frees up
 
     def acquire(self) -> None:
+        """Take a slot once one is free."""
+        with self._grant:
+            self._idle.acquire()
+            with self._lock:
+                now = time.monotonic()
+                if self._unused and not (self._free_at and self._free_at[0] <= now):
+                    self._unused -= 1
+                    return
+                due = heapq.heappop(self._free_at)
+            if due > now:
+                time.sleep(due - now)
+
+    def release(self) -> None:
+        """Give back the slot of a request that has ended."""
         with self._lock:
-            now = time.monotonic()
-            if len(self._grants) == self._burst:
-                wait = self._grants.popleft() + self._window - now
-                if wait > 0:
-                    time.sleep(wait)
-                    now = time.monotonic()
-            self._grants.append(now)
+            heapq.heappush(self._free_at, time.monotonic() + self._window)
+        self._idle.release()
 
 
 class CacheColumns(tuple):
@@ -479,6 +482,8 @@ def _post_batch(
             last_error = f"connection failed: {exc}"
             log.warning("attempt %d/%d: %s", attempt + 1, config.max_retries + 1, last_error)
             continue
+        finally:
+            limiter.release()
         if status == 429 or status >= 500:
             last_error = f"HTTP {status}"
             if status == 429:
@@ -509,12 +514,7 @@ def _post_batch(
     raise FetchError(f"provider unreachable: {last_error} (after {config.max_retries + 1} attempts)")
 
 
-def fetch_missing(
-    missing: Sequence[str],
-    config: ProviderConfig,
-    cache: Cache,
-    meanwhile: Callable[[], None] | None = None,
-) -> dict[str, FetchResult]:
+def fetch_missing(missing: Sequence[str], config: ProviderConfig, cache: Cache) -> dict[str, FetchResult]:
     """Ask the provider about ``missing``, DOIs that the cache lacks; the
     answers by DOI, each count kept only where its match probability is
     strictly above ``config.min_match_probability``.
@@ -523,16 +523,11 @@ def fetch_missing(
     worker threads sharing one rate limiter. Every successful lookup (matched
     or below threshold) is appended to the cache with the provider's count as
     its batch completes, so an interrupted run keeps what it already paid for.
-    ``meanwhile``, if given, is called once the requests are out (at once when
-    nothing is missing), so that the caller's work overlaps the provider's
-    answers.
 
     Raises FetchError if the provider cannot be reached at all for some
     batch; results cached before that point remain on disk.
     """
     if not missing:
-        if meanwhile is not None:
-            meanwhile()
         return {}
     load_client()  # before the first grant, so that no request waits for an import
     from concurrent.futures import ThreadPoolExecutor
@@ -552,8 +547,6 @@ def fetch_missing(
 
     with ThreadPoolExecutor(max_workers=min(WORKERS, len(batches))) as pool:
         answers = pool.map(run_batch, batches)
-        if meanwhile is not None:
-            meanwhile()
         return _cleared(chain.from_iterable(answers), config.min_match_probability)
 
 

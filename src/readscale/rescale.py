@@ -10,7 +10,7 @@ sample at least as large as each distinct value.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .corpus import Group, GroupKey, Stratum, field_slug, mean
 
 __all__ = [
     "AllUnreadGroupError",
+    "UnscalableGroupError",
     "RescaledSample",
     "CcdfCurve",
     "rescale_group",
@@ -28,8 +29,18 @@ __all__ = [
 ]
 
 
-class AllUnreadGroupError(ValueError):
+class UnscalableGroupError(ValueError):
+    """The group's reads sum beyond float range, so its mean is no rescaling
+    divisor. Stages skip such a group and name it: ``reason`` says why, and
+    :func:`skip_notes` groups the names by ``kind``."""
+
+    kind, reason = "strata summing beyond float range", "has reads that sum beyond float range"
+
+
+class AllUnreadGroupError(UnscalableGroupError):
     """Every count in the group is zero, so the rescaling divisor vanishes."""
+
+    kind, reason = "all-zero strata", "has only zero counts"
 
 
 class RescaledSample(NamedTuple):
@@ -70,14 +81,24 @@ class CcdfCurve(NamedTuple):
 
 
 def rescale_group(group: Group | Stratum) -> RescaledSample:
-    """Divide each member's count by the group mean; rank order is preserved."""
+    """Divide each member's count by the group mean; rank order is preserved.
+    Raises :class:`UnscalableGroupError` where the mean is no divisor."""
     reads = np.asarray(group.reads, dtype=float)
     if reads.size == 0:
         raise ValueError("cannot rescale an empty group")
-    r0 = mean(reads)
+    try:
+        r0 = mean(reads)
+    except OverflowError:
+        raise UnscalableGroupError(f"group {group.key} {UnscalableGroupError.reason}") from None
     if r0 == 0.0:
-        raise AllUnreadGroupError(f"group {group.key} has only zero counts")
+        raise AllUnreadGroupError(f"group {group.key} {AllUnreadGroupError.reason}")
     return RescaledSample(key=group.key, values=reads / r0, r0=r0)
+
+
+def skip_notes(skipped: Mapping[str, UnscalableGroupError]) -> list[str]:
+    """``skipped all-zero strata: A, B``: a note per kind of group skipped, its fields in order."""
+    kinds = dict.fromkeys(exc.kind for exc in skipped.values())
+    return [f"skipped {kind}: {', '.join(f for f, exc in skipped.items() if exc.kind == kind)}" for kind in kinds]
 
 
 def collapse(samples: Sequence[RescaledSample]) -> np.ndarray:

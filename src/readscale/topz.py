@@ -9,19 +9,21 @@ means within one standard deviation, with half-width
 
 for N_c fields of sizes N_i, in percentage points. The report counts how
 many fields fall inside the band, before and after rescaling.
+The rescaled ranking skips a stratum that cannot be rescaled, as
+``collapse`` does, so N_c and sigma_z count the fields ranked; the original
+ranking keeps every field.
 """
 from __future__ import annotations
 
 import logging
 import math
-from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .choices import TIE_RULES
 from .corpus import Corpus, PublicationRecord, Strata, stratify
-from .rescale import rescale_group
+from .rescale import UnscalableGroupError, rescale_group, skip_notes
 
 __all__ = ["TopZReport", "sigma_z", "top_membership", "top_share_report"]
 
@@ -31,7 +33,8 @@ VARIANTS = ("original", "rescaled")
 
 
 class TopZReport(NamedTuple):
-    """Per-field shares of the global top z% and the tolerance verdict."""
+    """Per-field shares of the global top z% and the tolerance verdict;
+    ``skipped`` maps each field left out of the ranking to why."""
 
     z: float
     variant: str
@@ -40,6 +43,7 @@ class TopZReport(NamedTuple):
     n_c: int
     n_i: Mapping[str, int]
     within_tolerance: int
+    skipped: Mapping[str, UnscalableGroupError]
 
 
 def sigma_z(z: float, sizes: Sequence[int]) -> float:
@@ -60,25 +64,32 @@ def _cut_size(z: float, n: int) -> int:
     return math.floor(z * n / 100)
 
 
-def _values(strata: Strata, variant: str) -> np.ndarray:
+def _values(strata: Strata, variant: str) -> tuple[np.ndarray, dict[str, UnscalableGroupError]]:
     """Each row's ranking value: its reads, or its reads over its stratum's
-    mean. The strata are rescaled in (field, year) order, so an all-zero
-    stratum is reported as the first in that order."""
+    mean, NaN where that cannot be rescaled; and the fields of those strata."""
     if variant == "original":
-        return strata.corpus.reads
+        return strata.corpus.reads, {}
     if variant != "rescaled":
         raise ValueError(f"unknown value selector {variant!r}, expected one of {VARIANTS}")
-    rescaled = {s.key: rescale_group(s).values for s in sorted(strata, key=attrgetter("key"))}
-    return np.concatenate([rescaled[key] for key in strata.keys])
+    values, skipped = [], {}
+    for stratum in strata:  # in (year, field) order
+        try:
+            values.append(rescale_group(stratum).values)
+        except UnscalableGroupError as exc:
+            values.append(np.full(len(stratum), np.nan))
+            skipped[stratum.key.field] = exc
+    return np.concatenate(values), skipped
 
 
-def _ranking(strata: Strata, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ranking value and the rows ordered by value descending, id
+def _ranking(strata: Strata, variant: str) -> tuple[np.ndarray, np.ndarray, dict]:
+    """:func:`_values` and the rows ranked, by value descending and id
     ascending; computed once per strata and variant, since no z changes them."""
     ranking = strata.rankings.get(variant)
     if ranking is None:
-        values = _values(strata, variant)
-        ranking = strata.rankings[variant] = values, np.lexsort((strata.corpus.id_rank, -values))
+        values, skipped = _values(strata, variant)
+        order = np.lexsort((strata.corpus.id_rank, -values))
+        order = order[:order.size - np.isnan(values).sum()] if skipped else order  # NaNs sort last
+        ranking = strata.rankings[variant] = values, order, skipped
     return ranking
 
 
@@ -89,9 +100,9 @@ def _select(values: np.ndarray, order: np.ndarray, z: float, tie_rule: str) -> n
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}, expected one of {TIE_RULES}")
     selected = np.zeros(values.size, dtype=bool)
-    k = _cut_size(z, values.size)
+    k = _cut_size(z, order.size)
     if k == 0:
-        log.warning("top %s%% of %d records selects nothing", z, values.size)
+        log.warning("top %s%% of %d records selects nothing", z, order.size)
         return selected
     if tie_rule == "threshold":
         return values >= values[order[k - 1]]
@@ -115,7 +126,8 @@ def top_membership(
     if not records:
         raise ValueError("no records to rank")
     strata = stratify(Corpus.from_records(records))
-    return set(strata.corpus.ids[_select(*_ranking(strata, value_selector), z, tie_rule)].tolist())
+    values, order, _ = _ranking(strata, value_selector)
+    return set(strata.corpus.ids[_select(values, order, z, tie_rule)].tolist())
 
 
 def top_share_report(
@@ -137,16 +149,17 @@ def top_share_report(
             f"top-share analysis needs records of one year, got {', '.join(map(str, years))}"
         )
     fields = [key.field for key in strata.keys]  # one stratum per field, in label order
-    if len(fields) < 2:
-        raise ValueError("top-share analysis needs at least 2 fields")
-    selected = _select(*_ranking(strata, variant), z, tie_rule)
+    values, order, skipped = _ranking(strata, variant)
+    if len(fields) - len(skipped) < 2:
+        raise ValueError("; ".join([*skip_notes(skipped), "top-share analysis needs at least 2 fields"]))
+    selected = _select(values, order, z, tie_rule)
 
-    sizes = np.diff(strata.bounds).tolist()
     hits = np.add.reduceat(selected, strata.bounds[:-1], dtype=np.int64).tolist()
-    shares = {f: 100.0 * h / n for f, h, n in zip(fields, hits, sizes)}
-    tol = sigma_z(z, sizes)
-    within = sum(1 for f in fields if abs(shares[f] - z) <= tol)
+    sizes = {f: n for f, n in zip(fields, np.diff(strata.bounds).tolist()) if f not in skipped}
+    shares = {f: 100.0 * h / sizes[f] for f, h in zip(fields, hits) if f in sizes}
+    tol = sigma_z(z, sizes.values())
+    within = sum(1 for share in shares.values() if abs(share - z) <= tol)
     return TopZReport(
         z=z, variant=variant, per_field_share=shares, sigma_z=tol,
-        n_c=len(fields), n_i=dict(zip(fields, sizes)), within_tolerance=within,
+        n_c=len(sizes), n_i=sizes, within_tolerance=within, skipped=skipped,
     )

@@ -1,17 +1,34 @@
-"""Shared fixtures: frozen count samples, corpus builders, a stub provider."""
+"""Shared fixtures: frozen count samples, corpus builders, a stub provider,
+and ``readscale`` run in a child process pinned to one CPU or two."""
 from __future__ import annotations
 
 import json
 import logging
 import os
+import shutil
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from time import monotonic
 
 import numpy as np
 import pytest
 
+import readscale
 from readscale.corpus import PublicationRecord
+
+# where the readscale under test is imported from, for child processes
+SRC = str(Path(readscale.__file__).resolve().parents[1])
+# one CPU, where every command runs in its main process, and two, where
+# report, ingest and fetch fork a worker
+ONE, TWO = {0}, {0, 1}
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity") or (os.cpu_count() or 1) < 2,
+    reason="needs two CPUs to pin a child process to, and fork",
+)
 
 # 85 integer counts, mean exactly 527/85 = 6.2, max 17, three zeros: a small
 # field with low, heavily tied counts.
@@ -92,6 +109,60 @@ def open_fds() -> int | None:
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+def pinned(cpus: set[int], argv: list[str], cwd: Path, prelude: str = "") -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``readscale argv`` run from ``cwd`` in a
+    child process pinned to ``cpus`` with :func:`os.sched_setaffinity`;
+    ``prelude``, Python source, runs in the child after the pin."""
+    code = (
+        "import os, sys\n"
+        f"os.sched_setaffinity(0, {sorted(cpus)!r})\n"
+        + prelude
+        + "from readscale.cli import main\n"
+        f"sys.exit(main({list(argv)!r}))\n"
+    )
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+        NO_PROXY="127.0.0.1", no_proxy="127.0.0.1",
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True)
+    return run.returncode, run.stdout, run.stderr
+
+
+def pinned_out(cpus: set[int], argv: list[str], cwd: Path) -> tuple:
+    """(exit code, stdout, stderr, --out tree) of ``readscale argv --out out``
+    run as :func:`pinned` does; the tree is None where the run made no --out.
+    ``out`` is removed after, so that every run logs the same --out."""
+    code, stdout, stderr = pinned(cpus, [*argv, "--out", "out"], cwd)
+    out = cwd / "out"
+    made = tree(out) if out.exists() else None
+    shutil.rmtree(out, ignore_errors=True)
+    return code, stdout, stderr, made
+
+
+def alike(cwd: Path, argv: list[str]) -> tuple:
+    """The :func:`pinned_out` of ``argv`` on one CPU, which the run on two matches."""
+    one = pinned_out(ONE, argv, cwd)
+    assert pinned_out(TWO, argv, cwd) == one, argv
+    return one
+
+
+def synth_corpus(out: Path, spec: dict) -> Path:
+    """The corpus.jsonl that ``readscale synth`` writes to ``out`` for ``spec``,
+    run in this process."""
+    from readscale.cli import main
+
+    spec_path = out.with_name(f"{out.name}.spec.json")
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
+    return out / "corpus.jsonl"
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Each file under ``root`` with its bytes, and each directory with None;
+    empty where ``root`` does not exist."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 @pytest.fixture
 def maths_records():
     return make_records(MATHS_COUNTS, "Mathematics", 2010)
@@ -112,8 +183,9 @@ class StubProvider:
     with ``retry_after`` as the ``Retry-After`` header when given;
     ``deny_status`` answers that status to every request. Each of these
     answers carries a short JSON error body. ``body``, when given, is sent
-    as it is in place of every 200 answer's JSON array. Request bodies and
-    arrival times (monotonic clock) are recorded.
+    as it is in place of every 200 answer's JSON array. Request bodies are
+    recorded, and two times of each request on the monotonic clock: its
+    arrival, once its body is read, and its entry, as the handler starts.
     """
 
     def __init__(
@@ -129,16 +201,19 @@ class StubProvider:
         self.body = body
         self.requests: list[list[str]] = []
         self.arrivals: list[float] = []
+        self.entries: list[float] = []
         self.headers_seen: list[dict] = []
         self._lock = threading.Lock()
         provider = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
+                entered = monotonic()
                 length = int(self.headers.get("Content-Length", "0"))
                 dois = json.loads(self.rfile.read(length))
                 arrived = monotonic()
                 with provider._lock:
+                    provider.entries.append(entered)
                     provider.arrivals.append(arrived)
                     provider.requests.append(list(dois))
                     provider.headers_seen.append(dict(self.headers))
@@ -178,7 +253,8 @@ class StubProvider:
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self._server.server_port}"
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll, so that close() returns at once
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.02,), daemon=True)
         self._thread.start()
 
     @property

@@ -276,6 +276,17 @@ def test_css_worked_example(tmp_path):
     assert len(strata) == 1 and strata[0]["field"] == "Demo"
 
 
+@pytest.mark.parametrize("value, n", [(0.1, 3), (0.7, 3)])  # the float mean rounds up, and down
+@pytest.mark.parametrize("rule", ["ge", "gt"])
+def test_css_puts_a_constant_stratum_in_the_class_its_score_opens(tmp_path, value, n, rule):
+    corpus = write_corpus(tmp_path / "c.jsonl", [PublicationRecord(f"c{i}", "Flat", 2010, value) for i in range(n)])
+    out = tmp_path / "out"
+    assert main(["css", "--input", corpus, "--out", str(out), "--css-strict", rule]) == 0
+    for table in ("css_strata", "css_overall"):
+        (row,) = read_jsonl(out / f"{table}.jsonl")
+        assert (row["beta1"], row["count_I"], row["count_II"], row["note"]) == (value, 0, n, "scores stopped after 1")
+
+
 def test_css_one_row_per_stratum_plus_pooled(two_field_corpus, tmp_path):
     out = tmp_path / "out"
     main(["css", "--input", two_field_corpus, "--out", str(out)])
@@ -659,7 +670,7 @@ def test_fetch_cli_writes_the_merged_corpus_as_write_records_does(kind, tmp_path
     assert (out / "corpus.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
-def test_fetch_cli_failing_after_the_render_writes_nothing(tmp_path, stub_provider, capsys, caplog, monkeypatch):
+def test_fetch_cli_failing_provider_renders_and_writes_nothing(tmp_path, stub_provider, capsys, caplog, monkeypatch):
     monkeypatch.setattr(fetch_mod, "BACKOFF_BASE", 0.01)
     rendered = []
     monkeypatch.setattr(cli_mod, "_json_lines", lambda columns: rendered.append(columns) or iter(()))
@@ -670,7 +681,7 @@ def test_fetch_cli_failing_after_the_render_writes_nothing(tmp_path, stub_provid
     out = tmp_path / "out"
     argv = ["fetch", "--input", corpus, "--out", str(out), "--provider-url", server.url, "--cache", str(cache)]
     assert main(argv) == 1
-    assert len(rendered) == 1  # while the provider failed
+    assert rendered == []  # the corpus is rendered only once the provider has answered
     assert capsys.readouterr().out == "" and not out.exists()
     assert caplog.records[-1].getMessage().startswith("provider unreachable: HTTP 500")
 
@@ -973,10 +984,10 @@ def test_within_stratum_input_order_reaches_collapse_and_ccdfs(tmp_path):
     assert (out / "ccdf_merged_2010.tsv").read_bytes() == (tmp_path / "merged.tsv").read_bytes()
 
 
-def test_topz_all_zero_note_names_first_stratum_verbatim(tmp_path):
-    # 2010: two all-zero strata, "Zulu" before "Alpha" in the input; topz ranks
-    # each year's strata in (field, year) order, so "Alpha" is named.
-    # 2011: one field only, which is all zero; the field count check wins.
+def test_topz_all_zero_note_names_every_skipped_stratum_in_field_order(tmp_path):
+    # 2010: two all-zero strata, "Zulu" before "Alpha" in the input, beside
+    # one field ranked; topz names both in (field, year) order.
+    # 2011: one field only, which is all zero.
     records = (
         make_records([0, 0, 0], "Zulu", 2010, prefix="z")
         + make_records(SURGERY_COUNTS, "Surgery", 2010)
@@ -989,39 +1000,49 @@ def test_topz_all_zero_note_names_first_stratum_verbatim(tmp_path):
     notes = {(row["year"], row["variant"]): row["note"] for row in read_jsonl(out / "topz.jsonl")}
     assert notes == {
         (2010, "original"): "",
-        (2010, "rescaled"): "group GroupKey(field='Alpha', year=2010) has only zero counts",
+        (2010, "rescaled"): "skipped all-zero strata: Alpha, Zulu; top-share analysis needs at least 2 fields",
         (2011, "original"): "top-share analysis needs at least 2 fields",
-        (2011, "rescaled"): "top-share analysis needs at least 2 fields",
+        (2011, "rescaled"): "skipped all-zero strata: Alpha; top-share analysis needs at least 2 fields",
     }
 
 
 def test_topz_all_zero_and_empty_cut_are_reported_for_every_z(tmp_path, caplog):
-    # the rescaled ranking of 2010 fails on the all-zero "Alpha"; 12 records
-    # leave the top 5% and 8% empty
-    records = (
-        make_records([0, 0, 0], "Alpha", 2010, prefix="a")
-        + make_records([5, 3, 1, 1, 2], "Mid", 2010, prefix="m")
-        + make_records([4, 0, 2, 7], "Zulu", 2010, prefix="z")
-    )
-    corpus = write_corpus(tmp_path / "c.jsonl", records)
-    out = tmp_path / "out"
-    zs = ("5", "8", "25")
-    with caplog.at_level("WARNING"):
-        assert main(["topz", "--input", corpus, "--out", str(out)]
-                    + [arg for z in zs for arg in ("--z", z)]) == 0
-    failure = "group GroupKey(field='Alpha', year=2010) has only zero counts"
-    rows = read_jsonl(out / "topz.jsonl")
+    # the rescaled ranking of 2010 skips the all-zero "Alpha" and ranks the 9
+    # records of the other two fields, as their year alone gives; 12 records
+    # leave the top 5% and 8% empty, and 9 the top 10% too
+    ranked = make_records([5, 3, 1, 1, 2], "Mid", 2010, prefix="m")
+    ranked += make_records([4, 0, 2, 7], "Zulu", 2010, prefix="z")
+    zs = ("5", "8", "10", "25")
+    out = {}
+    for name, records in (("ranked", ranked), ("all", make_records([0, 0, 0], "Alpha", 2010, prefix="a") + ranked)):
+        corpus = write_corpus(tmp_path / f"{name}.jsonl", records)
+        out[name] = tmp_path / name
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main(["topz", "--input", corpus, "--out", str(out[name])]
+                        + [arg for z in zs for arg in ("--z", z)]) == 0
+    skipped = "skipped all-zero strata: Alpha"
+    rows = read_jsonl(out["all"] / "topz.jsonl")
     assert [(row["z"], row["variant"], row["note"]) for row in rows] == [
-        (float(z), variant, failure if variant == "rescaled" else "")
+        (float(z), variant, skipped if variant == "rescaled" else "")
         for z in zs for variant in ("original", "rescaled")
     ]
+    alone = {row["z"]: row for row in read_jsonl(out["ranked"] / "topz.jsonl") if row["variant"] == "rescaled"}
+    for row in rows[1::2]:
+        assert {**row, "note": ""} == alone[row["z"]]
+        name = f"topz_shares_2010_z{row['z']:g}_rescaled.tsv"
+        assert (out["all"] / name).read_bytes() == (out["ranked"] / name).read_bytes()
     messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert messages == [
         "top 5.0% of 12 records selects nothing",
-        f"topz 2010 z=5 rescaled: {failure}",
+        "top 5.0% of 9 records selects nothing",
+        f"topz 2010 z=5 rescaled: {skipped}",
         "top 8.0% of 12 records selects nothing",
-        f"topz 2010 z=8 rescaled: {failure}",
-        f"topz 2010 z=25 rescaled: {failure}",
+        "top 8.0% of 9 records selects nothing",
+        f"topz 2010 z=8 rescaled: {skipped}",
+        "top 10.0% of 9 records selects nothing",
+        f"topz 2010 z=10 rescaled: {skipped}",
+        f"topz 2010 z=25 rescaled: {skipped}",
     ]
 
 

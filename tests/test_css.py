@@ -63,6 +63,24 @@ def test_constant_sample_stops_after_first_score():
     assert characteristic_scores([0, 0, 0]) == [0.0]
 
 
+# a constant sample whose float mean rounds above its value, below it, and to it
+CONSTANT = [(0.1, 3), (0.7, 3), (3.0, 10)]
+
+
+@pytest.mark.parametrize("value, n", CONSTANT)
+@pytest.mark.parametrize("rule", ["ge", "gt"])
+def test_a_constant_sample_or_subsample_scores_its_value_and_opens_its_class(value, n, rule):
+    means = [float(np.add.reduce(np.full(n, v)) / n) for v, n in CONSTANT]
+    assert [(m > v) - (m < v) for m, (v, _) in zip(means, CONSTANT)] == [1, -1, 0]
+    assert characteristic_scores([value] * n, rule=rule) == [value]
+    assert classify([value] * n, [value]).class_counts == (0, n)
+    # a subsample at or above the first score that is constant
+    below = value / 4
+    betas = characteristic_scores([below] + [value] * n, rule=rule)
+    assert betas[1:] == [value]
+    assert classify([below] + [value] * n, betas).class_counts == (1, 0, n)
+
+
 def test_scores_strictly_increase():
     rng = np.random.default_rng(19)
     for _ in range(50):

@@ -12,7 +12,6 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -320,29 +319,49 @@ class _FakeTime:
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(st.sampled_from([0.3, 0.5, 1.0, 2.5, 5.0, 7.5, 100.0]), st.floats(0.3, 110.0)),
-    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 3.0)), max_size=250),
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 3.0)),  # the ask, after the last grant
+            st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(0.0, 3.0)),  # the request's own time
+        ),
+        max_size=250,
+    ),
 )
-@example(5.0, [0.0] * 12)
-@example(0.5, [0.0, 0.0, 3.0, 0.0])
-def test_rate_limiter_window(rate, gaps):
+@example(5.0, [(0.0, 0.0)] * 12)
+@example(0.5, [(0.0, 0.0), (0.0, 0.0), (3.0, 0.0), (0.0, 0.0)])
+@example(5.0, [(0.0, 0.0)] + [(0.0, 2.0)] * 4 + [(0.0, 0.0)] * 3)  # requests that take long to end
+def test_rate_limiter_window(rate, requests):
     clock = _FakeTime()
+    n = math.ceil(rate)
+    window = n / rate
+    grants, ends, out = [], [], []  # the requests not yet ended, each with the time it ends
     with mock.patch.object(fetch_mod, "time", clock):
         limiter = RateLimiter(rate)
-        n = math.ceil(rate)
-        window = n * (1 / rate + fetch_mod.GRANT_GUARD)
-        grants = []
-        for k, gap in enumerate(gaps):
-            clock.now += gap  # the next ask comes this long after the last grant
-            earliest = clock.now if k < n else max(clock.now, grants[k - n] + window)
+        for gap, duration in requests:
+            ask = (grants[-1] if grants else 0.0) + gap
+            # the requests that end by the ask end first, and the earliest also
+            # while all n are out, as one thread at a time would see them
+            for i, end in sorted(out, key=lambda item: item[1]):
+                if end > ask and len(out) < n:
+                    break
+                clock.now = max(clock.now, end)
+                limiter.release()
+                ends[i] = clock.now
+                out.remove((i, end))
+            clock.now = max(clock.now, ask)
+            ask = clock.now
+            busy = [end + window for end in ends if end + window > ask + 1e-9]  # the requests out count as inf
             limiter.acquire()
+            # a grant waits only while every slot is held, and then until the first is free
+            assert clock.now == pytest.approx(ask if len(busy) < n else min(busy), rel=0, abs=1e-9)
+            out.append((len(grants), clock.now + duration))
             grants.append(clock.now)
-            # each grant comes as soon as the rule allows; the first n never sleep
-            assert grants[k] == pytest.approx(earliest, rel=0, abs=1e-9)
-            assert k >= n or clock.sleeps == 0
-    for k in range(len(grants) - n):
-        assert grants[k + n] - grants[k] >= window - 1e-9
-    for i, start in enumerate(grants):
-        assert bisect.bisect_left(grants, start + 1.0) - i <= n  # grants in [start, start + 1)
+            ends.append(math.inf)
+    # any n + 1 requests, each reaching the provider between its grant and
+    # its end, span a second: no half-open window from a grant's second
+    # before it holds more than n of them
+    for g in grants:
+        assert sum(1 for grant, end in zip(grants, ends) if grant <= g and end > g - 1.0 + 1e-9) <= n
 
 
 def test_rate_limiter_under_contention():
@@ -355,6 +374,7 @@ def test_rate_limiter_under_contention():
             limiter.acquire()
             with lock:
                 stamps.append(time.monotonic())
+            limiter.release()
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
@@ -368,41 +388,36 @@ def test_rate_limiter_under_contention():
         assert in_window <= 200
 
 
-def test_rate_limiter_window_holds_under_contention():
-    rate = 20.0
+@pytest.mark.parametrize("rate, threads, each, hold", [(20.0, 8, 5, 0.0), (5.0, 8, 1, 0.02)])
+def test_rate_limiter_window_holds_under_contention(rate, threads, each, hold):
+    # more threads than slots in the second case, each holding its slot a while
     n = math.ceil(rate)
-    read = threading.local()
-
-    def monotonic():
-        read.last = time.monotonic()
-        return read.last
-
     limiter = RateLimiter(rate)
     grants = []
     lock = threading.Lock()
 
     def worker():
-        for _ in range(5):
+        for _ in range(each):
             limiter.acquire()
             with lock:
-                grants.append(read.last)  # the clock's last reading in acquire: the grant
+                grants.append(time.monotonic())  # after the grant, before the slot is given back
+            time.sleep(hold)
+            limiter.release()
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
+    workers = [threading.Thread(target=worker) for _ in range(threads)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(fetch_mod, "time", SimpleNamespace(monotonic=monotonic, sleep=time.sleep)):
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=30)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    assert not any(t.is_alive() for t in workers)
     grants.sort()
-    assert len(grants) == 40
-    window = n * (1 / rate + fetch_mod.GRANT_GUARD)
-    assert all(later - earlier >= window - 1e-6 for earlier, later in zip(grants, grants[n:]))
+    assert len(grants) == threads * each
+    assert all(later - earlier >= n / rate - 1e-6 for earlier, later in zip(grants, grants[n:]))
 
 
 def test_request_rate_within_limit_window(stub_provider, tmp_path):
@@ -843,41 +858,9 @@ def test_the_head_grows_with_the_cache_beyond_the_work_before_it(tmp_path, monke
     assert Cache(tmp_path).head(0) == 0  # a directory: the read reports it
 
 
-def _busy(seconds: float) -> None:
-    """Python work for ``seconds``, the GIL given up only at switch intervals."""
-    end = time.perf_counter() + seconds
-    while time.perf_counter() < end:
-        pass
-
-
-def test_request_rate_holds_with_work_on_the_cached_answers(stub_provider, tmp_path):
-    rate = 25.0
-    server = stub_provider({f"10.15/{i}": (i, 0.95) for i in range(31)})
-    fetch_counts(["10.15/30"], _config(server.url), Cache(tmp_path / "warm.jsonl"))
-    with server._lock:
-        server.arrivals.clear()
-    calls = []
-
-    def render():
-        calls.append(None)
-        _busy(0.025)
-
-    dois = [f"10.15/{i}" for i in range(30)]
-    answers = fetch_missing(dois, _config(server.url, batch_size=1, rate_limit=rate), Cache(tmp_path / "c.jsonl"), render)
-    assert calls == [None]
-    assert [answers[doi].reads for doi in dois] == [*range(30)]
-    arrivals = sorted(server.arrivals)
-    assert len(arrivals) == 30
-    for t0 in arrivals:
-        assert sum(1 for t in arrivals if t0 <= t < t0 + 1.0) <= math.ceil(rate)
-
-
-def test_work_on_the_cached_answers_runs_once_they_are_all_cached(tmp_path):
+def test_cached_answers_take_each_dois_latest_entry_above_the_threshold(tmp_path):
     cache = Cache(tmp_path / "c.jsonl")
     cache.append([FetchResult("a", 7, 0.95, 1.0), FetchResult("b", 8, 0.5, 1.0), FetchResult("a", 9, 0.99, 0.5)])
-    calls = []
-    assert fetch_missing([], _config("http://127.0.0.1:9"), cache, lambda: calls.append(None)) == {}
-    assert calls == [None]
-    # the latest entry per DOI, its count kept only above the threshold
+    assert fetch_missing([], _config("http://127.0.0.1:9"), cache) == {}  # nothing missing, nothing asked
     threshold = _config("http://unused").min_match_probability
     assert answer_from_cache(["a", "b", "a"], cache.read_columns(), threshold) == ([0, 1, 0], [7, None, 7])

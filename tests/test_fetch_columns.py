@@ -1,9 +1,11 @@
 """``fetch`` answering from the cache's columns: the merged corpus, summary and
 cache lines that a line-by-line reading of the cache gives, and the counts of
 :func:`~readscale.fetch.fetch_counts` on the same cache, on one CPU and on
-two, where the cache is read in a forked reader."""
+two, where the cache is read in a forked reader; and fetch end to end on one
+CPU and on two, from a large warm cache and against a stub provider."""
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import pickle
@@ -11,41 +13,20 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import readscale.cli as cli_mod
+from conftest import ONE, SRC, TWO, alike, needs_two_cpus, pinned, synth_corpus
 from readscale.fetch import Cache, FetchResult, ProviderConfig, fetch_counts, latest_lines
 from readscale.ingest import Columns, write_records
 
-SRC = str(Path(cli_mod.__file__).resolve().parents[1])
-
-pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity") or (os.cpu_count() or 1) < 2,
-    reason="the cache reader forks on two CPUs",
-)
+pytestmark = needs_two_cpus  # the cache reader forks on two CPUs
 
 DOIS = [f"10.1/{i}" for i in range(8)]
 THRESHOLD = ProviderConfig(base_url="http://unused").min_match_probability
-
-
-def _pinned(cpus: set[int], argv: list[str], cwd: Path) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of ``readscale`` run in a child process pinned to ``cpus``."""
-    code = (
-        "import os, sys\n"
-        f"os.sched_setaffinity(0, {cpus!r})\n"
-        "from readscale.cli import main\n"
-        f"sys.exit(main({argv!r}))\n"
-    )
-    env = dict(
-        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
-        NO_PROXY="127.0.0.1", no_proxy="127.0.0.1",
-    )
-    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True)
-    return run.returncode, run.stdout, run.stderr
 
 
 def _entry(doi: str, reads, probability: float, fetched_at: float) -> str:
@@ -139,13 +120,13 @@ def test_fetch_answers_from_columns_as_fetch_counts_does(
     write_records(corpus._replace(reads=merged), work / "expected.jsonl", format="line-json")
 
     runs = {}
-    for label, cpus in (("one", {0}), ("two", {0, 1})):
+    for label, cpus in (("one", ONE), ("two", TWO)):
         cache = work / f"cache-{label}.jsonl"
         shutil.copyfile(work / "cache.jsonl", cache)
         argv = ["fetch", "--provider-url", server.url, "--cache", cache.name, "--dois", "dois.txt"]
         if corpus_ids:
             argv += ["--input", "corpus.jsonl"]
-        code, stdout, stderr = _pinned(cpus, [*argv, "--out", f"out-{label}"], work)
+        code, stdout, stderr = pinned(cpus, [*argv, "--out", f"out-{label}"], work)
         assert (code, stdout) == (0, summary + "\n"), stderr
         lines = cache.read_text().splitlines()
         assert lines[:len(entries)] == cache_lines
@@ -179,3 +160,75 @@ def test_cache_columns_pickled_in_another_process_load_as_read(tmp_path):
         ["a", "b", "c"], [3, None, 2**70], [0.95, 0.25, 1.0], [1.5, 2.0],
     )
     assert times[2] != times[2]  # NaN
+
+
+def _fetch_corpus(path: Path, seed: int, fields: list[tuple[str, int, float, float]]) -> list[str]:
+    """The ids of a ``readscale synth`` corpus of 2015 written under ``path``."""
+    spec = {"year": 2015, "seed": seed, "zero_inflation": 0.05, "fields": [
+        {"label": label, "n": n, "mu": mu, "sigma2": sigma2} for label, n, mu, sigma2 in fields]}
+    return [json.loads(line)["id"] for line in synth_corpus(path, spec).read_text().splitlines()]
+
+
+def test_a_warm_cache_fetch_reads_alike_on_one_and_two_cpus(tmp_path):
+    # every id of the corpus is cached, so the provider (a port where nothing
+    # listens) is never asked; on two CPUs fetch decodes the cache's head
+    # itself and its tail in a forked reader. The cache holds about 4 MB of
+    # entries, mostly for other DOIs, with CRLF breaks and a byte-order mark,
+    # which costs its first entry nothing, and unreadable lines near its
+    # start, near 20% and at its end, each named by its line in the whole
+    # file, in order. The --dois list has a byte-order mark and CRLF breaks
+    ids = _fetch_corpus(tmp_path / "corpus", 5, [("Astro", 300, 2.0, 1.1), ("Maths", 40, 1.2, 0.6)])
+    lines = [_entry(f"10.9/other-{k:05d}", k, 0.95, 1.0) for k in range(40000)]
+    for k, doi in enumerate(ids):  # every 100th line; some below the match threshold
+        lines[100 * k + 50] = _entry(doi, k, 0.5 if k % 7 == 0 else 0.95, 1.0)
+    bad = [2, len(lines) // 5, len(lines) + 1]  # line numbers
+    lines[bad[0] - 1] = lines[bad[1] - 1] = "{not json"
+    lines.append("{not json")
+    cache = tmp_path / "cache.jsonl"
+    with open(cache, "w", encoding="utf-8-sig", newline="\r\n") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    with open(tmp_path / "dois.txt", "w", encoding="utf-8-sig", newline="\r\n") as fh:
+        fh.write("".join(doi + "\n" for doi in ["# cached DOIs", *ids[:3]]))
+    # on two CPUs, the cache is cut between the second and the third
+    ahead = os.path.getsize(tmp_path / "corpus" / "corpus.jsonl") + os.path.getsize(tmp_path / "dois.txt")
+    head = Cache(cache).head(ahead)
+    assert os.path.getsize(cache) * 0.2 < head < os.path.getsize(cache) * 0.9, head
+    before = cache.read_bytes()
+    argv = ["fetch", "--input", "corpus/corpus.jsonl", "--dois", "dois.txt",
+            "--provider-url", "http://127.0.0.1:9", "--cache", "cache.jsonl"]
+    code, stdout, stderr, _ = alike(tmp_path, argv)
+    assert code == 0, stderr
+    assert cache.read_bytes() == before
+    assert "resolved 343 dois: 293 matched, 50 below threshold, 0 failed, 291 merged" in stdout
+    assert [line for line in stderr.splitlines() if "unreadable cache line" in line] == [
+        f"WARNING readscale.fetch: cache.jsonl:{n}: unreadable cache line skipped" for n in bad
+    ]
+
+
+def test_a_cold_fetch_holds_the_rate_limit_on_one_and_two_cpus(tmp_path, stub_provider):
+    # 350 corpus ids and an empty cache: seven batches of 50 go out under the
+    # default rate limit of 5 requests per second, up to 5 at once. The stub
+    # stamps each request as its handler starts; no half-open one-second
+    # window may hold more than 5 of them. No lower bound on the time taken is
+    # checked: shared machines are too noisy for one
+    ids = _fetch_corpus(tmp_path / "corpus", 11, [("Astro", 200, 2.0, 1.1), ("Maths", 150, 1.2, 0.6)])
+    answers = {}
+    for doi in ids:  # every DOI answered, one in nine below the match threshold
+        code = zlib.crc32(doi.encode())
+        answers[doi] = code % 500, 0.5 if code % 9 == 0 else 0.95
+    runs = {}
+    for label, cpus in (("one", ONE), ("two", TWO)):
+        server = stub_provider(answers)
+        argv = ["fetch", "--input", "corpus/corpus.jsonl", "--provider-url", server.url,
+                "--cache", f"cache-{label}.jsonl", "--out", f"out-{label}"]
+        code, stdout, stderr = pinned(cpus, argv, tmp_path)
+        assert code == 0, stderr
+        runs[label] = stdout, stderr, (tmp_path / f"out-{label}" / "corpus.jsonl").read_bytes()
+        entries = sorted(server.entries)
+        assert len(entries) == 7, entries
+        # the most entries in any half-open window [t, t + 1)
+        most = max(bisect.bisect_left(entries, t + 1.0) - i for i, t in enumerate(entries))
+        assert most <= 5, (label, most, entries)
+    assert runs["one"] == runs["two"]
+    summary = runs["one"][0]
+    assert summary.startswith("resolved 350 dois: ") and " 0 failed" in summary

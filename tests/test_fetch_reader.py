@@ -17,7 +17,7 @@ import pytest
 import readscale.cli as cli_mod
 import readscale.fetch as fetch_mod
 import readscale.worker as worker_mod
-from conftest import make_records
+from conftest import make_records, tree
 from readscale.cli import main
 from readscale.fetch import Cache
 from readscale.ingest import write_records
@@ -88,10 +88,6 @@ def _fetch(argv, out: Path, capsys, caplog):
     return code, stdout, records
 
 
-def _tree(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 def _reaped(pid: int) -> bool:
     try:
         os.waitpid(pid, os.WNOHANG)
@@ -119,13 +115,13 @@ def test_forked_and_sequential_fetches_match(
         appended = [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()[len(cache_lines):]]
         for entry in appended:
             del entry["fetched_at"]
-        runs[forks] = (code, stdout, records, sorted(appended, key=str), _tree(tmp_path / f"out-{forks}"))
+        runs[forks] = (code, stdout, records, sorted(appended, key=str), tree(tmp_path / f"out-{forks}"))
 
     reader, sequential = reader_pids()
     assert reader != os.getpid() and sequential == os.getpid()
     assert _reaped(reader)
     assert runs[True] == runs[False]
-    code, stdout, records, appended, tree = runs[True]
+    code, stdout, records, appended, out = runs[True]
     assert code == 0
     assert stdout == "resolved 5 dois: 3 matched, 2 below threshold, 0 failed, 3 merged\n"
     warnings = [message for _, level, message in records if level == "WARNING"]
@@ -138,7 +134,7 @@ def test_forked_and_sequential_fetches_match(
         {"doi": "10.1/bio-0003", "match_probability": 0.99, "reads": 70},
         {"doi": "10.1/bio-0004", "match_probability": 0.7, "reads": 80},
     ]
-    merged = [json.loads(line)["reads"] for line in tree["corpus.jsonl"].decode().splitlines()]
+    merged = [json.loads(line)["reads"] for line in out["corpus.jsonl"].decode().splitlines()]
     assert merged == [30, 41, 5, 70, 7]
     assert server.request_count == 2
 
@@ -272,7 +268,7 @@ def test_a_split_read_logs_and_merges_as_one_read(
         argv = ["--input", str(corpus), "--provider-url", DEAD_PROVIDER, "--cache", str(cache)]
         code, stdout, records = _fetch(argv, tmp_path / f"out-{forks}", capsys, caplog)
         records = [(name, level, message.replace(str(cache), "CACHE")) for name, level, message in records]
-        runs[forks] = (code, stdout, records, _tree(tmp_path / f"out-{forks}"))
+        runs[forks] = (code, stdout, records, tree(tmp_path / f"out-{forks}"))
 
     # the head ends between the unreadable lines 50 and 150
     data = (tmp_path / "cache-True.jsonl").read_bytes()
@@ -282,13 +278,13 @@ def test_a_split_read_logs_and_merges_as_one_read(
     pids = reader_pids()
     assert len(pids) == 3 and pids.count(os.getpid()) == 2
     assert runs[True] == runs[False]
-    code, stdout, records, tree = runs[True]
+    code, stdout, records, out = runs[True]
     assert code == 0 and stdout == "resolved 5 dois: 4 matched, 1 below threshold, 0 failed, 4 merged\n"
     warnings = [message for _, level, message in records if level == "WARNING"]
     assert warnings == [f"{corpus}: skipped 1 malformed rows"] + [
         f"CACHE:{k}: unreadable cache line skipped" for k in (2, 50, 150, 206)
     ]
-    merged = [json.loads(line)["reads"] for line in tree["corpus.jsonl"].decode().splitlines()]
+    merged = [json.loads(line)["reads"] for line in out["corpus.jsonl"].decode().splitlines()]
     assert merged == [0, 10, 5, 30, 40]
 
 

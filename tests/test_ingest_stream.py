@@ -12,8 +12,6 @@ import json
 import logging
 import os
 import re
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -23,18 +21,12 @@ from hypothesis import strategies as st
 
 import readscale.cli as cli_mod
 import readscale.worker as worker_mod
+from conftest import ONE, TWO, alike, needs_two_cpus, pinned, tree
 from readscale import ingest
 from readscale.cli import main
 from readscale.ingest import parse_columns, write_records
 
-SRC = str(Path(cli_mod.__file__).resolve().parents[1])
-
-pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity") or (os.cpu_count() or 1) < 2,
-    reason="the parser forks on two CPUs",
-)
-
-ONE, TWO = {0}, {0, 1}
+pytestmark = needs_two_cpus  # the parser forks on two CPUs
 
 
 def _reference_ingest(args) -> int:
@@ -86,13 +78,12 @@ def _reference_ingest(args) -> int:
 
 def _pinned(cpus: set[int], argv: list[str], cwd: Path, chunk_lines: int | None = None) -> tuple:
     """(exit code, stdout, stderr, parts streamed) of ``readscale`` run in a
-    child process pinned to ``cpus``, its parts of ``chunk_lines`` rows, or,
-    with none given, with :func:`_reference_ingest` for ``ingest``; "parts
-    streamed" counts the parts that crossed a forked parser's stream."""
+    child process pinned to ``cpus`` (see :func:`conftest.pinned`), its parts
+    of ``chunk_lines`` rows, or, with none given, with :func:`_reference_ingest`
+    for ``ingest``; "parts streamed" counts the parts that crossed a forked
+    parser's stream."""
     streamed = cwd / f"streamed-{os.getpid()}-{len(os.listdir(cwd))}"
-    code = (
-        "import os, sys\n"
-        f"os.sched_setaffinity(0, {cpus!r})\n"
+    prelude = (
         "from readscale import cli, ingest\n"
         + (f"ingest._CHUNK_LINES = {chunk_lines}\n" if chunk_lines else "")
         + ("" if chunk_lines else inspect.getsource(_reference_ingest) + "cli.cmd_ingest = _reference_ingest\n")
@@ -102,17 +93,11 @@ def _pinned(cpus: set[int], argv: list[str], cwd: Path, chunk_lines: int | None 
         "        fh.write('.')\n"
         "    receive(self, *args)\n"
         "cli._IngestWriter.receive = counted\n"
-        f"sys.exit(cli.main({argv!r}))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True)
+    run = pinned(cpus, argv, cwd, prelude)
     parts = len(streamed.read_text()) if streamed.exists() else 0
     streamed.unlink(missing_ok=True)
-    return run.returncode, run.stdout, run.stderr, parts
-
-
-def _tree(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    return (*run, parts)
 
 
 # values drawn from small pools, so that ids repeat within and across files
@@ -196,12 +181,33 @@ def test_ingest_on_one_cpu_equals_two_and_the_reference(tmp_path, files, years):
     runs = {}
     for label, cpus, chunk_lines in (("one", ONE, 2), ("two", TWO, 2), ("reference", ONE, None)):
         *runs[label], parts = _pinned(cpus, ["ingest", *inputs, *flags, "--out", f"out-{label}"], work, chunk_lines)
-        runs[label].append(_tree(work / f"out-{label}"))
+        runs[label].append(tree(work / f"out-{label}"))
         assert parts == 0 or label == "two"
     assert runs["one"] == runs["two"] == runs["reference"]
-    code, _, stderr, tree = runs["one"]
+    code, _, stderr, out = runs["one"]
     assert code == 0, stderr
-    assert set(tree) == {"corpus.jsonl", "ingest_diagnostics.jsonl"}
+    assert set(out) == {"corpus.jsonl", "ingest_diagnostics.jsonl"}
+
+
+def test_edge_inputs_ingest_alike_on_one_and_two_cpus(tmp_path):
+    # a CSV row with two findings counts as one rejected row, --year logs the
+    # rows it leaves out, and a two-file ingest names a repeated id by its own
+    # file and line
+    (tmp_path / "rows.csv").write_text("id,field,year,reads\na1,Bio,2010,1\na2,Bio,2010,2\na1,Bio,1850,3\n")
+    (tmp_path / "years.csv").write_text("id,field,year,reads\na1,Bio,2010,1\na2,Bio,2011,2\na3,Bio,1850,3\n")
+    (tmp_path / "first.csv").write_text("id,field,year,reads\nb1,Bio,2010,1\nb2,Bio,2010,2\n")
+    (tmp_path / "second.jsonl").write_text(
+        '{"id": "b3", "field": "Bio", "year": 2010, "reads": 3}\n'
+        '{"id": "b2", "field": "Bio", "year": 2010, "reads": 4}\n'
+    )
+    code, stdout, _, _ = alike(tmp_path, ["ingest", "--input", "rows.csv"])
+    assert code == 0 and "accepted 2 rejected 1" in stdout.splitlines()
+    code, stdout, stderr, _ = alike(tmp_path, ["ingest", "--input", "years.csv", "--year", "2010"])
+    assert code == 0 and "accepted 1 rejected 1" in stdout.splitlines()
+    assert "1 rows of other years left out" in stderr
+    code, _, _, out = alike(tmp_path, ["ingest", "--input", "first.csv", "--input", "second.jsonl"])
+    assert code == 0
+    assert b'{"line": 2, "reason": "second.jsonl: duplicate id b2"}' in out["ingest_diagnostics.jsonl"].splitlines()
 
 
 def test_a_forked_parser_streams_every_part(tmp_path):

@@ -117,7 +117,7 @@ def _dois_read(argv: list[str], monkeypatch) -> list[str]:
         read.extend(dois)
         return answer_from_cache(dois, columns, threshold)
 
-    def fetch_missing(missing, config, cache, meanwhile=None):
+    def fetch_missing(missing, config, cache):
         return {doi: FetchResult(doi, None, 0.0, 0.0) for doi in missing}
 
     monkeypatch.setattr(fetch_mod, "answer_from_cache", answered)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import readscale.cli as cli_mod
 import readscale.worker as worker_mod
-from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records, open_fds
+from conftest import MATHS_COUNTS, SURGERY_COUNTS, make_records, open_fds, tree
 from readscale.cli import main
 from readscale.ingest import Columns, write_records
 
@@ -114,10 +114,6 @@ def _run(argv, out: Path, capsys, caplog, command="report"):
     return code, stdout, records
 
 
-def _tree(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 def _reaped(pid: int) -> bool:
     try:
         os.waitpid(pid, os.WNOHANG)
@@ -149,7 +145,7 @@ def test_forked_and_sequential_reports_match(inputs, tmp_path, capsys, caplog, m
     warnings = [message for _, level, message in records if level == "WARNING"]
     assert "stratum Silent/2010 has only zero counts; skipped" in warnings
     assert any("ccdf of 'bio-chem' not written" in message for message in warnings)
-    assert _tree(tmp_path / "shared") == _tree(tmp_path / "sequential")
+    assert tree(tmp_path / "shared") == tree(tmp_path / "sequential")
     assert _reaped(worker)
 
 
@@ -182,7 +178,7 @@ def test_single_stage_shared_and_sequential_match(command, fmt, inputs, tmp_path
         runs.append(_run([*inputs, "--format", fmt], tmp_path / f"cpus{cpus}", capsys, caplog, command))
         assert len({pid for *_, pid in task_log.take()}) == cpus
     assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1]
-    assert _tree(tmp_path / "cpus2") == _tree(tmp_path / "cpus1")
+    assert tree(tmp_path / "cpus2") == tree(tmp_path / "cpus1")
 
 
 @pytest.fixture
@@ -365,7 +361,7 @@ def test_failed_fork_runs_collapse_in_process(inputs, tmp_path, capsys, caplog, 
 
     assert failed_fork == sequential and failed_fork[0] == 0
     assert task_log.pids() == {os.getpid()}
-    assert _tree(tmp_path / "failed_fork") == _tree(tmp_path / "sequential")
+    assert tree(tmp_path / "failed_fork") == tree(tmp_path / "sequential")
 
 
 def _runs_in_process(failing, inputs, tmp_path, capsys, caplog, monkeypatch, task_log):
@@ -387,7 +383,7 @@ def _runs_in_process(failing, inputs, tmp_path, capsys, caplog, monkeypatch, tas
 
     assert failed == sequential and failed[0] == 0
     assert task_log.pids() == {os.getpid()}
-    assert _tree(tmp_path / "failed") == _tree(tmp_path / "sequential")
+    assert tree(tmp_path / "failed") == tree(tmp_path / "sequential")
 
 
 def test_failed_channel_runs_every_worker_in_process(inputs, tmp_path, capsys, caplog, monkeypatch, task_log):
@@ -459,7 +455,7 @@ def test_shared_tasks_read_as_one_process(corpus, capsys, caplog, monkeypatch, t
             assert len(task_log.pids()) == cpus
             task_log.take()
         assert runs[0] == runs[1] and runs[0][0] == 0
-        assert _tree(root / "cpus2") == _tree(root / "cpus1")
+        assert tree(root / "cpus2") == tree(root / "cpus1")
 
 
 @_PROPERTY
@@ -477,7 +473,7 @@ def test_a_failure_in_either_process_reads_as_in_sequence(corpus, data, capsys, 
         _cpus(monkeypatch, 1)
         clean = _run(argv, root / "clean", capsys, caplog)
         task_log.take()
-        ccdfs = sorted(name for name in _tree(root / "clean") if name.startswith("ccdf_"))
+        ccdfs = sorted(name for name in tree(root / "clean") if name.startswith("ccdf_"))
         if not ccdfs or data.draw(st.booleans()):
             years = sorted({year for part in parts for year in part.years})
             task = data.draw(st.tuples(st.sampled_from(tuple(cli_mod.STAGES)), st.sampled_from(years)))

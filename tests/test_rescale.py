@@ -1,13 +1,16 @@
 """Mean-rescaling, cross-stratum collapse and CCDF construction."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from readscale.corpus import GroupKey, PublicationRecord, group_by_field_year
+from readscale.corpus import GroupKey, PublicationRecord, group_by_field_year, group_stats
 from readscale.rescale import (
     AllUnreadGroupError,
     RescaledSample,
+    UnscalableGroupError,
     ccdf,
     ccdf_filename,
     collapse,
@@ -63,6 +66,16 @@ def test_rank_order_preserved():
     assert np.argsort(sample.values, kind="stable").tolist() == np.argsort(
         np.asarray(counts, dtype=float), kind="stable"
     ).tolist()
+
+
+def test_a_group_summing_beyond_float_range_is_unscalable_without_a_numpy_warning():
+    group = _group([1e308, 1e308, 5e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnscalableGroupError, match="has reads that sum beyond float range") as err:
+            rescale_group(group)
+        assert group_stats(group).r_mean is None
+    assert type(err.value) is UnscalableGroupError
 
 
 def test_all_zero_group_raises():

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readscale.corpus import Corpus, PublicationRecord, stratify
+from readscale.rescale import AllUnreadGroupError
 from readscale.topz import (
     TIE_RULES,
     VARIANTS,
@@ -98,22 +99,32 @@ def test_tie_break_is_by_code_point_with_non_ascii_ids():
     assert top_membership(records, z=10, tie_rule="threshold") == set(ids)
 
 
-def test_share_report_all_zero_note_names_first_stratum_in_field_order():
+def test_share_report_skips_all_zero_strata_and_names_them_in_field_order():
     # "Zulu" comes first in the input, "Alpha" first in (field, year) order;
-    # the records and their strata, whole or of one year, name the same one
-    records = (
-        make_records([0, 0, 0], "Zulu", 2010, prefix="z")
-        + make_records([4, 3, 2], "Mid", 2010, prefix="m")
-        + make_records([0, 0], "Alpha", 2010, prefix="a")
-    )
-    strata = stratify(Corpus.from_records(records))
-    for source in (records, strata, strata.of_year(2010)):
+    # the records and their strata, whole or of one year, name both, in that order
+    zero = make_records([0, 0, 0], "Zulu", 2010, prefix="z") + make_records([0, 0], "Alpha", 2010, prefix="a")
+    ranked = make_records([4, 3, 2], "Mid", 2010, prefix="m")
+    strata = stratify(Corpus.from_records(zero + ranked))
+    for source in (zero + ranked, strata, strata.of_year(2010)):
         with pytest.raises(ValueError) as err:
             top_share_report(source, z=20.0, variant="rescaled")
-        assert str(err.value) == "group GroupKey(field='Alpha', year=2010) has only zero counts"
+        assert str(err.value) == (
+            "skipped all-zero strata: Alpha, Zulu; top-share analysis needs at least 2 fields"
+        )
     with pytest.raises(ValueError) as err:
-        top_share_report(make_records([0, 0], "Alpha", 2010), z=20.0, variant="rescaled")
+        top_share_report(make_records([0, 0], "Alpha", 2010), z=20.0, variant="original")
     assert str(err.value) == "top-share analysis needs at least 2 fields"
+    # with two fields ranked, the report is that of the year without the skipped strata
+    ranked += make_records([9, 0, 5, 1, 1, 7], "Other", 2010, prefix="o")
+    for tie_rule in ("rank", "threshold"):
+        for z in (10.0, 20.0, 50.0):
+            report = top_share_report(zero + ranked, z, "rescaled", tie_rule)
+            assert list(report.skipped) == ["Alpha", "Zulu"]
+            assert all(type(exc) is AllUnreadGroupError for exc in report.skipped.values())
+            assert report == top_share_report(ranked, z, "rescaled", tie_rule)._replace(skipped=report.skipped)
+            # the original ranking keeps every field
+            original = top_share_report(zero + ranked, z, "original", tie_rule)
+            assert (original.n_c, original.skipped) == (4, {})
 
 
 def test_threshold_rule_superset_of_rank_rule():
@@ -237,13 +248,17 @@ def test_share_report_rejects_mixed_years():
 def _reference_membership(records, variant, z, tie_rule):
     """Top z% ids by a plain sort on (-value, id)."""
     values = {r.id: float(r.reads) for r in records}
-    if variant == "rescaled":
+    if variant == "rescaled":  # an all-zero stratum is left out of the ranking
         by_stratum = {}
         for r in records:
             by_stratum.setdefault((r.field, r.year), []).append(r)
         for members in by_stratum.values():
             mean = np.asarray([r.reads for r in members], dtype=float).mean()
-            values.update({r.id: float(r.reads) / mean for r in members})
+            for r in members:
+                if mean:
+                    values[r.id] = float(r.reads) / mean
+                else:
+                    del values[r.id]
     ranked = sorted(values.items(), key=lambda item: (-item[1], item[0]))
     k = math.floor(z * len(ranked) / 100)
     if k == 0:
@@ -271,27 +286,16 @@ def _reference_membership(records, variant, z, tie_rule):
 def test_top_membership_equals_sort_reference(rows, data, z, tie_rule, variant):
     ids = data.draw(st.lists(st.text(max_size=4), min_size=len(rows), max_size=len(rows), unique=True))
     records = [PublicationRecord(i, f, y, v) for i, (f, v, y) in zip(ids, rows)]
-    if variant == "rescaled":  # every (field, year) stratum needs a nonzero mean
-        by_stratum = {}
-        for f, v, y in rows:
-            by_stratum.setdefault((f, y), []).append(v)
-        assume(all(np.asarray(v, dtype=float).mean() for v in by_stratum.values()))
     assert top_membership(records, variant, z, tie_rule) == _reference_membership(
         records, variant, z, tie_rule
     )
 
 
-def test_top_membership_all_zero_error_names_first_stratum_in_field_order():
-    # in (year, field) order ("B", 2010) would come first
-    records = (
-        make_records([4, 1], "A", 2010, prefix="a10")
-        + make_records([0, 0], "B", 2010, prefix="b10")
-        + make_records([0, 0, 0], "A", 2011, prefix="a11")
-        + make_records([2, 5], "B", 2011, prefix="b11")
-    )
-    with pytest.raises(ValueError) as err:
-        top_membership(records, "rescaled")
-    assert str(err.value) == "group GroupKey(field='A', year=2011) has only zero counts"
+def test_top_membership_leaves_all_zero_strata_out_of_the_rescaled_ranking():
+    ranked = make_records([4, 1], "A", 2010, prefix="a10") + make_records([2, 5], "B", 2011, prefix="b11")
+    zero = make_records([0, 0], "B", 2010, prefix="b10") + make_records([0, 0, 0], "A", 2011, prefix="a11")
+    for z in (25.0, 50.0, 75.0):
+        assert top_membership(zero + ranked, "rescaled", z) == top_membership(ranked, "rescaled", z)
 
 
 def _reference_shares(records, variant, z, tie_rule):
@@ -330,18 +334,19 @@ def test_share_report_all_zero_and_empty_cut_repeat_for_every_z(caplog):
         + make_records([4, 0, 2, 7], "Zulu", 2010, prefix="z")
     )
     strata = stratify(Corpus.from_records(records))
-    for z in (5.0, 8.0, 10.0, 20.0):
-        with pytest.raises(ValueError) as err:
-            top_share_report(strata, z, "rescaled")
-        assert str(err.value) == "group GroupKey(field='Alpha', year=2010) has only zero counts"
-    caplog.clear()
     with caplog.at_level("WARNING", logger="readscale.topz"):
         for z in (5.0, 8.0, 10.0):
-            report = top_share_report(strata, z, "original")
-            assert report.within_tolerance == sum(
-                abs(s - z) <= report.sigma_z for s in report.per_field_share.values()
-            )
+            for variant in VARIANTS:
+                report = top_share_report(strata, z, variant)
+                assert list(report.skipped) == (["Alpha"] if variant == "rescaled" else [])
+                assert report.within_tolerance == sum(
+                    abs(s - z) <= report.sigma_z for s in report.per_field_share.values()
+                )
+    # the rescaled ranking holds the 9 records of the two fields ranked
     assert [r.getMessage() for r in caplog.records] == [
         "top 5.0% of 12 records selects nothing",
+        "top 5.0% of 9 records selects nothing",
         "top 8.0% of 12 records selects nothing",
+        "top 8.0% of 9 records selects nothing",
+        "top 10.0% of 9 records selects nothing",
     ]

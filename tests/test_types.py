@@ -12,7 +12,7 @@ from readscale.css import CssResult
 from readscale.distfit import LognormalFit, ZeroPolicy
 from readscale.fetch import ProviderConfig
 from readscale.ingest import IngestReport
-from readscale.rescale import CcdfCurve, RescaledSample
+from readscale.rescale import AllUnreadGroupError, CcdfCurve, RescaledSample
 from readscale.swilk import SwTestResult
 from readscale.topz import TopZReport
 
@@ -39,9 +39,9 @@ TYPES = [
     (RescaledSample, ("key", "values", "r0"), {},
      (GroupKey("A", 2010), (0.5, 1.5), 2.0), (GroupKey("B", 2010), (1.0,), 3.0)),
     (CcdfCurve, ("points",), {}, (((1.0, 1.0), (2.0, 0.5)),), (((1.0, 1.0),),)),
-    (TopZReport, ("z", "variant", "per_field_share", "sigma_z", "n_c", "n_i", "within_tolerance"), {},
-     (10.0, "original", {"A": 10.0}, 1.5, 1, {"A": 40}, 1),
-     (5.0, "rescaled", {"A": 5.0}, 2.5, 2, {"A": 20}, 0)),
+    (TopZReport, ("z", "variant", "per_field_share", "sigma_z", "n_c", "n_i", "within_tolerance", "skipped"), {},
+     (10.0, "original", {"A": 10.0}, 1.5, 1, {"A": 40}, 1, {}),
+     (5.0, "rescaled", {"A": 5.0}, 2.5, 2, {"A": 20}, 0, {"B": AllUnreadGroupError("group B has only zero counts")})),
 ]
 
 
@@ -119,6 +119,7 @@ EXCEPTIONS = {
     "FetchError": (("provider unreachable",), ()),
     "IngestError": (("input is not valid UTF-8",), ()),
     "SchemaError": (("reads",), ("column",)),
+    "UnscalableGroupError": (("stratum Huge/2010 has reads that sum beyond float range",), ()),
     "UnsupportedSizeError": (("n=2 outside [3, 5000]",), ()),
     "ZeroVarianceError": (("all values identical",), ()),
 }
