@@ -76,7 +76,7 @@ def _reference_ingest(args) -> int:
     return 0
 
 
-def _pinned(cpus: set[int], argv: list[str], cwd: Path, chunk_lines: int | None = None) -> tuple:
+def _ingest_parts(cpus: set[int], argv: list[str], cwd: Path, chunk_lines: int | None = None) -> tuple:
     """(exit code, stdout, stderr, parts streamed) of ``readscale`` run in a
     child process pinned to ``cpus`` (see :func:`conftest.pinned`), its parts
     of ``chunk_lines`` rows, or, with none given, with :func:`_reference_ingest`
@@ -180,7 +180,8 @@ def test_ingest_on_one_cpu_equals_two_and_the_reference(tmp_path, files, years):
     flags = [arg for year in years or () for arg in ("--year", str(year))]
     runs = {}
     for label, cpus, chunk_lines in (("one", ONE, 2), ("two", TWO, 2), ("reference", ONE, None)):
-        *runs[label], parts = _pinned(cpus, ["ingest", *inputs, *flags, "--out", f"out-{label}"], work, chunk_lines)
+        argv = ["ingest", *inputs, *flags, "--out", f"out-{label}"]
+        *runs[label], parts = _ingest_parts(cpus, argv, work, chunk_lines)
         runs[label].append(tree(work / f"out-{label}"))
         assert parts == 0 or label == "two"
     assert runs["one"] == runs["two"] == runs["reference"]
@@ -213,7 +214,7 @@ def test_edge_inputs_ingest_alike_on_one_and_two_cpus(tmp_path):
 def test_a_forked_parser_streams_every_part(tmp_path):
     rows = "".join(f"r{i},Bio,2010,{i}\n" for i in range(10))
     (tmp_path / "rows.csv").write_text("id,field,year,reads\n" + rows)
-    code, stdout, _, parts = _pinned(TWO, ["ingest", "--input", "rows.csv", "--out", "out"], tmp_path, 3)
+    code, stdout, _, parts = _ingest_parts(TWO, ["ingest", "--input", "rows.csv", "--out", "out"], tmp_path, 3)
     assert (code, stdout, parts) == (0, "accepted 10 rejected 0\n", 4)
 
 
@@ -241,7 +242,7 @@ def test_a_failed_parse_leaves_no_corpus_and_logs_as_the_reference(tmp_path, kin
     runs = {}
     for label, cpus, chunk_lines in (("one", ONE, 3), ("two", TWO, 3), ("reference", ONE, None)):
         out = tmp_path / f"out-{label}"
-        *runs[label], parts = _pinned(cpus, ["ingest", *inputs, "--out", out.name], tmp_path, chunk_lines)
+        *runs[label], parts = _ingest_parts(cpus, ["ingest", *inputs, "--out", out.name], tmp_path, chunk_lines)
         assert os.listdir(out) == []
         if label == "two" and kind.startswith("invalid"):
             assert parts > 100  # written, and then dropped
