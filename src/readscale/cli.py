@@ -561,7 +561,7 @@ _FIT_RENDER = {
 
 def _fit_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
     """Per-stratum lognormal fits and normality tests."""
-    from .corpus import group_stats
+    from .corpus import SumOverflowError, group_stats
     from .distfit import DegenerateSampleError, ZeroPolicy, fit_logs, log_sample
     from .swilk import UnsupportedSizeError, ZeroVarianceError, shapiro_wilk
 
@@ -574,7 +574,7 @@ def _fit_year(args, strata: Strata, out: _TaskOut) -> list[dict]:
             "field": key.field, "year": key.year, "obs": stats.n,
             "r0": stats.r_mean, "r_max": stats.r_max,
         }
-        notes = [] if stats.r_mean is not None else ["r0 failed: sum beyond float range"]
+        notes = [] if stats.r_mean is not None else [f"r0 failed: {SumOverflowError()}"]
         # the fit and the normality test take the same logs
         logs, n_dropped = log_sample(stratum.reads, policy)
         try:
@@ -676,7 +676,7 @@ def _css_row(head: dict, values: np.ndarray, k: int, rule: str, labels: Sequence
     try:
         betas = characteristic_scores(values, k=k, rule=rule)
         result = classify(values, betas)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         row["note"] = f"scores failed: {exc}"
         return row
     for j, beta in enumerate(betas):

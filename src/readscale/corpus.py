@@ -40,6 +40,13 @@ class DuplicateIdError(ValueError):
         return type(self), (self.ids,), self.__dict__
 
 
+class SumOverflowError(ValueError):
+    """Values that sum beyond float range: their mean is no number."""
+
+    def __init__(self, message: str = "sum beyond float range"):
+        super().__init__(message)
+
+
 class PublicationRecord(NamedTuple):
     """One article.
 
@@ -370,11 +377,11 @@ def mean(values: np.ndarray) -> float:
     ``values.mean()`` gives: the same pairwise float64 sum over the size,
     without ``ndarray.mean``'s Python wrapper, which takes longer than the
     sum itself on a stratum of a few hundred values. A sum beyond float range
-    raises OverflowError, without numpy's warning: such a mean is no number."""
+    raises :class:`SumOverflowError`, without numpy's warning."""
     with np.errstate(over="ignore"):
         total = np.add.reduce(values, dtype=np.float64)
     if np.isinf(total):
-        raise OverflowError("sum beyond float range")
+        raise SumOverflowError
     return float(total / values.size)
 
 
@@ -387,7 +394,7 @@ def group_stats(group: Group | Stratum) -> GroupStats:
     top = reads.max()
     try:
         r_mean = mean(reads)
-    except OverflowError:
+    except SumOverflowError:
         r_mean = None
     return GroupStats(
         n=len(group),

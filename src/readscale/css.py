@@ -59,8 +59,8 @@ def characteristic_scores(
 
     A (sub)sample whose values are all the same, as :func:`~readscale.swilk.identical`
     decides, scores exactly its value, which a float mean can miss either way:
-    its values then open their class. Raises on an empty sample or k < 1, and
-    OverflowError where the values to average sum beyond float range.
+    its values then open their class. Raises ValueError on an empty sample,
+    k < 1 or values that sum beyond float range.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

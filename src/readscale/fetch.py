@@ -26,9 +26,9 @@ The cache is read as columns (:meth:`Cache.read_columns`), and
 :class:`FetchResult` per DOI over the same index.
 
 Batches go out over a few worker threads behind one :class:`RateLimiter`:
-up to ceil(rate_limit) requests at once, and never more than that in any
-one-second window at the provider. A rerun whose misses fit in
-ceil(rate_limit) batches therefore sends them without waiting.
+up to ceil(rate_limit) requests at once, never more than that in any one-second
+window, and a little under rate_limit per second in the long run. A rerun whose
+misses fit in ceil(rate_limit) batches therefore sends them without waiting.
 
 Requests go out through the standard library's ``urllib.request``, which
 honours the proxy environment variables and verifies HTTPS against the
@@ -43,7 +43,6 @@ batch failed without a retry.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import marshal
@@ -52,6 +51,7 @@ import os
 import threading
 import time
 from array import array
+from collections import deque
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -82,6 +82,14 @@ BACKOFF_CAP = 8.0
 # waiting longer would only stall the run without a word.
 RETRY_AFTER_CAP = 60.0
 CACHE_KEYS = ("doi", "reads", "match_probability", "fetched_at")
+# Extra time in the rate limiter's window, in seconds: grant k waits until
+# ceil(rate)/rate + WINDOW_GUARD after grant k - ceil(rate). A request reaches
+# the provider some time after its grant, and that time differs between
+# requests: against a local stub on a 2-core VM, by up to 30 ms with both cores
+# busy, where a guard of 10 ms let 6 of 7 requests arrive within one second in
+# 6 runs of 40. A window of ceil(rate)/rate alone leaves no room for that at an
+# integer rate, where it spans exactly one second.
+WINDOW_GUARD = 0.05
 # fetch's main process decodes the head of a large cache while a forked reader
 # decodes the tail. Before the head it loads the client, which takes about as
 # long as decoding CLIENT_BYTES of cache, and parses the corpus and the DOI
@@ -111,8 +119,8 @@ class ProviderConfig(_ProviderConfig):
     api_key_env names an environment variable; the key itself never
     appears in config files or flags. rate_limit bounds the requests of
     all worker threads together: at most ceil(rate_limit) in any one-second
-    window at the provider, and up to ceil(rate_limit) at once (see
-    :class:`RateLimiter`). It must be finite.
+    window, a little under rate_limit per second in the long run, and up to
+    ceil(rate_limit) at once (see :class:`RateLimiter`). It must be finite.
     """
 
     __slots__ = ()
@@ -155,19 +163,19 @@ class FetchResult(NamedTuple):
 
 
 class RateLimiter:
-    """At most n = ceil(rate) requests in any half-open one-second window at
-    the provider, however long each takes to get there.
+    """At most ceil(rate) grants in any half-open one-second window.
 
-    A request holds one of n slots from its grant (:meth:`acquire`) until
-    n/rate >= 1 second after it ends (:meth:`release`, its answer or failure
-    in hand). It reaches the provider between the two, so of any n + 1
-    requests two took one slot in turn, and the later reached the provider at
-    least a second after the earlier. Up to n requests go at once, and a slot
-    serves one request per n/rate seconds plus the request's own time.
+    With n = ceil(rate), grant k waits until n/rate + WINDOW_GUARD seconds
+    after grant k - n on the monotonic clock, and no longer: up to n grants go
+    at once, and the long-run rate is n / (n/rate + WINDOW_GUARD). Any n + 1
+    consecutive grants thus span more than n/rate >= 1 second; the guard
+    keeps that true of the requests' arrivals while their delays after the
+    grant differ by less than WINDOW_GUARD. At a rate of 1 or less, n = 1 and
+    grants are spaced by 1/rate + WINDOW_GUARD.
 
-    Grants are serialized, each taking a slot that is free by then or else
-    waiting, on the monotonic clock, for the first to free up. Only the slots
-    used are kept, so a huge rate costs nothing.
+    acquire() blocks, holding the lock so that grants are serialized, until
+    its grant is due. Only the times of the last min(n, grants made) grants
+    are kept, so a huge rate costs nothing.
     """
 
     def __init__(self, rate: float):
@@ -175,31 +183,20 @@ class RateLimiter:
             raise ValueError("rate must be > 0")
         if not math.isfinite(rate):
             raise ValueError("rate must be finite")
-        self._window = math.ceil(rate) / rate
-        self._unused = math.ceil(rate)  # slots no request has taken yet
-        self._idle = threading.Semaphore(math.ceil(rate))  # slots no request holds
-        self._grant = threading.Lock()
+        self._burst = math.ceil(rate)
+        self._window = self._burst / rate + WINDOW_GUARD
         self._lock = threading.Lock()
-        self._free_at: list[float] = []  # a heap: when each slot given back frees up
+        self._grants: deque[float] = deque()  # the last grants' times, oldest first
 
     def acquire(self) -> None:
-        """Take a slot once one is free."""
-        with self._grant:
-            self._idle.acquire()
-            with self._lock:
-                now = time.monotonic()
-                if self._unused and not (self._free_at and self._free_at[0] <= now):
-                    self._unused -= 1
-                    return
-                due = heapq.heappop(self._free_at)
-            if due > now:
-                time.sleep(due - now)
-
-    def release(self) -> None:
-        """Give back the slot of a request that has ended."""
         with self._lock:
-            heapq.heappush(self._free_at, time.monotonic() + self._window)
-        self._idle.release()
+            now = time.monotonic()
+            if len(self._grants) == self._burst:
+                wait = self._grants.popleft() + self._window - now
+                if wait > 0:
+                    time.sleep(wait)
+                    now = time.monotonic()
+            self._grants.append(now)
 
 
 class CacheColumns(tuple):
@@ -482,8 +479,6 @@ def _post_batch(
             last_error = f"connection failed: {exc}"
             log.warning("attempt %d/%d: %s", attempt + 1, config.max_retries + 1, last_error)
             continue
-        finally:
-            limiter.release()
         if status == 429 or status >= 500:
             last_error = f"HTTP {status}"
             if status == 429:

@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Group, GroupKey, Stratum, field_slug, mean
+from .corpus import Group, GroupKey, Stratum, SumOverflowError, field_slug, mean
 
 __all__ = [
     "AllUnreadGroupError",
@@ -88,7 +88,7 @@ def rescale_group(group: Group | Stratum) -> RescaledSample:
         raise ValueError("cannot rescale an empty group")
     try:
         r0 = mean(reads)
-    except OverflowError:
+    except SumOverflowError:
         raise UnscalableGroupError(f"group {group.key} {UnscalableGroupError.reason}") from None
     if r0 == 0.0:
         raise AllUnreadGroupError(f"group {group.key} {AllUnreadGroupError.reason}")

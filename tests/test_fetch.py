@@ -12,6 +12,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -319,49 +320,29 @@ class _FakeTime:
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(st.sampled_from([0.3, 0.5, 1.0, 2.5, 5.0, 7.5, 100.0]), st.floats(0.3, 110.0)),
-    st.lists(
-        st.tuples(
-            st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 3.0)),  # the ask, after the last grant
-            st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(0.0, 3.0)),  # the request's own time
-        ),
-        max_size=250,
-    ),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 3.0)), max_size=250),
 )
-@example(5.0, [(0.0, 0.0)] * 12)
-@example(0.5, [(0.0, 0.0), (0.0, 0.0), (3.0, 0.0), (0.0, 0.0)])
-@example(5.0, [(0.0, 0.0)] + [(0.0, 2.0)] * 4 + [(0.0, 0.0)] * 3)  # requests that take long to end
-def test_rate_limiter_window(rate, requests):
+@example(5.0, [0.0] * 12)
+@example(0.5, [0.0, 0.0, 3.0, 0.0])
+def test_rate_limiter_window(rate, gaps):
     clock = _FakeTime()
-    n = math.ceil(rate)
-    window = n / rate
-    grants, ends, out = [], [], []  # the requests not yet ended, each with the time it ends
     with mock.patch.object(fetch_mod, "time", clock):
         limiter = RateLimiter(rate)
-        for gap, duration in requests:
-            ask = (grants[-1] if grants else 0.0) + gap
-            # the requests that end by the ask end first, and the earliest also
-            # while all n are out, as one thread at a time would see them
-            for i, end in sorted(out, key=lambda item: item[1]):
-                if end > ask and len(out) < n:
-                    break
-                clock.now = max(clock.now, end)
-                limiter.release()
-                ends[i] = clock.now
-                out.remove((i, end))
-            clock.now = max(clock.now, ask)
-            ask = clock.now
-            busy = [end + window for end in ends if end + window > ask + 1e-9]  # the requests out count as inf
+        n = math.ceil(rate)
+        window = n / rate + fetch_mod.WINDOW_GUARD
+        grants = []
+        for k, gap in enumerate(gaps):
+            clock.now += gap  # the next ask comes this long after the last grant
+            earliest = clock.now if k < n else max(clock.now, grants[k - n] + window)
             limiter.acquire()
-            # a grant waits only while every slot is held, and then until the first is free
-            assert clock.now == pytest.approx(ask if len(busy) < n else min(busy), rel=0, abs=1e-9)
-            out.append((len(grants), clock.now + duration))
             grants.append(clock.now)
-            ends.append(math.inf)
-    # any n + 1 requests, each reaching the provider between its grant and
-    # its end, span a second: no half-open window from a grant's second
-    # before it holds more than n of them
-    for g in grants:
-        assert sum(1 for grant, end in zip(grants, ends) if grant <= g and end > g - 1.0 + 1e-9) <= n
+            # each grant comes as soon as the rule allows; the first n never sleep
+            assert grants[k] == pytest.approx(earliest, rel=0, abs=1e-9)
+            assert k >= n or clock.sleeps == 0
+    for k in range(len(grants) - n):
+        assert grants[k + n] - grants[k] >= window - 1e-9
+    for i, start in enumerate(grants):
+        assert bisect.bisect_left(grants, start + 1.0) - i <= n  # grants in [start, start + 1)
 
 
 def test_rate_limiter_under_contention():
@@ -374,7 +355,6 @@ def test_rate_limiter_under_contention():
             limiter.acquire()
             with lock:
                 stamps.append(time.monotonic())
-            limiter.release()
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
@@ -388,36 +368,41 @@ def test_rate_limiter_under_contention():
         assert in_window <= 200
 
 
-@pytest.mark.parametrize("rate, threads, each, hold", [(20.0, 8, 5, 0.0), (5.0, 8, 1, 0.02)])
-def test_rate_limiter_window_holds_under_contention(rate, threads, each, hold):
-    # more threads than slots in the second case, each holding its slot a while
+def test_rate_limiter_window_holds_under_contention():
+    rate = 20.0
     n = math.ceil(rate)
+    read = threading.local()
+
+    def monotonic():
+        read.last = time.monotonic()
+        return read.last
+
     limiter = RateLimiter(rate)
     grants = []
     lock = threading.Lock()
 
     def worker():
-        for _ in range(each):
+        for _ in range(5):
             limiter.acquire()
             with lock:
-                grants.append(time.monotonic())  # after the grant, before the slot is given back
-            time.sleep(hold)
-            limiter.release()
+                grants.append(read.last)  # the clock's last reading in acquire: the grant
 
-    workers = [threading.Thread(target=worker) for _ in range(threads)]
+    threads = [threading.Thread(target=worker) for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join(timeout=30)
+        with mock.patch.object(fetch_mod, "time", SimpleNamespace(monotonic=monotonic, sleep=time.sleep)):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in workers)
+    assert not any(t.is_alive() for t in threads)
     grants.sort()
-    assert len(grants) == threads * each
-    assert all(later - earlier >= n / rate - 1e-6 for earlier, later in zip(grants, grants[n:]))
+    assert len(grants) == 40
+    window = n / rate + fetch_mod.WINDOW_GUARD
+    assert all(later - earlier >= window - 1e-6 for earlier, later in zip(grants, grants[n:]))
 
 
 def test_request_rate_within_limit_window(stub_provider, tmp_path):
